@@ -17,20 +17,22 @@ self-mapping identity (a manifold predicting its own observable exactly) is
 still available by disabling leave-one-out.
 
 Every (size, sample) cell derives its RNG stream from (seed, size, sample
-index), so sweep results are independent of scheduling order and thread
-count.
+index), so sweep results do not depend on the order cells are evaluated in.
+A sweep embeds each direction once and measures all pairwise distances
+once; every cell then reads the columns of its library from that matrix.
+CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
+is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, multivariate_embed
+from .embedding import EmbeddingLibrary, EmbeddingSpec, multivariate_embed
 from .timeseries import Dataset, TimeSeries, pearson_rho
 
 __all__ = [
@@ -79,6 +81,77 @@ class CcmConfig:
         object.__setattr__(self, "library_sizes", sizes)
 
 
+#: Most distances computed in one block; bounds the per-block temporary of
+#: (rows x library x dimension) coordinate differences.
+_BLOCK_ELEMENTS = 4096
+
+
+def _check_aligned(cause: TimeSeries, effect: TimeSeries) -> None:
+    if cause.start_year != effect.start_year or len(cause) != len(effect):
+        raise ValueError(
+            f"series must be aligned: {cause.name!r} {cause.start_year}..{cause.end_year}, "
+            f"{effect.name!r} {effect.start_year}..{effect.end_year}"
+        )
+
+
+def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> EmbeddingLibrary:
+    """The effect's delay vectors, each paired with the contemporaneous cause value."""
+    spec = EmbeddingSpec.univariate(effect.name, dimension, tau, exclusion_radius=0)
+    members = (effect,) if cause.name == effect.name else (effect, cause)
+    return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
+
+
+def _distance_blocks(queries: np.ndarray, lib_vectors: np.ndarray):
+    """Manhattan distances from every query state to every library state.
+
+    Yields ``(rows, block)`` in ascending row order, where ``block[q, c]`` is
+    the distance from ``queries[rows[q]]`` to ``lib_vectors[c]`` and each
+    block holds at most ``_BLOCK_ELEMENTS`` distances (at least one row).
+    """
+    step = max(1, _BLOCK_ELEMENTS // len(lib_vectors))
+    for start in range(0, len(queries), step):
+        stop = min(start + step, len(queries))
+        block = np.abs(queries[start:stop, None, :] - lib_vectors[None, :, :]).sum(axis=2)
+        yield np.arange(start, stop), block
+
+
+def _estimates(distances: np.ndarray, rows: np.ndarray, lib: np.ndarray, times: np.ndarray,
+               targets: np.ndarray, k: int, leave_one_out: bool,
+               exclusion_radius: int) -> np.ndarray:
+    """Kernel estimates of ``targets`` at the query ``rows`` from library ``lib``.
+
+    ``distances[q, c]`` is the distance from query ``rows[q]`` to library
+    point ``lib[c]``; ``lib`` must be sorted ascending so that the stable sort
+    breaks distance ties toward the earlier time.  Candidates excluded by
+    leave-one-out or the exclusion radius are set to infinite distance.
+    """
+    # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
+    # drops only the query's own time (gap 0)
+    if exclusion_radius > 0:
+        floor = exclusion_radius
+    else:
+        floor = 0 if leave_one_out else -1
+    keep = np.abs(times[rows, None] - times[None, lib]) > floor
+    admissible = keep.sum(axis=1)
+    short = np.flatnonzero(admissible < k)
+    if short.size:
+        q = short[0]
+        raise ValueError(
+            f"cross-map query at {int(times[rows[q]])} has only {int(admissible[q])} "
+            f"admissible neighbours, needs {k}"
+        )
+    masked = np.where(keep, distances, np.inf)
+    chosen = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    d = np.take_along_axis(masked, chosen, axis=1)
+    nearest = d[:, :1]
+    exact = nearest == 0.0
+    weights = np.where(exact, d == 0.0, np.exp(-d / np.where(exact, 1.0, nearest)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    # a stacked matmul rounds each row like a 1-D ``weights @ values``; an
+    # elementwise product summed along the row does not
+    return (weights[:, None, :] @ targets[lib][chosen][:, :, None])[:, 0, 0]
+
+
 def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 1,
               library_indices=None, exclusion_radius: int = 0,
               leave_one_out: bool = True) -> float:
@@ -95,17 +168,8 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
     continuous limit of the exponential kernel; with ``leave_one_out`` off
     and a full library this makes a series reconstruct itself exactly.
     """
-    if cause.start_year != effect.start_year or len(cause) != len(effect):
-        raise ValueError(
-            f"series must be aligned: {cause.name!r} {cause.start_year}..{cause.end_year}, "
-            f"{effect.name!r} {effect.start_year}..{effect.end_year}"
-        )
-    spec = EmbeddingSpec.univariate(effect.name, dimension, tau, exclusion_radius=0)
-    if cause.name == effect.name:
-        data = Dataset((effect,))
-    else:
-        data = Dataset((effect, cause))
-    library = multivariate_embed(data, spec, cause.name, tp=0)
+    _check_aligned(cause, effect)
+    library = _embed(cause, effect, dimension, tau)
 
     n = len(library)
     if library_indices is None:
@@ -116,39 +180,17 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
             raise ValueError("library_indices must be a non-empty 1-D index collection")
         if indices.min() < 0 or indices.max() >= n:
             raise ValueError(f"library indices out of range 0..{n - 1}")
-    k = dimension + 1
+        indices = np.sort(indices)
     if indices.size < dimension + 2:
         raise ValueError(
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "
             f"have {indices.size}"
         )
 
-    lib_vectors = library.vectors[indices]
-    lib_times = library.times[indices]
-    lib_cause = library.targets[indices]
     estimates = np.empty(n, dtype=float)
-    for i in range(n):
-        distances = np.abs(lib_vectors - library.vectors[i]).sum(axis=1)
-        keep = np.ones(indices.size, dtype=bool)
-        if leave_one_out:
-            keep &= lib_times != library.times[i]
-        if exclusion_radius > 0:
-            keep &= np.abs(lib_times - library.times[i]) > exclusion_radius
-        candidates = np.nonzero(keep)[0]
-        if candidates.size < k:
-            raise ValueError(
-                f"cross-map query at {int(library.times[i])} has only {candidates.size} "
-                f"admissible neighbours, needs {k}"
-            )
-        order = np.lexsort((lib_times[candidates], distances[candidates]))
-        chosen = candidates[order[:k]]
-        d = distances[chosen]
-        if d[0] == 0.0:
-            weights = (d == 0.0).astype(float)
-        else:
-            weights = np.exp(-d / d[0])
-        weights /= weights.sum()
-        estimates[i] = weights @ lib_cause[chosen]
+    for rows, block in _distance_blocks(library.vectors, library.vectors[indices]):
+        estimates[rows] = _estimates(block, rows, indices, library.times, library.targets,
+                                     dimension + 1, leave_one_out, exclusion_radius)
     return pearson_rho(library.targets, estimates)
 
 
@@ -157,7 +199,7 @@ class CcmDirection:
     """One cross-map direction: rho versus library size, plus a verdict.
 
     ``samples[i, j]`` is the skill of sample j at ``library_sizes[i]``;
-    ``spread`` is the sample standard deviation per size.
+    ``spread`` is the population standard deviation (ddof=0) per size.
     """
 
     cause: str
@@ -262,32 +304,37 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     than the margin from first to final size, ends positive, and its last
     two grid points agree within the plateau tolerance.  A single-size grid
     cannot exhibit convergence, so the result is flagged insufficient.
+
+    Each direction holds one n x n float64 distance matrix (n embeddable
+    points) while its cells run.  ``threads`` is accepted and ignored.
     """
-    n = min(len(a), len(b)) - (cfg.dimension - 1) * cfg.tau
+    _check_aligned(a, b)
+    n = len(a) - (cfg.dimension - 1) * cfg.tau
     sizes = cfg.library_sizes
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")
 
-    cells = [(i, size, j) for i, size in enumerate(sizes) for j in range(cfg.samples_per_size)]
+    libraries = [
+        [np.sort(_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg))
+         for j in range(cfg.samples_per_size)]
+        for size in sizes
+    ]
+    rows = np.arange(n)
 
-    def run_cell(cell: tuple[int, int, int]) -> tuple[int, int, float, float]:
-        i, size, j = cell
-        rng = np.random.default_rng((cfg.seed, size, j))
-        indices = _draw_indices(rng, n, size, cfg)
-        rho_ab = cross_map(a, b, cfg.dimension, cfg.tau, indices, cfg.exclusion_radius)
-        rho_ba = cross_map(b, a, cfg.dimension, cfg.tau, indices, cfg.exclusion_radius)
-        return i, j, rho_ab, rho_ba
-
-    results_ab = np.empty((len(sizes), cfg.samples_per_size), dtype=float)
-    results_ba = np.empty_like(results_ab)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cell) for cell in cells]
-    for i, j, rho_ab, rho_ba in outcomes:
-        results_ab[i, j] = rho_ab
-        results_ba[i, j] = rho_ba
+    def skills(cause: TimeSeries, effect: TimeSeries) -> np.ndarray:
+        library = _embed(cause, effect, cfg.dimension, cfg.tau)
+        distances = np.empty((n, n), dtype=float)
+        for block_rows, block in _distance_blocks(library.vectors, library.vectors):
+            distances[block_rows] = block
+        samples = np.empty((len(sizes), cfg.samples_per_size), dtype=float)
+        for i, draws in enumerate(libraries):
+            for j, lib in enumerate(draws):
+                estimates = _estimates(
+                    distances[:, lib], rows, lib, library.times, library.targets,
+                    cfg.dimension + 1, True, cfg.exclusion_radius,
+                )
+                samples[i, j] = pearson_rho(library.targets, estimates)
+        return samples
 
     def direction(cause: str, effect: str, samples: np.ndarray) -> CcmDirection:
         means = samples.mean(axis=1)
@@ -303,8 +350,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
         )
 
     return CcmResult(
-        a_from_b=direction(a.name, b.name, results_ab),
-        b_from_a=direction(b.name, a.name, results_ba),
+        a_from_b=direction(a.name, b.name, skills(a, b)),
+        b_from_a=direction(b.name, a.name, skills(b, a)),
         insufficient_grid=len(sizes) < 2,
         seed=cfg.seed,
     )

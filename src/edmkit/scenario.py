@@ -326,6 +326,7 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
     kind-appropriate baseline.  Launch-reduction scenarios are scored against
     the three-input baseline, because adding the launch series changes the
     system evolution wholesale; everything else uses the two-input baseline.
+    Raises ValueError when that baseline's final-year value is 0.
     """
     horizon = config.horizon_end
     if scenario.kind == "launch_reduction":
@@ -337,6 +338,11 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
             baseline = baseline_forecast(data, config)
         reference = baseline
     baseline_value = reference.value_at(horizon)
+    if baseline_value == 0.0:
+        raise ValueError(
+            f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
+            f"so the mitigated share is undefined"
+        )
 
     if scenario.kind == "pmd":
         trajectory = _simulate_pmd(data, scenario, config, reference)

@@ -49,7 +49,7 @@ class TimeSeries:
     """A named sequence of yearly observations on a contiguous year index.
 
     ``values[i]`` is the observation for year ``start_year + i``.  The series
-    must be non-empty and may not contain missing entries.
+    must be non-empty and every entry must be finite (no NaN, no infinity).
     """
 
     name: str
@@ -62,8 +62,12 @@ class TimeSeries:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError(f"series {self.name!r} is empty")
-        if any(math.isnan(v) for v in vals):
-            raise ValueError(f"series {self.name!r} contains missing values")
+        if not all(map(math.isfinite, vals)):
+            bad = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise ValueError(
+                f"series {self.name!r} has a non-finite value {vals[bad]!r} "
+                f"in year {int(self.start_year) + bad}"
+            )
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start_year", int(self.start_year))
 
@@ -195,7 +199,8 @@ def load_csv(path, year_column: str = "year") -> Dataset:
     TimeSeries named after its header.
 
     Raises FileNotFoundError for a missing file and ValueError, naming the
-    offending row, for non-numeric cells, duplicate years, or year gaps.
+    offending row, for non-numeric or non-finite cells, duplicate years, or
+    year gaps.
     """
     path = Path(path)
     if not path.exists():
@@ -239,8 +244,10 @@ def load_csv(path, year_column: str = "year") -> Dataset:
                 raise ValueError(
                     f"{path}: row {row_no}: non-numeric value {cell.strip()!r} in column {name!r}"
                 ) from None
-            if math.isnan(value):
-                raise ValueError(f"{path}: row {row_no}: missing value in column {name!r}")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: row {row_no}: non-finite value {cell.strip()!r} in column {name!r}"
+                )
             columns[name].append(value)
 
     if not years:

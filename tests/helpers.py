@@ -98,8 +98,11 @@ def oracle_wls(vectors, targets, weights, query_vector, ridge=0.0):
 
 
 def oracle_cross_map(cause_values, effect_values, dimension, tau, library_indices,
-                     leave_one_out=True):
-    """Reference cross-map skill with Manhattan distance."""
+                     leave_one_out=True, exclusion_radius=0):
+    """Reference cross-map skill with Manhattan distance.
+
+    A positive ``exclusion_radius`` drops library points within that many
+    steps of the query time."""
     n_total = len(effect_values)
     first = (dimension - 1) * tau
     heads = list(range(first, n_total))
@@ -111,6 +114,8 @@ def oracle_cross_map(cause_values, effect_values, dimension, tau, library_indice
         rows = []
         for li in library_indices:
             if leave_one_out and heads[li] == t:
+                continue
+            if exclusion_radius > 0 and abs(heads[li] - t) <= exclusion_radius:
                 continue
             d = sum(abs(a - b) for a, b in zip(vectors[li], vectors[qi]))
             rows.append((d, heads[li], li))

@@ -149,3 +149,67 @@ def test_serialization(tmp_path):
     result.to_json(json_path)
     text = json_path.read_text(encoding="utf-8")
     assert '"verdict"' in text and '"insufficient_grid"' in text
+
+
+def test_spread_is_population_standard_deviation():
+    x, y = coupled_logistic_pair(120)
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 60), samples_per_size=5, seed=4)
+    for direction in convergence_sweep(x, y, cfg).directions:
+        assert np.array_equal(np.asarray(direction.spread), direction.samples.std(axis=1))
+
+
+def _redrawn_library(seed, size, j, n, method, replacement):
+    rng = np.random.default_rng((seed, size, j))
+    if method == "contiguous":
+        start = int(rng.integers(0, n - size + 1))
+        return list(range(start, start + size))
+    return rng.choice(n, size=size, replace=replacement).tolist()
+
+
+@pytest.mark.parametrize("radius", [0, 3])
+@pytest.mark.parametrize("replacement", [False, True])
+@pytest.mark.parametrize("method", ["random", "contiguous"])
+def test_sweep_cells_match_oracle(method, replacement, radius):
+    x, y = coupled_logistic_pair(61)
+    n = len(x) - 1
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=13,
+                    method=method, replacement=replacement, exclusion_radius=radius)
+    result = convergence_sweep(x, y, cfg)
+    xs, ys = list(x.values), list(y.values)
+    for i, size in enumerate(cfg.library_sizes):
+        for j in range(cfg.samples_per_size):
+            library = _redrawn_library(cfg.seed, size, j, n, method, replacement)
+            expected_ab = oracle_cross_map(xs, ys, 2, 1, library, exclusion_radius=radius)
+            expected_ba = oracle_cross_map(ys, xs, 2, 1, library, exclusion_radius=radius)
+            assert abs(result.a_from_b.samples[i, j] - expected_ab) <= 1e-10
+            assert abs(result.b_from_a.samples[i, j] - expected_ba) <= 1e-10
+
+
+def test_sweep_shortfall_names_first_failing_query_year():
+    x, y = coupled_logistic_pair(40)
+    a = TimeSeries("a", 1960, x.values)
+    b = TimeSeries("b", 1960, y.values)
+    n = len(a) - 1
+    radius, k = 12, 3
+    cfg = CcmConfig(dimension=2, library_sizes=(10, 30), samples_per_size=3, seed=2,
+                    exclusion_radius=radius)
+    library = _redrawn_library(cfg.seed, 10, 0, n, "random", False)
+    # delay vector i has its head at year 1961 + i
+    for query in range(n):
+        admissible = sum(abs(li - query) > radius for li in library)
+        if admissible < k:
+            break
+    else:
+        pytest.fail("the chosen radius leaves every query enough neighbours")
+    message = (f"cross-map query at {1961 + query} has only {admissible} "
+               f"admissible neighbours, needs {k}")
+    with pytest.raises(ValueError, match=message):
+        convergence_sweep(a, b, cfg)
+
+
+def test_sweep_requires_aligned_series():
+    a = logistic_series(50, name="a")
+    b = TimeSeries("b", 1, a.values[:49])
+    cfg = CcmConfig(dimension=2, library_sizes=(10, 20), samples_per_size=2)
+    with pytest.raises(ValueError, match="aligned"):
+        convergence_sweep(a, b, cfg)

@@ -191,3 +191,36 @@ def test_cli_byte_identical_reruns(data_csv, tmp_path):
             assert main([*full, *threads]) == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_ccm_non_finite_data_exits_two(data_csv, tmp_path, capsys):
+    lines = data_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "inf"  # the 'total' column of data row 6
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["ccm", "--data", str(bad), "--a", "debris", "--b", "total",
+                 "--out", str(tmp_path / "ccm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "row 6" in err and "'total'" in err
+    assert not (tmp_path / "ccm.csv").exists()
+
+
+def test_simulate_zero_baseline_exits_two(data_csv, tmp_path, capsys, monkeypatch):
+    import edmkit.scenario
+
+    class ZeroForecast:
+        def value_at(self, year):
+            return 0.0
+
+    monkeypatch.setattr(edmkit.scenario, "baseline_forecast",
+                        lambda *args, **kwargs: ZeroForecast())
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text("horizon = 2035\n[adr_small]\nkind = adr\nadr_per_year = 100\n",
+                   encoding="utf-8")
+    code = main(["simulate", "--data", str(data_csv), "--scenarios", str(cfg),
+                 "--outdir", str(tmp_path / "reports")])
+    assert code == 2
+    assert "baseline debris forecast for 2035 is 0" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from edmkit.scenario import (
     launch_reduction_adjust,
     load_scenario_file,
     pmd_adjust,
+    simulate,
 )
 from edmkit.timeseries import Dataset
 
@@ -229,3 +230,18 @@ def test_scenario_file_errors(tmp_path):
 
     with pytest.raises(FileNotFoundError):
         load_scenario_file(tmp_path / "nope.cfg")
+
+
+def test_zero_baseline_raises_named_error(monkeypatch):
+    import edmkit.scenario
+
+    class ZeroForecast:
+        def value_at(self, year):
+            return 0.0
+
+    monkeypatch.setattr(edmkit.scenario, "baseline_forecast",
+                        lambda *args, **kwargs: ZeroForecast())
+    for scenario in (PolicyScenario("adr", adr_per_year=100),
+                     PolicyScenario("launch_reduction", reduction_fraction=0.1)):
+        with pytest.raises(ValueError, match=f"{scenario.name}.*2050 is 0"):
+            simulate(toy_data(), scenario, ScenarioModelConfig())

@@ -31,6 +31,21 @@ def test_series_rejects_empty_and_nan():
         TimeSeries("x", 0, (1.0, float("nan")))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_series_rejects_infinite_values(bad):
+    with pytest.raises(ValueError, match=r"series 'x' has a non-finite value .* in year 1961"):
+        TimeSeries("x", 1960, (1.0, bad, 2.0))
+
+
+@pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan"])
+def test_load_csv_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"year,debris\n1960,10\n1961,{cell}\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"row 3: non-finite value '{cell}' in column 'debris'"):
+        load_csv(path)
+
+
 def test_dataset_requires_alignment_and_unique_names():
     a = TimeSeries("a", 1960, (1.0, 2.0))
     with pytest.raises(ValueError):
