@@ -412,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=None,
                        help="input CSV (default: bundled yearly dataset)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; never changes results")
+                       help="accepted and ignored; every command runs single-threaded")
 
     p = sub.add_parser("embed-search", help="skill table over embedding dimensions")
     add_common(p)

@@ -406,22 +406,16 @@ def _simulate_pmd(data: Dataset, scenario: PolicyScenario, config: ScenarioModel
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
                   config: ScenarioModelConfig, threads: int = 1) -> list[MitigationReport]:
-    """Run a batch of scenarios against shared baselines, in input order."""
+    """Run a batch of scenarios against shared baselines, in input order.
+
+    Scenarios run in turn; ``threads`` is accepted and ignored.
+    """
     todo = list(scenarios)
     baseline = baseline_forecast(data, config)
     baseline3 = None
     if any(s.kind == "launch_reduction" for s in todo):
         baseline3 = baseline_forecast(data, config, three_input=True)
-
-    def run(scenario: PolicyScenario) -> MitigationReport:
-        return simulate(data, scenario, config, baseline, baseline3)
-
-    if threads > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, todo))
-    return [run(s) for s in todo]
+    return [simulate(data, s, config, baseline, baseline3) for s in todo]
 
 
 _MODEL_KEYS = {

@@ -18,7 +18,6 @@ the reconstruction can extend past the observed record.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -34,7 +33,7 @@ from .embedding import (
     multivariate_embed,
     state_vector,
 )
-from .timeseries import UNDEFINED_SKILL, Dataset, TimeSeries, pearson_rho, rmse
+from .timeseries import UNDEFINED_SKILL, Dataset, pearson_rho, rmse
 
 __all__ = [
     "SimplexConfig",
@@ -284,7 +283,8 @@ def embed_dimension_search(data: Dataset, target: str, dimensions: Iterable[int]
 
     Each dimension runs with its simplex default ``k = dimension + 1``.
     Ties in rho break toward the smallest dimension; dimensions whose skill
-    is undefined never win.
+    is undefined never win.  Dimensions are evaluated in turn; ``threads``
+    is accepted and ignored.
     """
     dims = sorted(set(int(d) for d in dimensions))
     if not dims:
@@ -295,11 +295,7 @@ def embed_dimension_search(data: Dataset, target: str, dimensions: Iterable[int]
         result = skill_eval(data, target, SimplexConfig(spec), train_end, eval_start, eval_end)
         return dimension, result.rho, result.rmse
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(evaluate, dims))
-    else:
-        rows = tuple(evaluate(d) for d in dims)
+    rows = tuple(evaluate(d) for d in dims)
 
     best: tuple[int, float] | None = None
     for dimension, rho_value, _ in rows:
@@ -326,43 +322,76 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Year-at-a-time extrapolation loop shared by simplex and S-map.
 
-    ``predict_step(ext_data, last_year, cap_year, norms)`` must return
-    ``(values, variances, coefficients)`` where the dicts cover every series
-    being extended.  With self conditioning (the default) each prediction is
-    appended as if observed, so the library grows along the forecast; without
-    it the library stays capped at the observed record while query states are
-    still formed from the extended series.  ``adjust`` is applied to each
-    year's predictions before they are appended, which lets policy engines
-    inject interventions the later steps can see.
+    The loop allocates once: a float64 buffer with one row per year for
+    every extended series, and the delay vectors for every row, transformed
+    with norms frozen from the observed data.  Each forecast year writes
+    one row of each.  ``predict_step(library, targets, query)`` gets the
+    target's ``EmbeddingLibrary`` over a prefix of those vectors, the
+    forward values of every extended series at each library point (one
+    column per series, in ``extension_names`` order) and the latest state
+    as ``(last_year, vector)``; it returns ``(values, variances, record)``
+    with one value and one variance per column and a per-step record that
+    is collected as is.  With self conditioning (the default) each
+    prediction is appended as if observed, so the library grows along the
+    forecast; without it the library stays capped at the observed record
+    while query states are still formed from the extended series.
+    ``adjust`` is applied to each year's predictions before they are
+    appended, which lets policy engines inject interventions the later
+    steps can see.  A non-finite value that a later step would use raises
+    ValueError naming its series and year.
     """
     if horizon_end <= data.end_year:
         raise ValueError(
             f"horizon {horizon_end} must lie beyond the observed record ({data.end_year})"
         )
     names = extension_names(spec, target)
-    extended = {name: list(data[name].values) for name in names}
+    n_obs = data.n_years
+    steps = horizon_end - data.end_year
+    values = np.empty((n_obs + steps, len(names)), dtype=float)
+    for col, name in enumerate(names):
+        values[:n_obs, col] = data[name].to_array()
     norms = multivariate_embed(data, spec, target, tp=1).norms  # frozen from observed data
-    observed_end = data.end_year
 
-    forecast_years = np.arange(observed_end + 1, horizon_end + 1)
-    predictions = np.empty(forecast_years.shape[0], dtype=float)
-    variances = np.empty(forecast_years.shape[0], dtype=float)
-    coefficient_rows: list = []
+    # coordinate j of the state at row h is
+    # (values[h - lag_rows[j], lag_cols[j]] - centre[j]) / scale[j]
+    lag_rows = np.array([j * spec.tau for _, lags in spec.columns for j in range(lags)])
+    lag_cols = np.array([c for c, (_, lags) in enumerate(spec.columns) for _ in range(lags)])
+    centre = np.array([norms[c][1] if norms else 0.0 for c in lag_cols])
+    scale = np.array([norms[c][2] if norms else 1.0 for c in lag_cols])
+    first = spec.max_offset
+    times = data.start_year + np.arange(first, n_obs + steps)
+    states = np.empty((times.shape[0], spec.dimension), dtype=float)
+    heads = np.arange(first, n_obs)[:, None]
+    states[:n_obs - first] = (values[heads - lag_rows, lag_cols] - centre) / scale
+    target_col = names.index(target)
+
+    forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
+    variances = np.empty(steps, dtype=float)
+    records: list = []
     for i, year in enumerate(forecast_years):
-        last_year = int(year) - 1
-        ext_data = Dataset(tuple(
-            TimeSeries(name, data.start_year, extended[name]) for name in names
-        ))
-        cap_year = last_year if self_condition else observed_end
-        values, step_vars, coefficients = predict_step(ext_data, last_year, cap_year, norms)
+        last = n_obs + i - 1  # row of the latest known year
+        cap = last if self_condition else n_obs - 1  # row of the last library target
+        forward = values[first + 1:cap + 1]
+        library = EmbeddingLibrary(spec, target, 1, times[:cap - first], states[:cap - first],
+                                   forward[:, target_col], norms)
+        query = (int(year) - 1, states[last - first].copy())
+        step_values, step_vars, record = predict_step(library, forward, query)
         if adjust is not None:
-            values = adjust(int(year), values)
-        for name in names:
-            extended[name].append(values[name])
-        predictions[i] = values[target]
-        variances[i] = step_vars[target]
-        coefficient_rows.append(coefficients)
-    return forecast_years, predictions, variances, coefficient_rows
+            adjusted = adjust(int(year), dict(zip(names, step_values)))
+            step_values = [adjusted[name] for name in names]
+        row = last + 1
+        values[row] = step_values
+        variances[i] = step_vars[target_col]
+        records.append(record)
+        if i + 1 < steps:
+            bad = np.flatnonzero(~np.isfinite(values[row]))
+            if bad.size:
+                raise ValueError(
+                    f"series {names[bad[0]]!r} has a non-finite value "
+                    f"{float(values[row, bad[0]])!r} in year {int(year)}"
+                )
+            states[row - first] = (values[row - lag_rows, lag_cols] - centre) / scale
+    return forecast_years, values[n_obs:, target_col].copy(), variances, records
 
 
 def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig, horizon_end: int,
@@ -380,25 +409,17 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig, horizon_e
     only analogues of the advancing edge, and the window's anti-shortcut
     purpose applies to held-out scoring, not open-ended continuation.
     """
-    names = extension_names(cfg.spec, target)
 
-    def step(ext_data: Dataset, last_year: int, cap_year: int, norms):
-        libraries = {
-            name: multivariate_embed(ext_data, cfg.spec, name, tp=1, norms=norms)
-            .targets_through(cap_year)
-            for name in names
-        }
-        query = (last_year, state_vector(ext_data, cfg.spec, last_year, norms=norms))
-        neighbours = knn(libraries[target], query, cfg.effective_k,
-                         exclusion_radius=exclusion_radius)
+    def step(library: EmbeddingLibrary, targets: np.ndarray, query):
+        neighbours = knn(library, query, cfg.effective_k, exclusion_radius=exclusion_radius)
         weights = simplex_weights(neighbours.distances)
-        values: dict[str, float] = {}
-        step_vars: dict[str, float] = {}
-        for name in names:
-            targets = libraries[name].targets[neighbours.indices]
-            value = float(weights @ targets)
-            values[name] = value
-            step_vars[name] = float(weights @ (targets - value) ** 2)
+        values: list[float] = []
+        step_vars: list[float] = []
+        for column in targets.T:
+            chosen = column[neighbours.indices]
+            value = float(weights @ chosen)
+            values.append(value)
+            step_vars.append(float(weights @ (chosen - value) ** 2))
         return values, step_vars, None
 
     years, predictions, variances, _ = run_iterative(

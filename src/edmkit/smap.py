@@ -23,7 +23,6 @@ the slopes (never the intercept).
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
@@ -36,8 +35,6 @@ from .embedding import (
     EmbeddingSpec,
     NeighborShortfallError,
     admissible_mask,
-    multivariate_embed,
-    state_vector,
 )
 from .simplex import (
     ForecastResult,
@@ -115,21 +112,49 @@ def smap_weights(distances: np.ndarray, theta: float) -> np.ndarray:
     return np.exp(-theta * distances / mean_distance)
 
 
-def _solve_wls(vectors: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-               ridge: float) -> np.ndarray:
-    """Weighted least squares through the square-root-weight design matrix."""
-    n, dim = vectors.shape
-    design = np.concatenate([np.ones((n, 1)), vectors], axis=1)
+def _fit(library: EmbeddingLibrary, columns: Iterable[np.ndarray],
+         query: tuple[int, Sequence[float]], cfg: SMapConfig,
+         exclusion_radius: int | None) -> list[tuple[float, np.ndarray, float]]:
+    """S-map fits at one query state, one per target column.
+
+    The admissible mask, distances, weights and square-root-weighted design
+    are computed once and shared; each column (forward values aligned with
+    the library rows) gets its own least-squares solve.  Returns one
+    ``(prediction, coefficients, variance)`` per column.
+    """
+    query_vector = np.asarray(query[1], dtype=float)
+    dim = library.spec.dimension
+    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
+    keep = admissible_mask(library.times, query[0], radius)
+    count = int(keep.sum())
+    if count < dim + 2:
+        raise NeighborShortfallError(
+            f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
+            f"have {count} (library size {len(library)}, "
+            f"exclusion radius {radius})"
+        )
+    vectors = library.vectors[keep]
+    diffs = vectors - query_vector
+    distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    weights = smap_weights(distances, cfg.theta)
     sqrt_w = np.sqrt(weights)[:, None]
-    a = design * sqrt_w
-    b = targets * sqrt_w[:, 0]
-    if ridge > 0.0:
+    design = np.concatenate([np.ones((count, 1)), vectors], axis=1) * sqrt_w
+    if cfg.ridge > 0.0:
         penalty = np.zeros((dim, dim + 1))
-        penalty[:, 1:] = math.sqrt(ridge) * np.eye(dim)
-        a = np.concatenate([a, penalty], axis=0)
-        b = np.concatenate([b, np.zeros(dim)])
-    coefficients, *_ = np.linalg.lstsq(a, b, rcond=_SV_CUTOFF)
-    return coefficients
+        penalty[:, 1:] = math.sqrt(cfg.ridge) * np.eye(dim)
+        design = np.concatenate([design, penalty], axis=0)
+    fits = []
+    for column in columns:
+        targets = column[keep]
+        rhs = targets * sqrt_w[:, 0]
+        if cfg.ridge > 0.0:
+            rhs = np.concatenate([rhs, np.zeros(dim)])
+        coefficients, *_ = np.linalg.lstsq(design, rhs, rcond=_SV_CUTOFF)
+        prediction = float(coefficients[0] + query_vector @ coefficients[1:])
+        residuals = targets - (coefficients[0] + vectors @ coefficients[1:])
+        variance = float((weights * residuals**2).sum() / weights.sum())
+        fits.append((prediction, coefficients, variance))
+    return fits
 
 
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
@@ -139,29 +164,12 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     All library points surviving the exclusion window join the fit; at least
     ``dimension + 2`` of them are required for the regression to be posed.
     ``exclusion_radius`` overrides the library spec's window per call.
+    The fit solves weighted least squares through the square-root-weight
+    design matrix.
     """
-    query_time, query_vector = query
-    query_vector = np.asarray(query_vector, dtype=float)
-    dim = library.spec.dimension
-    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
-    keep = admissible_mask(library.times, query_time, radius)
-    count = int(keep.sum())
-    if count < dim + 2:
-        raise NeighborShortfallError(
-            f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
-            f"have {count} (library size {len(library)}, "
-            f"exclusion radius {radius})"
-        )
-    vectors = library.vectors[keep]
-    targets = library.targets[keep]
-    diffs = vectors - query_vector
-    distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    weights = smap_weights(distances, cfg.theta)
-    coefficients = _solve_wls(vectors, targets, weights, cfg.ridge)
-    prediction = float(coefficients[0] + query_vector @ coefficients[1:])
-    residuals = targets - (coefficients[0] + vectors @ coefficients[1:])
-    variance = float((weights * residuals**2).sum() / weights.sum())
-    return SMapStep(time=int(query_time), prediction=prediction,
+    (prediction, coefficients, variance), = _fit(library, (library.targets,), query, cfg,
+                                                 exclusion_radius)
+    return SMapStep(time=int(query[0]), prediction=prediction,
                     coefficients=coefficients, variance=variance)
 
 
@@ -222,7 +230,10 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
                  theta_grid: Iterable[float] = DEFAULT_THETA_GRID, *,
                  train_end: int, eval_start: int | None = None, eval_end: int | None = None,
                  ridge: float = 0.0, threads: int = 1) -> ThetaSearchResult:
-    """Grid-search theta by expanding-window skill; ties go to the smaller theta."""
+    """Grid-search theta by expanding-window skill; ties go to the smaller theta.
+
+    Thetas are evaluated in turn; ``threads`` is accepted and ignored.
+    """
     grid = sorted(set(float(t) for t in theta_grid))
     if not grid:
         raise ValueError("theta grid is empty")
@@ -232,11 +243,7 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
         result = skill_eval(data, target, cfg, train_end, eval_start, eval_end)
         return theta, result.rho, result.rmse
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(evaluate, grid))
-    else:
-        rows = tuple(evaluate(t) for t in grid)
+    rows = tuple(evaluate(t) for t in grid)
 
     best: tuple[float, float] | None = None
     for theta, rho_value, _ in rows:
@@ -269,22 +276,13 @@ def smap_iterative_forecast(data: Dataset, target: str, cfg: SMapConfig, horizon
     blocking autocorrelation shortcuts when scoring against held-out
     observations, does not apply to open-ended continuation.
     """
-    names = extension_names(cfg.spec, target)
+    target_col = extension_names(cfg.spec, target).index(target)
 
-    def step(ext_data: Dataset, last_year: int, cap_year: int, norms):
-        query = (last_year, state_vector(ext_data, cfg.spec, last_year, norms=norms))
-        values: dict[str, float] = {}
-        step_vars: dict[str, float] = {}
-        coefficients = None
-        for name in names:
-            library = multivariate_embed(ext_data, cfg.spec, name, tp=1, norms=norms)
-            library = library.targets_through(cap_year)
-            fitted = smap_predict(library, query, cfg, exclusion_radius=exclusion_radius)
-            values[name] = fitted.prediction
-            step_vars[name] = fitted.variance
-            if name == target:
-                coefficients = fitted.coefficients
-        return values, step_vars, coefficients
+    def step(library: EmbeddingLibrary, targets: np.ndarray, query):
+        fits = _fit(library, targets.T, query, cfg, exclusion_radius)
+        values = [prediction for prediction, _, _ in fits]
+        step_vars = [variance for _, _, variance in fits]
+        return values, step_vars, fits[target_col][1]
 
     years, predictions, variances, coefficient_rows = run_iterative(
         data, cfg.spec, target, horizon_end, step, self_condition, adjust

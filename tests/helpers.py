@@ -97,6 +97,62 @@ def oracle_wls(vectors, targets, weights, query_vector, ridge=0.0):
     return float(coef[0] + np.asarray(query_vector, float) @ coef[1:]), coef
 
 
+def oracle_iterative_step(series, columns, tau, n_obs, self_condition, method,
+                          theta=0.0, ridge=0.0, normalize=False):
+    """Reference next step of an iterative forecast for every extended series.
+
+    ``series`` maps each extended name to its ``n_obs`` observations followed
+    by the forecast so far; ``columns`` lists the embedded (name, lag count)
+    pairs at delay ``tau``.  With ``normalize`` every embedded series is
+    z-scored by the mean and population SD of its observations (SD 0 counts
+    as 1).  The query is the latest state.  With self conditioning the
+    library holds every head whose forward value is known; without it the
+    forward values stay inside the observations.  The exclusion window is
+    0.  Returns ``{name: (value, variance, coefficients)}``: simplex shares
+    the k = E + 1 nearest heads across series (coefficients None); the S-map
+    shares exp(-theta * d / d_mean) weights and fits ``oracle_wls`` per
+    series, the variance being the weighted mean squared residual.
+    """
+    centre, scale = {}, {}
+    for name, _ in columns:
+        observed = series[name][:n_obs]
+        mean = sum(observed) / n_obs
+        sd = math.sqrt(sum((v - mean) ** 2 for v in observed) / n_obs)
+        centre[name], scale[name] = (mean, sd or 1.0) if normalize else (0.0, 1.0)
+
+    def state(i):
+        return [(series[name][i - j * tau] - centre[name]) / scale[name]
+                for name, lags in columns for j in range(lags)]
+
+    length = len(next(iter(series.values())))
+    cap = length - 1 if self_condition else n_obs - 1
+    heads = list(range(max((lags - 1) * tau for _, lags in columns), cap))
+    vectors = [state(h) for h in heads]
+    query = state(length - 1)
+    out = {}
+    if method == "simplex":
+        k = sum(lags for _, lags in columns) + 1
+        for name, values in series.items():
+            targets = [values[h + 1] for h in heads]
+            value, variance = oracle_simplex(vectors, heads, targets, query, length - 1, k)
+            out[name] = (value, variance, None)
+        return out
+    dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(v, query))) for v in vectors]
+    d_mean = sum(dists) / len(dists)
+    if theta == 0.0 or d_mean == 0.0:
+        weights = [1.0] * len(dists)
+    else:
+        weights = [math.exp(-theta * d / d_mean) for d in dists]
+    for name, values in series.items():
+        targets = [values[h + 1] for h in heads]
+        value, coef = oracle_wls(vectors, targets, weights, query, ridge)
+        residuals = [t - (coef[0] + sum(c * x for c, x in zip(coef[1:], v)))
+                     for t, v in zip(targets, vectors)]
+        variance = sum(w * r * r for w, r in zip(weights, residuals)) / sum(weights)
+        out[name] = (value, variance, coef)
+    return out
+
+
 def oracle_smap_theta_rows(series, columns, target, start_year, thetas, train_end):
     """Reference (theta, rho, rmse) table for the expanding-window S-map search.
 

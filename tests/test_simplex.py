@@ -14,7 +14,12 @@ from edmkit.simplex import (
 )
 from edmkit.timeseries import Dataset, TimeSeries
 
-from helpers import logistic_series, oracle_simplex
+from helpers import (
+    coupled_logistic_pair,
+    logistic_series,
+    oracle_iterative_step,
+    oracle_simplex,
+)
 
 # oracle-frozen values for the 3-step toy extrapolation (radius 0, k=3)
 TOY_EXTRAPOLATION = (45.7521038260, 46.4158804600, 46.3003013497)
@@ -210,6 +215,28 @@ def test_iterative_fixed_library_mode():
     fixed = iterative_forecast(data, "x", cfg, horizon_end=40, self_condition=False)
     assert free.times.tolist() == fixed.times.tolist()
     assert np.max(np.abs(free.predicted - fixed.predicted)) > 1e-6
+
+
+@pytest.mark.parametrize("self_condition", [True, False])
+def test_iterative_steps_match_reference_two_series(self_condition):
+    # every step, teacher-forced: step s is recomputed from the observations
+    # plus the program's own steps before s for both extended series (the
+    # forecast targeting y advances the same joint state, so it supplies y)
+    data = Dataset(coupled_logistic_pair(60))
+    spec = EmbeddingSpec((("x", 2), ("y", 2)), tau=2, normalize=True)
+    steps = 15
+    tracks = {name: iterative_forecast(data, name, SimplexConfig(spec), data.end_year + steps,
+                                       self_condition=self_condition)
+              for name in ("x", "y")}
+    for s in range(steps):
+        series = {name: list(data[name].values) + tracks[name].predicted[:s].tolist()
+                  for name in tracks}
+        expected = oracle_iterative_step(series, spec.columns, 2, data.n_years, self_condition,
+                                         "simplex", normalize=True)
+        for name, result in tracks.items():
+            value, variance, _ = expected[name]
+            assert result.predicted[s] == pytest.approx(value, rel=1e-10, abs=1e-10)
+            assert result.step_variance[s] == pytest.approx(variance, rel=1e-10, abs=1e-10)
 
 
 def test_forecast_result_serialization(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from edmkit.smap import (
 from edmkit.smap import skill_eval as smap_skill_eval
 from edmkit.timeseries import Dataset, TimeSeries
 
-from helpers import oracle_wls
+from helpers import coupled_logistic_pair, oracle_iterative_step, oracle_wls
 
 
 def random_library(rng, n=20, dim=3, radius=0):
@@ -208,6 +210,51 @@ def test_iterative_linear_rule_continues_exactly():
         value = 0.5 * value + 2.0
         expected.append(value)
     assert result.predicted == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("self_condition", [True, False])
+def test_iterative_steps_match_reference_two_series(self_condition):
+    # every step, teacher-forced: step s is recomputed from the observations
+    # plus the program's own steps before s for both extended series (the
+    # forecast targeting y advances the same joint state, so it supplies y)
+    data = Dataset(coupled_logistic_pair(60))
+    spec = EmbeddingSpec((("x", 2), ("y", 2)), tau=2, normalize=True)
+    cfg = SMapConfig(spec, 2.0, ridge=0.3)
+    steps = 15
+    tracks = {name: smap_iterative_forecast(data, name, cfg, data.end_year + steps,
+                                            self_condition=self_condition)
+              for name in ("x", "y")}
+    for s in range(steps):
+        series = {name: list(data[name].values) + tracks[name].predicted[:s].tolist()
+                  for name in tracks}
+        expected = oracle_iterative_step(series, spec.columns, 2, data.n_years, self_condition,
+                                         "smap", theta=2.0, ridge=0.3, normalize=True)
+        for name, result in tracks.items():
+            value, variance, coefficients = expected[name]
+            assert result.predicted[s] == pytest.approx(value, rel=1e-8, abs=1e-8)
+            assert result.step_variance[s] == pytest.approx(variance, rel=1e-8, abs=1e-8)
+            assert result.coefficients[s] == pytest.approx(coefficients, rel=1e-8, abs=1e-8)
+
+
+def test_iterative_non_finite_value_raises_at_next_step():
+    data = Dataset(coupled_logistic_pair(40))
+    cfg = SMapConfig(EmbeddingSpec((("x", 2), ("y", 2))), 2.0)
+    seen = []
+
+    def poison(series, year):
+        def adjust(step_year, values):
+            seen.append(step_year)
+            return {**values, series: math.inf if step_year == year else values[series]}
+        return adjust
+
+    with pytest.raises(ValueError, match=r"^series 'y' has a non-finite value inf in year 45$"):
+        smap_iterative_forecast(data, "x", cfg, 50, adjust=poison("y", 45))
+    assert seen[-1] == 45  # raised before the next step is predicted
+
+    # in the final year nothing uses the value, so it is returned as is
+    result = smap_iterative_forecast(data, "x", cfg, 50, adjust=poison("x", 50))
+    assert math.isinf(result.predicted[-1])
+    assert np.all(np.isfinite(result.predicted[:-1]))
 
 
 def test_interaction_series_constant_for_linear_rule():
