@@ -18,6 +18,7 @@ from .embedding import (
     multivariate_embed,
     state_vector,
 )
+from .forecast import ForecastResult
 from .scenario import (
     CURRENT_PMD_YEARS,
     MitigationReport,
@@ -32,7 +33,6 @@ from .scenario import (
 )
 from .simplex import (
     DimensionSearchResult,
-    ForecastResult,
     SimplexConfig,
     embed_dimension_search,
     iterative_forecast,

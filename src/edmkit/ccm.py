@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingLibrary, EmbeddingSpec, multivariate_embed
-from .timeseries import Dataset, TimeSeries, pearson_rho
+from .timeseries import Dataset, TimeSeries, _cell, _jsonable, pearson_rho
 
 __all__ = [
     "CcmConfig",
@@ -243,13 +243,9 @@ class CcmResult:
             writer = csv.writer(handle)
             writer.writerow(["direction", "library_size", "sample", "rho"])
             for direction in self.directions:
-                for i, size in enumerate(direction.library_sizes):
-                    for j in range(direction.samples.shape[1]):
-                        value = direction.samples[i, j]
-                        writer.writerow([
-                            direction.label, size, j,
-                            "" if np.isnan(value) else repr(float(value)),
-                        ])
+                for size, samples in zip(direction.library_sizes, direction.samples):
+                    for j, value in enumerate(samples):
+                        writer.writerow([direction.label, size, j, _cell(value)])
 
     def summary(self) -> dict:
         def describe(direction: CcmDirection) -> dict:
@@ -257,10 +253,9 @@ class CcmResult:
                 "cause": direction.cause,
                 "effect": direction.effect,
                 "library_sizes": list(direction.library_sizes),
-                "mean_rho": [None if np.isnan(v) else v for v in direction.mean_rho],
-                "spread": [None if np.isnan(v) else v for v in direction.spread],
-                "final_mean_rho": None if np.isnan(direction.final_mean_rho)
-                else direction.final_mean_rho,
+                "mean_rho": [_jsonable(v) for v in direction.mean_rho],
+                "spread": [_jsonable(v) for v in direction.spread],
+                "final_mean_rho": _jsonable(direction.final_mean_rho),
                 "verdict": direction.verdict,
             }
 

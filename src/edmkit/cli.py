@@ -28,16 +28,11 @@ from .bundled import DEFAULT_DATASET, bundled_path
 from .ccm import CcmConfig, convergence_sweep
 from .embedding import EmbeddingSpec
 from .scenario import load_scenario_file, run_scenarios
-from .simplex import (
-    ForecastResult,
-    SimplexConfig,
-    embed_dimension_search,
-    iterative_forecast,
-    skill_eval,
-)
+from .forecast import ForecastResult
+from .simplex import SimplexConfig, embed_dimension_search, iterative_forecast, skill_eval
 from .smap import SMapConfig, coefficients_to_csv, smap_iterative_forecast
 from .smap import skill_eval as smap_skill_eval
-from .timeseries import load_csv, pearson_rho, rmse
+from .timeseries import _jsonable, load_csv, pearson_rho, rmse
 
 __all__ = ["main"]
 
@@ -138,8 +133,8 @@ def _cmd_embed_search(args) -> int:
     best_row = next(r for r in result.rows if r[0] == result.best_dimension)
     summary = {
         "best_E": result.best_dimension,
-        "best_rho": None if math.isnan(best_row[1]) else best_row[1],
-        "best_rmse": None if math.isnan(best_row[2]) else best_row[2],
+        "best_rho": _jsonable(best_row[1]),
+        "best_rmse": _jsonable(best_row[2]),
     }
     with open(summary_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -251,25 +246,21 @@ def _cmd_forecast(args) -> int:
     spec = EmbeddingSpec(allocation, tau=args.tau, exclusion_radius=args.exclusion_radius)
     self_condition = not args.fixed_library
 
-    insample = None
-    extrapolation = None
-    in_sample_end = min(args.to, data.end_year)
     if args.method == "smap":
         if args.theta is None:
             raise ValueError("--method smap needs --theta")
         cfg = SMapConfig(spec, args.theta, ridge=args.ridge)
-        if in_sample_end > args.train_end:
-            insample = smap_skill_eval(data, target, cfg, args.train_end, eval_end=in_sample_end)
-        if args.to > data.end_year:
-            extrapolation = smap_iterative_forecast(data, target, cfg, args.to,
-                                                    self_condition=self_condition)
+        evaluate, extend = smap_skill_eval, smap_iterative_forecast
     else:
         cfg = SimplexConfig(spec, k=args.knn)
-        if in_sample_end > args.train_end:
-            insample = skill_eval(data, target, cfg, args.train_end, eval_end=in_sample_end)
-        if args.to > data.end_year:
-            extrapolation = iterative_forecast(data, target, cfg, args.to,
-                                               self_condition=self_condition)
+        evaluate, extend = skill_eval, iterative_forecast
+    insample = None
+    extrapolation = None
+    in_sample_end = min(args.to, data.end_year)
+    if in_sample_end > args.train_end:
+        insample = evaluate(data, target, cfg, args.train_end, eval_end=in_sample_end)
+    if args.to > data.end_year:
+        extrapolation = extend(data, target, cfg, args.to, self_condition=self_condition)
     if insample is None and extrapolation is None:
         raise ValueError(f"nothing to forecast: horizon {args.to} inside train range")
     combined = _combine_results(insample, extrapolation, target)
@@ -281,7 +272,7 @@ def _cmd_forecast(args) -> int:
     json_path = out.with_suffix(".json")
     combined.to_json(json_path)
     outputs.append(json_path)
-    if args.method == "smap" and combined.coefficients is not None:
+    if combined.coefficients is not None:  # S-map only
         coef_path = out.with_name(out.stem + "_coefficients.csv")
         coefficients_to_csv(combined, coef_path)
         outputs.append(coef_path)

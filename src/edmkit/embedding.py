@@ -271,17 +271,22 @@ def delay_embed(series: TimeSeries, spec: EmbeddingSpec, tp: int = 1) -> Embeddi
     return multivariate_embed(Dataset((series,)), spec, series.name, tp)
 
 
-def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
-                 norms: tuple[tuple[str, float, float], ...] | None = None) -> np.ndarray:
-    """The delay vector at a single time, for use as a query point."""
-    if norms is None:
-        norms = _resolve_norms(data, spec)
+def _check_state_time(data: Dataset, spec: EmbeddingSpec, time_index: int) -> None:
+    """Raise EmbeddingError unless the data cover the state at time_index."""
     if time_index - spec.max_offset < data.start_year or time_index > data.end_year:
         raise EmbeddingError(
             f"cannot form a state vector at {time_index}: needs data on "
             f"{time_index - spec.max_offset}..{time_index}, have "
             f"{data.start_year}..{data.end_year}"
         )
+
+
+def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
+                 norms: tuple[tuple[str, float, float], ...] | None = None) -> np.ndarray:
+    """The delay vector at a single time, for use as a query point."""
+    if norms is None:
+        norms = _resolve_norms(data, spec)
+    _check_state_time(data, spec, time_index)
     idx = time_index - data.start_year
     out = np.empty(spec.dimension, dtype=float)
     col = 0

@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .embedding import EmbeddingSpec
-from .simplex import ForecastResult
+from .forecast import ForecastResult
 from .smap import SMapConfig, smap_iterative_forecast
 from .timeseries import Dataset
 
@@ -295,13 +295,8 @@ def adr_adjust(data: Dataset, scenario: PolicyScenario,
 def _reset_band(trajectory: ForecastResult, reset_year: int) -> ForecastResult:
     """Restart the cumulative band at reset_year (fresh final-phase horizon)."""
     variance = trajectory.step_variance
-    cumulative = np.empty_like(variance)
-    running = 0.0
-    for i, year in enumerate(trajectory.times):
-        if int(year) == reset_year:
-            running = 0.0
-        running += variance[i]
-        cumulative[i] = running
+    split = int(np.searchsorted(trajectory.times, reset_year))
+    cumulative = np.concatenate([np.cumsum(variance[:split]), np.cumsum(variance[split:])])
     return replace(trajectory, band_halfwidth=1.96 * np.sqrt(cumulative))
 
 
@@ -349,20 +344,17 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
 
     if scenario.kind == "pmd":
         trajectory = _simulate_pmd(data, scenario, config, reference)
-    elif scenario.kind == "launch_reduction":
-        adjusted = launch_reduction_adjust(
-            data, scenario, config.debris, config.launched, config.total
-        )
-        trajectory = smap_iterative_forecast(
-            adjusted, config.debris, config.three_input_config(), horizon,
-            adjust=_floor_counts,
-        )
     else:
-        adjusted = adr_adjust(data, scenario, config.debris, config.total)
-        trajectory = smap_iterative_forecast(
-            adjusted, config.debris, config.two_input_config(), horizon,
-            adjust=_floor_counts,
-        )
+        if scenario.kind == "launch_reduction":
+            adjusted = launch_reduction_adjust(
+                data, scenario, config.debris, config.launched, config.total
+            )
+            model = config.three_input_config()
+        else:
+            adjusted = adr_adjust(data, scenario, config.debris, config.total)
+            model = config.two_input_config()
+        trajectory = smap_iterative_forecast(adjusted, config.debris, model, horizon,
+                                             adjust=_floor_counts)
 
     debris_final = trajectory.value_at(horizon)
     pct = 100.0 * (baseline_value - debris_final) / baseline_value

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,15 +36,15 @@ from .embedding import (
     NeighborShortfallError,
     admissible_mask,
 )
-from .simplex import (
+from .forecast import (
     ForecastResult,
-    _cell,
-    _resolve_eval_years,
+    best_row,
     extension_names,
     one_step_eval,
     run_iterative,
+    write_skill_table,
 )
-from .timeseries import UNDEFINED_SKILL, Dataset, TimeSeries, pearson_rho, rmse
+from .timeseries import Dataset, TimeSeries
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -71,14 +71,12 @@ class SMapConfig:
 
     spec: EmbeddingSpec
     theta: float
-    tp: int = 1
+    _: KW_ONLY
     ridge: float = 0.0
 
     def __post_init__(self) -> None:
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if self.tp != 1:
-            raise ValueError("only one-step horizons are supported; iterate for longer ranges")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
@@ -180,28 +178,13 @@ def skill_eval(data: Dataset, target: str, cfg: SMapConfig, train_end: int,
     The returned result carries the per-step coefficient rows so interaction
     strengths can be read off the evaluation period as well.
     """
-    years = _resolve_eval_years(data, train_end, eval_start, eval_end)
-    steps: list[SMapStep] = []
 
     def predict_one(library, query):
         step = smap_predict(library, query, cfg)
-        steps.append(step)
-        return step.prediction, step.variance
+        return step.prediction, step.variance, step.coefficients
 
-    times, predicted, variance = one_step_eval(data, cfg.spec, target, years, predict_one)
-    observed = np.array([data[target].value_at(int(t)) for t in times], dtype=float)
-    return ForecastResult(
-        target=target,
-        times=times,
-        predicted=predicted,
-        observed=observed,
-        rho=pearson_rho(observed, predicted),
-        rmse=rmse(observed, predicted),
-        band_halfwidth=1.96 * np.sqrt(variance),
-        step_variance=variance,
-        coefficients=np.vstack([s.coefficients for s in steps]),
-        coefficient_labels=("intercept", *cfg.spec.coordinate_labels()),
-    )
+    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_one,
+                         labels=("intercept", *cfg.spec.coordinate_labels()))
 
 
 @dataclass(frozen=True)
@@ -219,11 +202,8 @@ class ThetaSearchResult:
     verdict: str
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["theta", "rho", "rmse"])
-            for theta, rho_value, rmse_value in self.rows:
-                writer.writerow([repr(float(theta)), _cell(rho_value), _cell(rmse_value)])
+        write_skill_table(path, ("theta", "rho", "rmse"), self.rows,
+                          lambda theta: repr(float(theta)))
 
 
 def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
@@ -244,17 +224,9 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
         return theta, result.rho, result.rmse
 
     rows = tuple(evaluate(t) for t in grid)
-
-    best: tuple[float, float] | None = None
-    for theta, rho_value, _ in rows:
-        if math.isnan(rho_value):
-            continue
-        if best is None or rho_value > best[1]:
-            best = (theta, rho_value)
-    if best is None:
-        raise RuntimeError("no theta produced a defined skill")
-    verdict = "nonlinear" if best[0] > 0 else "linear"
-    return ThetaSearchResult(rows=rows, best_theta=best[0], best_rho=best[1], verdict=verdict)
+    best_theta, best_rho, _ = best_row(rows, "theta")
+    verdict = "nonlinear" if best_theta > 0 else "linear"
+    return ThetaSearchResult(rows=rows, best_theta=best_theta, best_rho=best_rho, verdict=verdict)
 
 
 def smap_iterative_forecast(data: Dataset, target: str, cfg: SMapConfig, horizon_end: int,
@@ -284,21 +256,8 @@ def smap_iterative_forecast(data: Dataset, target: str, cfg: SMapConfig, horizon
         step_vars = [variance for _, _, variance in fits]
         return values, step_vars, fits[target_col][1]
 
-    years, predictions, variances, coefficient_rows = run_iterative(
-        data, cfg.spec, target, horizon_end, step, self_condition, adjust
-    )
-    return ForecastResult(
-        target=target,
-        times=years,
-        predicted=predictions,
-        observed=None,
-        rho=UNDEFINED_SKILL,
-        rmse=UNDEFINED_SKILL,
-        band_halfwidth=1.96 * np.sqrt(np.cumsum(variances)),
-        step_variance=variances,
-        coefficients=np.vstack(coefficient_rows),
-        coefficient_labels=("intercept", *cfg.spec.coordinate_labels()),
-    )
+    return run_iterative(data, cfg.spec, target, horizon_end, step, self_condition, adjust,
+                         labels=("intercept", *cfg.spec.coordinate_labels()))
 
 
 def interaction_series(forecast: ForecastResult, coordinate: str) -> TimeSeries:

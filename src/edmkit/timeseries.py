@@ -191,6 +191,16 @@ def _format_value(v: float) -> str:
     return repr(v)
 
 
+def _cell(v: float) -> str:
+    # a CSV cell: NaN (undefined) is an empty cell, everything else round-trips
+    return "" if math.isnan(v) else repr(float(v))
+
+
+def _jsonable(v: float):
+    # a JSON value: NaN (undefined) is null
+    return None if math.isnan(v) else float(v)
+
+
 def load_csv(path, year_column: str = "year") -> Dataset:
     """Load a yearly dataset from a CSV file with a header row.
 

@@ -1,0 +1,126 @@
+"""The forecasting protocol shared by simplex and S-map: error paths, query
+states, and the configuration surface."""
+
+import re
+
+import numpy as np
+import pytest
+
+from edmkit.bundled import load_bundled
+from edmkit.cli import main
+from edmkit.embedding import EmbeddingError, EmbeddingSpec, multivariate_embed, state_vector
+from edmkit.forecast import best_row
+from edmkit.simplex import SimplexConfig, embed_dimension_search, simplex_predict, skill_eval
+from edmkit.smap import SMapConfig, smap_predict, theta_search
+from edmkit.smap import skill_eval as smap_skill_eval
+from edmkit.timeseries import Dataset
+
+from helpers import coupled_logistic_pair
+
+TWO_INPUT = EmbeddingSpec((("debris", 2), ("total", 2)))
+DEBRIS_E5 = EmbeddingSpec.univariate("debris", 5)
+
+# (call on the bundled record, error type, message, CLI argv or None, exit code)
+PROTOCOL_ERRORS = {
+    "start_not_after_train_end": (
+        lambda data: skill_eval(data, "debris", SimplexConfig(TWO_INPUT), 1990, eval_start=1990),
+        ValueError, "evaluation must start after train_end=1990, got 1990",
+        ["embed-search", "--train-end", "1990", "--eval-start", "1990"], 2,
+    ),
+    "empty_range": (
+        lambda data: smap_skill_eval(data, "debris", SMapConfig(TWO_INPUT, 1.0), 1990,
+                                     eval_start=2000, eval_end=1995),
+        ValueError, "empty evaluation range 2000..1995",
+        ["embed-search", "--eval-start", "2000", "--eval-end", "1995"], 2,
+    ),
+    "outside_data": (
+        lambda data: skill_eval(data, "debris", SimplexConfig(TWO_INPUT), 1990, eval_end=2030),
+        ValueError, "evaluation range 1991..2030 outside data 1960..2022",
+        ["embed-search", "--eval-end", "2030"], 2,
+    ),
+    "query_before_first_state_simplex": (
+        lambda data: skill_eval(data, "debris", SimplexConfig(DEBRIS_E5), 1960),
+        EmbeddingError, "cannot form a state vector at 1960: needs data on 1956..1960, "
+                        "have 1960..2022",
+        ["forecast", "--method", "simplex", "--e", "5", "--train-end", "1960", "--to", "2000"], 1,
+    ),
+    "query_before_first_state_smap": (
+        lambda data: smap_skill_eval(data, "debris", SMapConfig(DEBRIS_E5, 0.0), 1960),
+        EmbeddingError, "cannot form a state vector at 1960: needs data on 1956..1960, "
+                        "have 1960..2022",
+        ["forecast", "--method", "smap", "--theta", "0", "--e", "5", "--train-end", "1960",
+         "--to", "2000"], 1,
+    ),
+    "no_defined_theta": (
+        lambda data: theta_search(data, "debris", TWO_INPUT, [0.0], train_end=2020,
+                                  eval_start=2022),
+        RuntimeError, "no theta produced a defined skill", None, None,
+    ),
+    "no_defined_dimension": (
+        lambda data: embed_dimension_search(data, "debris", [1], train_end=2020,
+                                            eval_start=2022),
+        RuntimeError, "no embedding dimension produced a defined skill",
+        ["embed-search", "--e", "1", "--train-end", "2020", "--eval-start", "2022"], 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL_ERRORS))
+def test_protocol_error_paths(case, tmp_path, capsys):
+    call, error, message, argv, code = PROTOCOL_ERRORS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(load_bundled())
+    if argv is None:
+        return
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == code  # on the bundled record
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [None, 0])
+@pytest.mark.parametrize("method", ["simplex", "smap"])
+def test_one_step_queries_are_library_rows(method, radius):
+    # every prediction equals the predictor called on the expanding library
+    # and a freshly formed query state, bit for bit; radius 0 admits every
+    # library point, so a library reaching the predicted year would show
+    data = Dataset(coupled_logistic_pair(120))
+    spec = EmbeddingSpec((("x", 2), ("y", 2)), tau=2, exclusion_radius=radius, normalize=True)
+    full = multivariate_embed(data, spec, "x", tp=1)
+    if method == "simplex":
+        cfg = SimplexConfig(spec)
+        result = skill_eval(data, "x", cfg, train_end=60)
+    else:
+        cfg = SMapConfig(spec, 2.0)
+        result = smap_skill_eval(data, "x", cfg, train_end=60)
+    assert result.times.shape == (59,)
+    for i, year in enumerate(result.times):
+        library = full.targets_through(int(year) - 1)
+        query = (int(year) - 1, state_vector(data, spec, int(year) - 1, norms=full.norms))
+        if method == "simplex":
+            expected, variance = simplex_predict(library, query, cfg)
+        else:
+            step = smap_predict(library, query, cfg)
+            expected, variance = step.prediction, step.variance
+            assert np.array_equal(result.coefficients[i], step.coefficients)
+        assert result.predicted[i] == expected
+        assert result.step_variance[i] == variance
+        assert result.observed[i] == data["x"].value_at(int(year))
+
+
+def test_configs_take_no_horizon():
+    spec = EmbeddingSpec.univariate("x", 2)
+    with pytest.raises(TypeError):
+        SimplexConfig(spec, 1)
+    with pytest.raises(TypeError):
+        SMapConfig(spec, 1.0, 1)
+    assert SimplexConfig(spec, k=1).k == 1
+    assert SMapConfig(spec, 1.0, ridge=1.0).ridge == 1.0
+
+
+def test_best_row_ties_go_to_the_smallest_parameter():
+    nan = float("nan")
+    rows = ((1, nan, 1.0), (2, 0.5, 2.0), (3, 0.9, 3.0), (4, 0.9, 0.1), (5, nan, 0.0))
+    assert best_row(rows, "dimension") == (3, 0.9, 3.0)
+    with pytest.raises(RuntimeError, match="^no dimension produced a defined skill$"):
+        best_row(rows[:1], "dimension")

@@ -245,3 +245,21 @@ def test_zero_baseline_raises_named_error(monkeypatch):
                      PolicyScenario("launch_reduction", reduction_fraction=0.1)):
         with pytest.raises(ValueError, match=f"{scenario.name}.*2050 is 0"):
             simulate(toy_data(), scenario, ScenarioModelConfig())
+
+
+def test_reset_band_restarts_the_running_variance():
+    import edmkit.scenario
+    from edmkit.forecast import ForecastResult
+
+    variance = np.random.default_rng(3).uniform(0.0, 50.0, 12)
+    times = np.arange(2023, 2035)
+    trajectory = ForecastResult("debris", times, np.zeros(12), None, np.nan, np.nan,
+                                np.zeros(12), variance)
+    for reset_year in range(2021, 2037):
+        # reference: a running sum that restarts at reset_year
+        expected, running = [], 0.0
+        for year, v in zip(times, variance):
+            running = (0.0 if year == reset_year else running) + v
+            expected.append(1.96 * np.sqrt(running))
+        band = edmkit.scenario._reset_band(trajectory, reset_year).band_halfwidth
+        assert band.tolist() == expected
