@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, multivariate_embed
-from .timeseries import Dataset, TimeSeries, _cell, _jsonable, pearson_rho
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _smallest_k, multivariate_embed
+from .timeseries import Dataset, TimeSeries, _cell, _jsonable, _require_finite, pearson_rho
 
 __all__ = [
     "CcmConfig",
@@ -65,6 +65,8 @@ class CcmConfig:
     plateau_tolerance: float = 0.02
 
     def __post_init__(self) -> None:
+        _require_finite(convergence_margin=self.convergence_margin,
+                        plateau_tolerance=self.plateau_tolerance)
         sizes = tuple(int(s) for s in self.library_sizes)
         if not sizes:
             raise ValueError("library_sizes is empty")
@@ -121,9 +123,10 @@ def _estimates(distances: np.ndarray, rows: np.ndarray, lib: np.ndarray, times: 
     """Kernel estimates of ``targets`` at the query ``rows`` from library ``lib``.
 
     ``distances[q, c]`` is the distance from query ``rows[q]`` to library
-    point ``lib[c]``; ``lib`` must be sorted ascending so that the stable sort
-    breaks distance ties toward the earlier time.  Candidates excluded by
-    leave-one-out or the exclusion radius are set to infinite distance.
+    point ``lib[c]``; ``lib`` must be sorted ascending so that the selection,
+    which orders neighbours by (distance, column), breaks distance ties toward
+    the earlier time.  Candidates excluded by leave-one-out or the exclusion
+    radius are set to infinite distance.
     """
     # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
     # drops only the query's own time (gap 0)
@@ -141,7 +144,7 @@ def _estimates(distances: np.ndarray, rows: np.ndarray, lib: np.ndarray, times: 
             f"admissible neighbours, needs {k}"
         )
     masked = np.where(keep, distances, np.inf)
-    chosen = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    chosen = _smallest_k(masked, k)
     d = np.take_along_axis(masked, chosen, axis=1)
     nearest = d[:, :1]
     exact = nearest == 0.0

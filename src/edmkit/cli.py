@@ -69,11 +69,16 @@ def _resolve_data(arg: str | None) -> Path:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Parse '1:10' (inclusive) or a comma list into sorted integers."""
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return sorted({int(part) for part in text.split(",") if part.strip()})
+    """Parse the --e value '1:10' (inclusive) or a comma list into sorted integers."""
+    try:
+        if ":" in text:
+            lo, _, hi = text.partition(":")
+            return list(range(int(lo), int(hi) + 1))
+        return sorted({int(part) for part in text.split(",") if part.strip()})
+    except ValueError:
+        raise ValueError(
+            f"--e {text!r} must be a range 'lo:hi' or a comma list of integers"
+        ) from None
 
 
 def _parse_sizes(text: str) -> list[int]:

@@ -7,10 +7,14 @@ Faithful reconstruction classically requires the dimension to exceed twice
 the (unobservable) attractor dimension, so that condition is documented here
 rather than enforced; in practice the dimension is chosen by forecast skill.
 
-Neighbour search is a brute-force scan, which is the reference semantics:
-libraries in this problem domain hold at most a few hundred points, and any
-accelerated index would have to match the scan exactly anyway.  Ties at
-equal distance break deterministically toward the earlier time index.
+Neighbour search measures the distance to every library point and keeps
+the ``k`` nearest, ordered by (distance, time): ties at equal distance break
+deterministically toward the earlier time index, exactly as a stable sort of
+all distances would order them.  Rows narrower than ``_PARTITION_WIDTH`` are
+stably sorted in full; wider rows are partitioned at the k-th smallest value
+instead.  Every value strictly below it is kept, the remaining places go to
+the earliest values equal to it, and only those ``k`` survivors are sorted,
+which selects the same columns in the same order as the full sort.
 
 The temporal exclusion window suppresses autocorrelation shortcuts: with a
 radius ``r > 0``, candidates within ``r`` steps of the query time are removed
@@ -37,6 +41,7 @@ __all__ = [
     "multivariate_embed",
     "state_vector",
     "knn",
+    "prefix_knn",
 ]
 
 
@@ -307,11 +312,46 @@ def _distances(vectors: np.ndarray, query: np.ndarray, metric: str) -> np.ndarra
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
+#: Row width from which ``_smallest_k`` partitions instead of sorting the
+#: whole row; below it the full stable sort is the faster of the two.
+_PARTITION_WIDTH = 1000
+
+
+def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the ``k`` smallest values of each row, by (value, column).
+
+    The result equals ``np.argsort(masked, axis=1, kind="stable")[:, :k]``,
+    so ties go to the earlier column; ``k`` must not exceed the row width.
+    """
+    if masked.shape[1] < _PARTITION_WIDTH:
+        return np.argsort(masked, axis=1, kind="stable")[:, :k]
+    kth = np.partition(masked, k - 1, axis=1)[:, k - 1:k]
+    if np.isnan(kth).any():  # NaN sorts last and equals nothing; leave it to the sort
+        return np.argsort(masked, axis=1, kind="stable")[:, :k]
+    keep = masked <= kth
+    if np.count_nonzero(keep) > masked.shape[0] * k:
+        # a row holds more values equal to its k-th than places remain after
+        # the smaller ones: keep the earliest of those ties
+        ties = masked == kth
+        room = k - np.count_nonzero(masked < kth, axis=1)[:, None]
+        keep &= ~ties | (np.cumsum(ties, axis=1) <= room)
+    rows = np.arange(masked.shape[0])[:, None]
+    columns = np.nonzero(keep)[1].reshape(masked.shape[0], k)
+    return columns[rows, np.argsort(masked[rows, columns], axis=1, kind="stable")]
+
+
 def admissible_mask(times: np.ndarray, query_time: int, radius: int) -> np.ndarray:
     """Candidacy mask under the exclusion window (radius 0 admits everything)."""
     if radius <= 0:
         return np.ones(times.shape[0], dtype=bool)
     return np.abs(times - query_time) > radius
+
+
+def _shortfall(k: int, admissible: int, size: int, radius: int) -> NeighborShortfallError:
+    return NeighborShortfallError(
+        f"need k={k} neighbours but only {admissible} admissible "
+        f"points remain (library size {size}, exclusion radius {radius})"
+    )
 
 
 def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
@@ -337,10 +377,36 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     keep = admissible_mask(library.times, query_time, radius)
     candidates = np.nonzero(keep)[0]
     if candidates.shape[0] < k:
-        raise NeighborShortfallError(
-            f"need k={k} neighbours but only {candidates.shape[0]} admissible "
-            f"points remain (library size {len(library)}, exclusion radius {radius})"
-        )
-    order = np.lexsort((library.times[candidates], dists[candidates]))
-    chosen = candidates[order[:k]]
+        raise _shortfall(k, candidates.shape[0], len(library), radius)
+    times = library.times
+    if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time
+        candidates = candidates[np.argsort(times[candidates], kind="stable")]
+    # in time order, the stable selection breaks distance ties toward the earlier time
+    chosen = candidates[_smallest_k(dists[candidates][None, :], k)[0]]
     return NeighborSet(indices=chosen, distances=dists[chosen])
+
+
+def prefix_knn(library: EmbeddingLibrary, rows: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``knn`` for a block of library rows, each searching only the rows before it.
+
+    Row ``r`` queries the sub-library of the rows below it under the spec's
+    exclusion window; as the library ascends in time (as every embedding
+    builds it), the candidates are a prefix, the rows more than ``radius``
+    steps earlier.  ``rows`` must ascend.  Returns the (rows, k) neighbour
+    indices and Euclidean distances, row for row what ``knn`` returns for
+    each query on its own, and raises the same NeighborShortfallError for
+    the first query that lacks ``k`` candidates.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    radius = library.spec.radius
+    limits = np.searchsorted(library.times, library.times[rows] - radius)
+    if rows.size and limits[0] < k:
+        raise _shortfall(k, int(limits[0]), int(rows[0]), radius)
+    width = int(limits[-1]) if rows.size else 0
+    diffs = library.vectors[None, :width] - library.vectors[rows, None]
+    dists = np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
+    masked = np.where(np.arange(width) < limits[:, None], dists, np.inf)
+    chosen = _smallest_k(masked, k)
+    return chosen, np.take_along_axis(masked, chosen, axis=1)

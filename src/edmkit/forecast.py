@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+#: Most coordinate differences one block of one-step queries may hold
+#: (query rows x library rows x dimension), about 0.4 MB of float64.
+_BLOCK_ELEMENTS = 48_000
+
+
 @dataclass(frozen=True)
 class ForecastResult:
     """Per-step predictions with skill metrics and a 95% band.
@@ -151,17 +156,21 @@ def _result(target: str, times: np.ndarray, predicted: np.ndarray, variance: np.
 
 def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: int,
                   eval_start: int | None, eval_end: int | None,
-                  predict_one: Callable[[EmbeddingLibrary, tuple[int, np.ndarray]], tuple],
+                  predict_rows: Callable[[EmbeddingLibrary, np.ndarray], tuple],
                   labels: tuple[str, ...] | None = None) -> ForecastResult:
     """Expanding-window one-step evaluation, scored with Pearson rho and RMSE.
 
     The evaluation years run from ``eval_start`` (default ``train_end + 1``)
     through ``eval_end`` (default the last observed year).  For each year t
     the library holds every embeddable point whose target falls at or before
-    t-1, and the query is the state at t-1, read from the row of the full
-    library that the sub-library stops short of; the model never sees the
-    value it is asked to predict.  ``predict_one(library, query)`` returns
-    ``(prediction, variance, record)``; with ``labels`` the records are the
+    t-1, and the query is the state at t-1.  Both come from the full
+    library: the query is its row ``r`` and the library is the prefix of
+    rows below ``r`` (``full.targets_through(t - 1)``), so the model never
+    sees the value it is asked to predict.  The queries go to the predictor
+    in blocks of ascending rows, each block sized so that its rows times the
+    library size times the dimension stay within ``_BLOCK_ELEMENTS``:
+    ``predict_rows(full, rows)`` returns ``(predictions, variances,
+    records)`` with one entry per row; with ``labels`` the records are the
     result's coefficient rows.
     """
     start = train_end + 1 if eval_start is None else eval_start
@@ -180,13 +189,12 @@ def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: in
     rows = times - 1 - int(full.times[0])  # row of each query state
     predicted = np.empty(times.shape[0], dtype=float)
     variance = np.empty(times.shape[0], dtype=float)
-    records = []
-    for i, row in enumerate(rows):
-        query_time = int(times[i]) - 1
-        predicted[i], variance[i], record = predict_one(
-            full.targets_through(query_time), (query_time, full.vectors[row])
-        )
-        records.append(record)
+    records: list = []
+    step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
+    for lo in range(0, rows.shape[0], step):
+        block = slice(lo, lo + step)
+        predicted[block], variance[block], block_records = predict_rows(full, rows[block])
+        records.extend(block_records)
     return _result(target, times, predicted, variance, variance, records, labels,
                    observed=full.targets[rows])
 

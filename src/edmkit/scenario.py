@@ -42,7 +42,7 @@ import numpy as np
 from .embedding import EmbeddingSpec
 from .forecast import ForecastResult
 from .smap import SMapConfig, smap_iterative_forecast
-from .timeseries import Dataset
+from .timeseries import Dataset, _require_finite
 
 __all__ = [
     "CURRENT_PMD_YEARS",
@@ -90,6 +90,9 @@ class PolicyScenario:
             "reduction_fraction": self.reduction_fraction,
             "adr_per_year": self.adr_per_year,
         }
+        _require_finite(effective_year=self.effective_year,
+                        operational_lifetime=self.operational_lifetime,
+                        compliance=self.compliance, **values)
         needed = required[self.kind]
         if values[needed] is None:
             raise ValueError(f"{self.kind} scenario needs {needed}")
@@ -142,6 +145,9 @@ class ScenarioModelConfig:
     launched: str = "launched"
     total: str = "total"
     three_input_lags: tuple[int, int, int] = (1, 1, 1)
+
+    def __post_init__(self) -> None:
+        _require_finite(theta=self.theta, ridge=self.ridge)
 
     def two_input_config(self) -> SMapConfig:
         spec = EmbeddingSpec(

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, knn
+from .embedding import EmbeddingLibrary, EmbeddingSpec, knn, prefix_knn
 # ForecastResult and extension_names are re-exported for existing callers
 from .forecast import (
     ForecastResult,
@@ -67,15 +67,17 @@ class SimplexConfig:
 
 
 def simplex_weights(distances: np.ndarray) -> np.ndarray:
-    """Normalised exponential weights over sorted neighbour distances."""
+    """Normalised exponential weights over sorted neighbour distances.
+
+    A 2-D array holds one neighbour set per row and gets one weight row each.
+    """
     distances = np.asarray(distances, dtype=float)
-    positive = distances[distances > 0.0]
-    if positive.size == 0:
-        raw = np.ones_like(distances)
-    else:
-        scale = float(positive.min())  # equals d_1 whenever d_1 > 0
-        raw = np.where(distances > 0.0, np.exp(-distances / scale), 1.0)
-    return raw / raw.sum()
+    positive = distances > 0.0
+    # the smallest positive distance equals d_1 whenever d_1 > 0; with none
+    # positive every raw weight is 1
+    scale = np.where(positive, distances, np.inf).min(axis=-1, keepdims=True)
+    raw = np.where(positive, np.exp(-distances / scale), 1.0)
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
 def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
@@ -96,8 +98,18 @@ def skill_eval(data: Dataset, target: str, cfg: SimplexConfig, train_end: int,
     Each year is predicted from a library containing only earlier-targeted
     points, then scored against the observations with Pearson rho and RMSE.
     """
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end,
-                         lambda library, query: (*simplex_predict(library, query, cfg), None))
+
+    def predict_rows(full: EmbeddingLibrary, rows: np.ndarray):
+        indices, distances = prefix_knn(full, rows, cfg.effective_k)
+        weights = simplex_weights(distances)[:, None, :]
+        targets = full.targets[indices][:, :, None]
+        # a stacked matmul rounds each row like the 1-D ``weights @ targets``
+        # of ``simplex_predict``; an elementwise product summed along the row does not
+        predictions = (weights @ targets)[:, 0, 0]
+        variances = (weights @ (targets - predictions[:, None, None]) ** 2)[:, 0, 0]
+        return predictions, variances, ()
+
+    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_rows)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .forecast import (
     run_iterative,
     write_skill_table,
 )
-from .timeseries import Dataset, TimeSeries
+from .timeseries import Dataset, TimeSeries, _require_finite
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -75,6 +75,7 @@ class SMapConfig:
     ridge: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(theta=self.theta, ridge=self.ridge)
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.ridge < 0:
@@ -179,11 +180,13 @@ def skill_eval(data: Dataset, target: str, cfg: SMapConfig, train_end: int,
     strengths can be read off the evaluation period as well.
     """
 
-    def predict_one(library, query):
-        step = smap_predict(library, query, cfg)
-        return step.prediction, step.variance, step.coefficients
+    def predict_rows(full: EmbeddingLibrary, rows: np.ndarray):
+        steps = [smap_predict(full.targets_through(int(full.times[r])),
+                              (int(full.times[r]), full.vectors[r]), cfg) for r in rows]
+        return ([step.prediction for step in steps], [step.variance for step in steps],
+                [step.coefficients for step in steps])
 
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_one,
+    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_rows,
                          labels=("intercept", *cfg.spec.coordinate_labels()))
 
 

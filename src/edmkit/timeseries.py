@@ -201,6 +201,13 @@ def _jsonable(v: float):
     return None if math.isnan(v) else float(v)
 
 
+def _require_finite(**fields) -> None:
+    # NaN passes every ``x < 0`` range check, so configs reject it by name first
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def load_csv(path, year_column: str = "year") -> Dataset:
     """Load a yearly dataset from a CSV file with a header row.
 

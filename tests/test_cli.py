@@ -76,6 +76,17 @@ def test_embed_search_singleton_range(data_csv, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
 
+@pytest.mark.parametrize("value", ["a:b", "1:2:3", "2,x"])
+def test_embed_search_bad_dimensions_name_the_option(data_csv, tmp_path, capsys, value):
+    out = tmp_path / "bad.csv"
+    assert main(["embed-search", "--data", str(data_csv), "--e", value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --e {value!r} must be a range 'lo:hi' or a comma list of integers\n"
+    )
+    assert not out.exists()
+
+
 def test_forecast_simplex_and_smap(data_csv, tmp_path):
     for method, extra in (("simplex", []), ("smap", ["--theta", "2"])):
         out = tmp_path / f"fc_{method}.csv"

@@ -1,0 +1,93 @@
+"""Configs reject NaN and infinite settings with an error naming the field.
+
+NaN passes every ``x < 0`` range check, so without these checks a NaN ridge
+fit silently without a ridge and a NaN theta surfaced as a bare
+"SVD did not converge" from numpy.
+"""
+
+import re
+
+import pytest
+
+from edmkit.ccm import CcmConfig
+from edmkit.cli import main
+from edmkit.embedding import EmbeddingSpec
+from edmkit.scenario import PolicyScenario, ScenarioModelConfig
+from edmkit.smap import SMapConfig
+
+NAN = float("nan")
+INF = float("inf")
+SPEC = EmbeddingSpec((("debris", 2), ("total", 2)))
+FORECAST = ["forecast", "--method", "smap", "--columns", "debris,total", "--e", "4",
+            "--theta", "2", "--to", "2030"]
+
+# field -> (constructor call, expected message)
+API_CASES = {
+    "SMapConfig.theta": (lambda: SMapConfig(SPEC, NAN), "theta must be finite, got nan"),
+    "SMapConfig.theta_inf": (lambda: SMapConfig(SPEC, INF), "theta must be finite, got inf"),
+    "SMapConfig.ridge": (lambda: SMapConfig(SPEC, 2.0, ridge=NAN),
+                         "ridge must be finite, got nan"),
+    "CcmConfig.convergence_margin": (
+        lambda: CcmConfig(2, (10, 20), convergence_margin=NAN),
+        "convergence_margin must be finite, got nan"),
+    "CcmConfig.plateau_tolerance": (
+        lambda: CcmConfig(2, (10, 20), plateau_tolerance=INF),
+        "plateau_tolerance must be finite, got inf"),
+    "PolicyScenario.pmd_years": (lambda: PolicyScenario("pmd", pmd_years=NAN),
+                                 "pmd_years must be finite, got nan"),
+    "PolicyScenario.reduction_fraction": (
+        lambda: PolicyScenario("launch_reduction", reduction_fraction=NAN),
+        "reduction_fraction must be finite, got nan"),
+    "PolicyScenario.adr_per_year": (lambda: PolicyScenario("adr", adr_per_year=INF),
+                                    "adr_per_year must be finite, got inf"),
+    "PolicyScenario.compliance": (lambda: PolicyScenario("adr", adr_per_year=1, compliance=NAN),
+                                  "compliance must be finite, got nan"),
+    "PolicyScenario.effective_year": (
+        lambda: PolicyScenario("adr", adr_per_year=1, effective_year=NAN),
+        "effective_year must be finite, got nan"),
+    "PolicyScenario.operational_lifetime": (
+        lambda: PolicyScenario("pmd", pmd_years=5, operational_lifetime=NAN),
+        "operational_lifetime must be finite, got nan"),
+    "ScenarioModelConfig.theta": (lambda: ScenarioModelConfig(theta=NAN),
+                                  "theta must be finite, got nan"),
+    "ScenarioModelConfig.ridge": (lambda: ScenarioModelConfig(ridge=INF),
+                                  "ridge must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(API_CASES))
+def test_config_rejects_non_finite_field(case):
+    call, message = API_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# the field as the CLI reaches it: (argv tail, scenario file text or None, message)
+CLI_CASES = {
+    "forecast_ridge": (["--ridge", "nan"], None, "ridge must be finite, got nan"),
+    "forecast_theta": (["--theta", "nan"], None, "theta must be finite, got nan"),
+    "forecast_theta_inf": (["--theta", "inf"], None, "theta must be finite, got inf"),
+    "scenario_model_theta": (None, "theta = nan\n[s]\nkind = adr\nadr_per_year = 1\n",
+                             "theta must be finite, got nan"),
+    "scenario_model_ridge": (None, "ridge = nan\n[s]\nkind = adr\nadr_per_year = 1\n",
+                             "ridge must be finite, got nan"),
+    "scenario_reduction_fraction": (
+        None, "[s]\nkind = launch_reduction\nreduction_fraction = nan\n",
+        "reduction_fraction must be finite, got nan"),
+    "scenario_compliance": (None, "[s]\nkind = adr\nadr_per_year = 1\ncompliance = nan\n",
+                            "compliance must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_rejects_non_finite_field(case, tmp_path, capsys):
+    tail, scenario_text, message = CLI_CASES[case]
+    if scenario_text is None:
+        argv = [*FORECAST, *tail, "--out", str(tmp_path / "forecast.csv")]
+    else:
+        scenarios = tmp_path / "s.cfg"
+        scenarios.write_text(scenario_text, encoding="utf-8")
+        argv = ["simulate", "--scenarios", str(scenarios), "--outdir", str(tmp_path / "r")]
+    assert main(argv) == 2  # on the bundled record
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.glob("forecast*")) and not (tmp_path / "r").exists()

@@ -6,9 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from edmkit import forecast
 from edmkit.bundled import load_bundled
 from edmkit.cli import main
-from edmkit.embedding import EmbeddingError, EmbeddingSpec, multivariate_embed, state_vector
+from edmkit.embedding import (
+    EmbeddingError,
+    EmbeddingSpec,
+    NeighborShortfallError,
+    multivariate_embed,
+    state_vector,
+)
 from edmkit.forecast import best_row
 from edmkit.simplex import SimplexConfig, embed_dimension_search, simplex_predict, skill_eval
 from edmkit.smap import SMapConfig, smap_predict, theta_search
@@ -106,6 +113,52 @@ def test_one_step_queries_are_library_rows(method, radius):
         assert result.predicted[i] == expected
         assert result.step_variance[i] == variance
         assert result.observed[i] == data["x"].value_at(int(year))
+
+
+SIMPLEX_SPECS = {
+    "default_radius": EmbeddingSpec.univariate("x", 3),
+    "radius_0": EmbeddingSpec.univariate("x", 3, exclusion_radius=0),
+    "radius_9": EmbeddingSpec.univariate("x", 2, exclusion_radius=9),
+    "two_series": EmbeddingSpec((("x", 2), ("y", 2)), tau=2, normalize=True),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2000])
+@pytest.mark.parametrize("name", sorted(SIMPLEX_SPECS))
+def test_batched_simplex_matches_per_query(name, budget, monkeypatch):
+    # one-step simplex predicts blocks of query rows at once; each prediction
+    # and variance must equal simplex_predict on the expanding library, byte
+    # for byte.  The default budget splits the 199 queries into blocks of 40
+    # to 80 rows; a budget of 1 gives one row per block, 2000 one or two.
+    if budget is not None:
+        monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", budget)
+    data = Dataset(coupled_logistic_pair(300))
+    spec = SIMPLEX_SPECS[name]
+    cfg = SimplexConfig(spec)
+    full = multivariate_embed(data, spec, "x", tp=1)
+    result = skill_eval(data, "x", cfg, train_end=100)
+    assert forecast._BLOCK_ELEMENTS // (len(full) * spec.dimension) < result.times.shape[0]
+    expected = np.array([
+        simplex_predict(full.targets_through(int(year) - 1),
+                        (int(year) - 1, full.vectors[int(year) - 1 - int(full.times[0])]), cfg)
+        for year in result.times
+    ])
+    assert result.predicted.tobytes() == expected[:, 0].tobytes()
+    assert result.step_variance.tobytes() == expected[:, 1].tobytes()
+
+
+def test_batched_simplex_shortfall_is_the_per_query_error():
+    # the first query (the state at 5) has library rows at 1..4, of which
+    # the radius-2 window leaves 1 and 2
+    data = Dataset(coupled_logistic_pair(60))
+    cfg = SimplexConfig(EmbeddingSpec.univariate("x", 2), k=5)
+    message = ("need k=5 neighbours but only 2 admissible points remain "
+               "(library size 4, exclusion radius 2)")
+    with pytest.raises(NeighborShortfallError, match=f"^{re.escape(message)}$"):
+        skill_eval(data, "x", cfg, train_end=5)
+    full = multivariate_embed(data, cfg.spec, "x", tp=1)
+    with pytest.raises(NeighborShortfallError, match=f"^{re.escape(message)}$"):
+        simplex_predict(full.targets_through(5), (5, full.vectors[4]), cfg)
 
 
 def test_configs_take_no_horizon():

@@ -1,0 +1,112 @@
+"""Property tests of the exact top-k selection core and of ``knn`` built on it.
+
+Integer-valued draws make equal values (ties) common, which is where a
+partition-based selection could differ from a full stable sort.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edmkit import embedding
+from edmkit.embedding import (
+    EmbeddingLibrary,
+    EmbeddingSpec,
+    NeighborShortfallError,
+    _PARTITION_WIDTH,
+    _smallest_k,
+    knn,
+)
+
+BOUNDED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+NARROW = st.integers(1, 60)
+WIDE = st.integers(_PARTITION_WIDTH - 1, _PARTITION_WIDTH + 300)
+
+
+def reference(masked, k):
+    return np.argsort(masked, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def tie_heavy(draw, widths):
+    """A seeded integer matrix with some infinite cells and infinite columns, plus k."""
+    rows = draw(st.integers(1, 6))
+    width = draw(widths)
+    levels = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masked = rng.integers(0, levels, (rows, width)).astype(float)
+    masked[rng.random((rows, width)) < draw(st.floats(0.0, 0.3))] = np.inf
+    masked[:, rng.random(width) < draw(st.floats(0.0, 0.3))] = np.inf
+    k = draw(st.one_of(st.integers(1, min(width, 8)), st.just(width)))
+    return masked, k
+
+
+@BOUNDED
+@given(tie_heavy(st.one_of(NARROW, WIDE)))
+def test_smallest_k_is_the_stable_argsort_on_both_sides_of_the_width(case):
+    masked, k = case
+    assert np.array_equal(_smallest_k(masked, k), reference(masked, k))
+
+
+@BOUNDED
+@given(st.data())
+def test_partition_path_is_the_stable_argsort_on_drawn_values(data):
+    # every value is drawn, NaN included; the width constant is lowered so
+    # the partition path runs on rows small enough for Hypothesis to shrink
+    rows = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+    masked = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                                         min_size=rows, max_size=rows)))
+    k = data.draw(st.integers(1, width))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_PARTITION_WIDTH", 0)
+        chosen = _smallest_k(masked, k)
+    assert np.array_equal(chosen, reference(masked, k))
+
+
+@st.composite
+def library_and_query(draw):
+    n = draw(st.one_of(st.integers(1, 80), st.integers(_PARTITION_WIDTH, _PARTITION_WIDTH + 200)))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 4))
+    times = 1900 + np.cumsum(rng.integers(1, 3, n))
+    if draw(st.booleans()):  # a library built by hand need not ascend in time
+        times = rng.permutation(times)
+    vectors = rng.integers(0, levels, (n, dim)).astype(float)
+    radius = draw(st.integers(0, 4))
+    spec = EmbeddingSpec.univariate("x", dim, exclusion_radius=radius)
+    library = EmbeddingLibrary(spec, "x", 1, times, vectors, np.zeros(n))
+    query_time = int(rng.integers(times.min() - 2, times.max() + 3))
+    query = rng.integers(0, levels, dim).astype(float)
+    metric = draw(st.sampled_from(["euclidean", "manhattan"]))
+    k = draw(st.integers(1, 8))
+    return library, (query_time, query), k, metric
+
+
+@BOUNDED
+@given(library_and_query())
+def test_knn_matches_a_lexsort_reference(case):
+    library, (query_time, query), k, metric = case
+    diffs = library.vectors - query
+    if metric == "euclidean":
+        dists = np.sqrt((diffs**2).sum(axis=1))  # exact: integer coordinates
+    else:
+        dists = np.abs(diffs).sum(axis=1)
+    radius = library.spec.radius
+    keep = np.abs(library.times - query_time) > radius
+    if radius == 0:
+        keep[:] = True
+    candidates = np.flatnonzero(keep)
+    if candidates.size < k:
+        with pytest.raises(NeighborShortfallError):
+            knn(library, (query_time, query), k, metric)
+        return
+    order = np.lexsort((library.times[candidates], dists[candidates]))
+    expected = candidates[order[:k]]
+    found = knn(library, (query_time, query), k, metric)
+    assert np.array_equal(found.indices, expected)
+    assert np.array_equal(found.distances, dists[expected])
