@@ -68,28 +68,22 @@ def _resolve_data(arg: str | None) -> Path:
     return Path(arg)
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse the --e value '1:10' (inclusive) or a comma list into sorted integers."""
+def _grid(lo: int, hi: int, count: int) -> list[int]:
+    """Distinct integers nearest to ``count`` evenly spaced points on lo..hi."""
+    return sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
+
+
+def _parse_integers(option: str, text: str, form: str, expand) -> list[int]:
+    """Parse a comma list into sorted distinct integers, or the colon form
+    named by ``form``, whose integer fields ``expand`` turns into the list."""
     try:
         if ":" in text:
-            lo, _, hi = text.partition(":")
-            return list(range(int(lo), int(hi) + 1))
+            return expand(*(int(part) for part in text.split(":")))
         return sorted({int(part) for part in text.split(",") if part.strip()})
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: the wrong number of fields
         raise ValueError(
-            f"--e {text!r} must be a range 'lo:hi' or a comma list of integers"
+            f"{option} {text!r} must be {form} or a comma list of integers"
         ) from None
-
-
-def _parse_sizes(text: str) -> list[int]:
-    """Parse a comma list, or 'lo:hi:count' for an evenly spaced grid."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"size grid {text!r} must be 'lo:hi:count' or a comma list")
-        lo, hi, count = (int(p) for p in parts)
-        return sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
-    return sorted({int(part) for part in text.split(",") if part.strip()})
 
 
 def _allocate_lags(columns: list[str], dimension: int,
@@ -99,9 +93,10 @@ def _allocate_lags(columns: list[str], dimension: int,
         allocation = []
         for part in lags_arg.split(","):
             name, _, count = part.partition(":")
-            if not count:
-                raise ValueError(f"bad --lags entry {part!r}; expected name:count")
-            allocation.append((name.strip(), int(count)))
+            try:
+                allocation.append((name.strip(), int(count)))
+            except ValueError:
+                raise ValueError(f"bad --lags entry {part!r}; expected name:count") from None
         names = [n for n, _ in allocation]
         if sorted(names) != sorted(columns):
             raise ValueError(f"--lags columns {names} do not match --columns {columns}")
@@ -124,7 +119,8 @@ def _cmd_version(_args) -> int:
 def _cmd_embed_search(args) -> int:
     data_path = _resolve_data(args.data)
     data = load_csv(data_path)
-    dimensions = _parse_range(args.e)
+    dimensions = _parse_integers("--e", args.e, "a range 'lo:hi'",
+                                 lambda lo, hi: list(range(lo, hi + 1)))
     result = embed_dimension_search(
         data, args.target, dimensions,
         train_end=args.train_end, tau=args.tau,
@@ -309,9 +305,9 @@ def _cmd_ccm(args) -> int:
     series_b = data[args.b]
     n_points = data.n_years - (args.e - 1) * args.tau
     if args.sizes is None:
-        sizes = sorted({int(round(v)) for v in np.linspace(args.e + 2, n_points, 20)})
+        sizes = _grid(args.e + 2, n_points, 20)
     else:
-        sizes = _parse_sizes(args.sizes)
+        sizes = _parse_integers("--sizes", args.sizes, "a grid 'lo:hi:count'", _grid)
     cfg = CcmConfig(
         dimension=args.e,
         library_sizes=tuple(sizes),

@@ -135,8 +135,9 @@ class EmbeddingLibrary:
     """Delay vectors with their head times and forward targets.
 
     ``vectors[i]`` is the state at ``times[i]`` and ``targets[i]`` is the
-    value of the target series at ``times[i] + tp``.  Points are stored in
-    ascending time order.  ``norms`` records any per-series (mean, std)
+    value of the target series at ``times[i] + tp``.  Every embedding builds
+    its library in ascending time order, which ``prefix_knn`` requires;
+    ``knn`` accepts any order.  ``norms`` records any per-series (mean, std)
     applied to the coordinates so queries can be transformed identically.
     """
 
@@ -215,14 +216,29 @@ def _resolve_norms(data: Dataset, spec: EmbeddingSpec) -> tuple[tuple[str, float
     return tuple(norms)
 
 
-def _transform(values: np.ndarray, name: str,
-               norms: tuple[tuple[str, float, float], ...] | None) -> np.ndarray:
-    if norms is None:
-        return values
-    for norm_name, mean, std in norms:
-        if norm_name == name:
-            return (values - mean) / std
-    return values
+def _layout(spec: EmbeddingSpec, norms: tuple[tuple[str, float, float], ...] | None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each coordinate of a delay vector comes from, for ``_gather``.
+
+    Returns ``(rows, cols, centre, scale)``: coordinate j of the state at row
+    h of a (time, series) matrix whose columns follow the spec's order is
+    ``(values[h - rows[j], cols[j]] - centre[j]) / scale[j]``.  A series
+    without a norm keeps centre 0 and scale 1, which leave it unchanged.
+    """
+    shift = {name: (mean, std) for name, mean, std in norms or ()}
+    coordinates = [(j * spec.tau, col, *shift.get(name, (0.0, 1.0)))
+                   for col, (name, lags) in enumerate(spec.columns) for j in range(lags)]
+    return tuple(np.array(part) for part in zip(*coordinates))
+
+
+def _gather(values: np.ndarray, heads, layout) -> np.ndarray:
+    """The delay vectors at the given head rows (one vector for a scalar head)."""
+    rows, cols, centre, scale = layout
+    return (values[np.asarray(heads)[..., None] - rows, cols] - centre) / scale
+
+
+def _columns(data: Dataset, spec: EmbeddingSpec) -> np.ndarray:
+    return np.column_stack([data[name].to_array() for name, _ in spec.columns])
 
 
 def multivariate_embed(data: Dataset, spec: EmbeddingSpec, target: str, tp: int = 1,
@@ -253,15 +269,8 @@ def multivariate_embed(data: Dataset, spec: EmbeddingSpec, target: str, tp: int 
     if norms is None:
         norms = _resolve_norms(data, spec)
 
-    n = last_idx - first_idx + 1
     head = np.arange(first_idx, last_idx + 1)
-    vectors = np.empty((n, spec.dimension), dtype=float)
-    col = 0
-    for name, lags in spec.columns:
-        values = _transform(data[name].to_array(), name, norms)
-        for j in range(lags):
-            vectors[:, col] = values[head - j * spec.tau]
-            col += 1
+    vectors = _gather(_columns(data, spec), head, _layout(spec, norms))
     targets = data[target].to_array()[head + tp]
     times = data.start_year + head
     return EmbeddingLibrary(spec, target, tp, times, vectors, targets, norms)
@@ -292,15 +301,7 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
     if norms is None:
         norms = _resolve_norms(data, spec)
     _check_state_time(data, spec, time_index)
-    idx = time_index - data.start_year
-    out = np.empty(spec.dimension, dtype=float)
-    col = 0
-    for name, lags in spec.columns:
-        values = _transform(data[name].to_array(), name, norms)
-        for j in range(lags):
-            out[col] = values[idx - j * spec.tau]
-            col += 1
-    return out
+    return _gather(_columns(data, spec), time_index - data.start_year, _layout(spec, norms))
 
 
 def _distances(vectors: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, _check_state_time, multivariate_embed
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_state_time, _gather, _layout,
+                        multivariate_embed)
 from .timeseries import UNDEFINED_SKILL, Dataset, _cell, _jsonable, pearson_rho, rmse
 
 __all__ = [
@@ -240,21 +241,13 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     n_obs = data.n_years
     steps = horizon_end - data.end_year
     values = np.empty((n_obs + steps, len(names)), dtype=float)
-    for col, name in enumerate(names):
-        values[:n_obs, col] = data[name].to_array()
+    values[:n_obs] = np.column_stack([data[name].to_array() for name in names])
     norms = multivariate_embed(data, spec, target, tp=1).norms  # frozen from observed data
-
-    # coordinate j of the state at row h is
-    # (values[h - lag_rows[j], lag_cols[j]] - centre[j]) / scale[j]
-    lag_rows = np.array([j * spec.tau for _, lags in spec.columns for j in range(lags)])
-    lag_cols = np.array([c for c, (_, lags) in enumerate(spec.columns) for _ in range(lags)])
-    centre = np.array([norms[c][1] if norms else 0.0 for c in lag_cols])
-    scale = np.array([norms[c][2] if norms else 1.0 for c in lag_cols])
+    layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
     first = spec.max_offset
     times = data.start_year + np.arange(first, n_obs + steps)
     states = np.empty((times.shape[0], spec.dimension), dtype=float)
-    heads = np.arange(first, n_obs)[:, None]
-    states[:n_obs - first] = (values[heads - lag_rows, lag_cols] - centre) / scale
+    states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
@@ -282,7 +275,7 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
                     f"series {names[bad[0]]!r} has a non-finite value "
                     f"{float(values[row, bad[0]])!r} in year {int(year)}"
                 )
-            states[row - first] = (values[row - lag_rows, lag_cols] - centre) / scale
+            states[row - first] = _gather(values, row, layout)
     return _result(target, forecast_years, values[n_obs:, target_col].copy(), variances,
                    np.cumsum(variances), records, labels)
 

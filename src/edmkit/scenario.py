@@ -101,6 +101,8 @@ class PolicyScenario:
                 raise ValueError(f"{self.kind} scenario must not set {field_name}")
         if self.kind == "pmd" and self.pmd_years < 0:
             raise ValueError("pmd_years must be >= 0")
+        if self.operational_lifetime < 0:
+            raise ValueError(f"operational_lifetime must be >= 0, got {self.operational_lifetime}")
         if self.kind == "launch_reduction" and not 0.0 <= self.reduction_fraction <= 1.0:
             raise ValueError(f"reduction_fraction must lie in [0, 1], got {self.reduction_fraction}")
         if self.kind == "adr" and self.adr_per_year < 0:
@@ -185,27 +187,44 @@ class MitigationReport:
         }
 
 
-def _deorbit_cohorts(data: Dataset, scenario: PolicyScenario, launched: str) -> dict[int, float]:
-    """Deorbit totals keyed by the year they fall due.
+def _cohorts(data: Dataset, scenario: PolicyScenario, launched: str) -> tuple[np.ndarray, int]:
+    """The objects each recorded launch year's cohort deorbits, and their delay.
 
-    Cohort y (objects launched in year y, from the effective year on) comes
-    down in year y + operational_lifetime + pmd_years; only recorded launch
-    years contribute.
+    Cohort y (objects launched in year y, from the effective year on; none
+    before it) comes down in year y + delay, where delay is
+    operational_lifetime + pmd_years.  Indexing by launch year keeps the
+    array as long as the record, however long the delay.
     """
-    launches = data[launched]
-    due: dict[int, float] = {}
-    first = max(scenario.effective_year, launches.start_year)
-    for year in range(first, launches.end_year + 1):
-        due_year = year + scenario.operational_lifetime + scenario.pmd_years
-        due[due_year] = due.get(due_year, 0.0) + scenario.compliance * launches.value_at(year)
-    return due
+    launches = data[launched].to_array()
+    first = max(scenario.effective_year - data.start_year, 0)
+    cohorts = np.zeros(launches.size)
+    cohorts[first:] += scenario.compliance * launches[first:]  # a -0.0 cohort adds 0.0
+    return cohorts, scenario.operational_lifetime + scenario.pmd_years
+
+
+def _removed_through(data: Dataset, scenario: PolicyScenario, launched: str,
+                     years) -> np.ndarray:
+    """Objects the policy has deorbited up to and including each of ``years``."""
+    cohorts, delay = _cohorts(data, scenario, launched)
+    last = np.minimum(np.asarray(years) - delay - data.start_year, cohorts.size - 1)
+    return np.where(last >= 0, np.cumsum(cohorts)[np.maximum(last, 0)], 0.0)
+
+
+def _floored(values: np.ndarray) -> np.ndarray:
+    # max(0.0, v) per entry; np.maximum may return -0.0 where v is -0.0
+    return np.where(values > 0.0, values, 0.0)
+
+
+def _require_series(data: Dataset, *names: str) -> None:
+    for name in names:
+        if name not in data:
+            raise ValueError(f"dataset is missing required series {name!r}")
 
 
 def cumulative_deorbited(data: Dataset, scenario: PolicyScenario, year: int,
                          launched: str = "launched") -> float:
     """Total objects deorbited by the policy up to and including a year."""
-    due = _deorbit_cohorts(data, scenario, launched)
-    return sum(v for d, v in due.items() if d <= year)
+    return float(_removed_through(data, scenario, launched, year))
 
 
 def pmd_adjust(data: Dataset, scenario: PolicyScenario,
@@ -218,20 +237,12 @@ def pmd_adjust(data: Dataset, scenario: PolicyScenario,
     """
     if scenario.kind != "pmd":
         raise ValueError(f"pmd_adjust needs a pmd scenario, got {scenario.kind!r}")
-    for name in (debris, launched, total):
-        if name not in data:
-            raise ValueError(f"dataset is missing required series {name!r}")
-    due = _deorbit_cohorts(data, scenario, launched)
-    x = list(data[debris].values)
-    z = list(data[total].values)
-    removed = 0.0
-    for year in range(scenario.effective_year, data.end_year + 1):
-        removed += due.get(year, 0.0)
-        if removed > 0.0 and year >= data.start_year:
-            i = year - data.start_year
-            x[i] = max(0.0, x[i] - removed)
-            z[i] = max(0.0, z[i] - removed)
-    return data.with_values({debris: x, total: z})
+    _require_series(data, debris, launched, total)
+    removed = _removed_through(data, scenario, launched, data.years)
+    changed = removed > 0.0
+    x, z = data[debris].to_array(), data[total].to_array()
+    return data.with_values({debris: np.where(changed, _floored(x - removed), x),
+                             total: np.where(changed, _floored(z - removed), z)})
 
 
 def launch_reduction_adjust(data: Dataset, scenario: PolicyScenario,
@@ -247,27 +258,19 @@ def launch_reduction_adjust(data: Dataset, scenario: PolicyScenario,
         raise ValueError(
             f"launch_reduction_adjust needs a launch_reduction scenario, got {scenario.kind!r}"
         )
-    for name in (debris, launched, total):
-        if name not in data:
-            raise ValueError(f"dataset is missing required series {name!r}")
+    _require_series(data, debris, launched, total)
     fraction = scenario.reduction_fraction
-    x = list(data[debris].values)
-    y = list(data[launched].values)
-    z = list(data[total].values)
-    original_y = data[launched].to_array()
-    cumulative_launched = np.cumsum(original_y)
-    shortfall = 0.0
-    for year in range(scenario.effective_year, data.end_year + 1):
-        if year < data.start_year:
-            continue
-        i = year - data.start_year
-        shortfall += fraction * original_y[i]
-        y[i] = (1.0 - fraction) * original_y[i]
-        z[i] = max(0.0, z[i] - shortfall)
-        if scenario.launch_x_mode == "ratio" and cumulative_launched[i] > 0:
-            ratio = data[debris].values[i] / cumulative_launched[i]
-            x[i] = max(0.0, x[i] - ratio * shortfall)
-    return data.with_values({debris: x, launched: y, total: z})
+    x, y, z = (data[name].to_array() for name in (debris, launched, total))
+    inside = np.arange(data.start_year, data.end_year + 1) >= scenario.effective_year
+    shortfall = np.cumsum(np.where(inside, fraction * y, 0.0))
+    adjusted = {launched: np.where(inside, (1.0 - fraction) * y, y),
+                total: np.where(inside, _floored(z - shortfall), z)}
+    if scenario.launch_x_mode == "ratio":
+        cumulative_launched = np.cumsum(y)
+        scaled = inside & (cumulative_launched > 0)
+        ratio = x / np.where(scaled, cumulative_launched, 1.0)
+        adjusted[debris] = np.where(scaled, _floored(x - ratio * shortfall), x)
+    return data.with_values(adjusted)
 
 
 def adr_adjust(data: Dataset, scenario: PolicyScenario,
@@ -280,22 +283,15 @@ def adr_adjust(data: Dataset, scenario: PolicyScenario,
     """
     if scenario.kind != "adr":
         raise ValueError(f"adr_adjust needs an adr scenario, got {scenario.kind!r}")
-    for name in (debris, total):
-        if name not in data:
-            raise ValueError(f"dataset is missing required series {name!r}")
-    x = list(data[debris].values)
-    z = list(data[total].values)
-    for year in range(scenario.effective_year, data.end_year + 1):
-        if year < data.start_year:
-            continue
-        i = year - data.start_year
-        if scenario.adr_cumulative:
-            removal = scenario.adr_per_year * (year - scenario.effective_year + 1)
-        else:
-            removal = scenario.adr_per_year
-        x[i] = max(0.0, x[i] - removal)
-        z[i] = max(0.0, z[i] - removal)
-    return data.with_values({debris: x, total: z})
+    _require_series(data, debris, total)
+    years = np.arange(data.start_year, data.end_year + 1)
+    inside = years >= scenario.effective_year
+    removal = scenario.adr_per_year
+    if scenario.adr_cumulative:
+        removal = removal * (years - scenario.effective_year + 1)
+    x, z = data[debris].to_array(), data[total].to_array()
+    return data.with_values({debris: np.where(inside, _floored(x - removal), x),
+                             total: np.where(inside, _floored(z - removal), z)})
 
 
 def _reset_band(trajectory: ForecastResult, reset_year: int) -> ForecastResult:
@@ -382,11 +378,12 @@ def _simulate_pmd(data: Dataset, scenario: PolicyScenario, config: ScenarioModel
         return baseline
     horizon = config.horizon_end
     adjusted = pmd_adjust(data, scenario, config.debris, config.launched, config.total)
-    due = _deorbit_cohorts(data, scenario, config.launched)
+    cohorts, delay = _cohorts(data, scenario, config.launched)
 
     def apply_due_deorbits(year: int, values: dict[str, float]) -> dict[str, float]:
         out = _floor_counts(year, values)
-        removal = due.get(year, 0.0)
+        cohort = year - delay - data.start_year
+        removal = float(cohorts[cohort]) if 0 <= cohort < cohorts.size else 0.0
         if removal > 0.0:
             out[config.debris] = max(0.0, out[config.debris] - removal)
             out[config.total] = max(0.0, out[config.total] - removal)

@@ -10,13 +10,17 @@ cover) are represented by NaN and are dropped before any metric is computed,
 never imputed.  A metric that has no defined value, because fewer than two
 valid pairs remain or one side has zero variance, is reported as the
 explicit ``UNDEFINED_SKILL`` marker rather than silently coerced to 0.
+
+Each series converts its values to a float64 array once, at construction.
+``TimeSeries.to_array`` hands out that one array, shared and read-only: a
+caller that needs to write must copy it first.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -55,21 +59,24 @@ class TimeSeries:
     name: str
     start_year: int
     values: tuple[float, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("time series needs a non-empty name")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        array = np.fromiter(self.values, dtype=float)
+        if not array.size:
             raise ValueError(f"series {self.name!r} is empty")
-        if not all(map(math.isfinite, vals)):
-            bad = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
             raise ValueError(
-                f"series {self.name!r} has a non-finite value {vals[bad]!r} "
-                f"in year {int(self.start_year) + bad}"
+                f"series {self.name!r} has a non-finite value {float(array[bad[0]])!r} "
+                f"in year {int(self.start_year) + int(bad[0])}"
             )
-        object.__setattr__(self, "values", vals)
+        array.setflags(write=False)
+        object.__setattr__(self, "values", tuple(array.tolist()))
         object.__setattr__(self, "start_year", int(self.start_year))
+        object.__setattr__(self, "_array", array)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -102,7 +109,8 @@ class TimeSeries:
         return TimeSeries(self.name, first_year, self.values[lo:hi])
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The values as one read-only float64 array, the same object on every call."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,7 @@ class Dataset:
     """A bundle of time series sharing one aligned year range and unique names."""
 
     series: tuple[TimeSeries, ...]
+    _by_name: dict[str, TimeSeries] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.series)
@@ -122,19 +131,20 @@ class Dataset:
                     f"series {s.name!r} ({s.start_year}, n={len(s)}) is not aligned "
                     f"with {first.name!r} ({first.start_year}, n={len(first)})"
                 )
-        names = [s.name for s in members]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate series names: {sorted(names)}")
+        by_name = {s.name: s for s in members}
+        if len(by_name) != len(members):
+            raise ValueError(f"duplicate series names: {sorted(s.name for s in members)}")
         object.__setattr__(self, "series", members)
+        object.__setattr__(self, "_by_name", by_name)
 
     def __contains__(self, name: str) -> bool:
-        return any(s.name == name for s in self.series)
+        return name in self._by_name
 
     def __getitem__(self, name: str) -> TimeSeries:
-        for s in self.series:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown series {name!r}; have {list(self.names)}")
+        series = self._by_name.get(name)
+        if series is None:
+            raise KeyError(f"unknown series {name!r}; have {list(self.names)}")
+        return series
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -158,17 +168,12 @@ class Dataset:
 
     @staticmethod
     def from_columns(start_year: int, columns: Mapping[str, Sequence[float]]) -> "Dataset":
-        return Dataset(tuple(TimeSeries(n, start_year, tuple(v)) for n, v in columns.items()))
+        return Dataset(tuple(TimeSeries(n, start_year, v) for n, v in columns.items()))
 
     def with_values(self, replacements: Mapping[str, Sequence[float]]) -> "Dataset":
         """A copy where the named series carry new values on the same year range."""
-        out = []
-        for s in self.series:
-            if s.name in replacements:
-                out.append(TimeSeries(s.name, s.start_year, tuple(replacements[s.name])))
-            else:
-                out.append(s)
-        return Dataset(tuple(out))
+        return Dataset(tuple(TimeSeries(s.name, s.start_year, replacements[s.name])
+                             if s.name in replacements else s for s in self.series))
 
     def restrict(self, first_year: int, last_year: int) -> "Dataset":
         return Dataset(tuple(s.window(first_year, last_year) for s in self.series))
@@ -178,16 +183,15 @@ class Dataset:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow([year_column, *self.names])
-            arrays = [s.values for s in self.series]
-            for i, year in enumerate(self.years):
-                writer.writerow([year, *(_format_value(col[i]) for col in arrays)])
+            for year, *row in zip(self.years, *(s.values for s in self.series)):
+                writer.writerow([year, *map(_format_value, row)])
 
 
 def _format_value(v: float) -> str:
-    # Integral counts stay integers; everything else uses the shortest decimal
-    # that round-trips the float64 exactly.
+    # Integral counts stay integers (-0.0 as "-0"); everything else uses the
+    # shortest decimal that round-trips the float64 exactly.
     if v == int(v) and abs(v) < 2**53:
-        return str(int(v))
+        return f"{v:.0f}"
     return repr(v)
 
 

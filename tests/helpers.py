@@ -244,3 +244,77 @@ def oracle_cross_map(cause_values, effect_values, dimension, tau, library_indice
     if denom == 0.0:
         return float("nan")
     return float(o @ e / denom)
+
+
+def oracle_deorbit_cohorts(data, scenario, launched="launched"):
+    """Reference PMD deorbit totals keyed by the year they fall due.
+
+    Cohort y (from the effective year on, recorded years only) comes down in
+    year y + operational_lifetime + pmd_years.
+    """
+    values = data[launched].values
+    due = {}
+    first = max(scenario.effective_year, data.start_year)
+    for year in range(first, data.end_year + 1):
+        due_year = year + scenario.operational_lifetime + scenario.pmd_years
+        due[due_year] = due.get(due_year, 0.0) + scenario.compliance * values[year - data.start_year]
+    return due
+
+
+def oracle_cumulative_deorbited(data, scenario, year, launched="launched"):
+    """Reference total deorbited up to and including a year."""
+    due = oracle_deorbit_cohorts(data, scenario, launched)
+    return sum(v for d, v in due.items() if d <= year)
+
+
+def oracle_pmd_adjust(data, scenario, debris="debris", launched="launched", total="total"):
+    """Reference PMD adjustment: {name: values} for the debris and total series."""
+    due = oracle_deorbit_cohorts(data, scenario, launched)
+    x = list(data[debris].values)
+    z = list(data[total].values)
+    removed = 0.0
+    for year in range(scenario.effective_year, data.end_year + 1):
+        removed += due.get(year, 0.0)
+        if removed > 0.0 and year >= data.start_year:
+            i = year - data.start_year
+            x[i] = max(0.0, x[i] - removed)
+            z[i] = max(0.0, z[i] - removed)
+    return {debris: x, total: z}
+
+
+def oracle_launch_reduction_adjust(data, scenario, debris="debris", launched="launched",
+                                   total="total"):
+    """Reference launch-reduction adjustment: {name: values} for all three series."""
+    fraction = scenario.reduction_fraction
+    original_x = data[debris].values
+    original_y = data[launched].values
+    x, y, z = list(original_x), list(original_y), list(data[total].values)
+    cumulative_launched = []
+    running = 0.0
+    for value in original_y:
+        running += value
+        cumulative_launched.append(running)
+    shortfall = 0.0
+    for year in range(max(scenario.effective_year, data.start_year), data.end_year + 1):
+        i = year - data.start_year
+        shortfall += fraction * original_y[i]
+        y[i] = (1.0 - fraction) * original_y[i]
+        z[i] = max(0.0, z[i] - shortfall)
+        if scenario.launch_x_mode == "ratio" and cumulative_launched[i] > 0:
+            x[i] = max(0.0, x[i] - original_x[i] / cumulative_launched[i] * shortfall)
+    return {debris: x, launched: y, total: z}
+
+
+def oracle_adr_adjust(data, scenario, debris="debris", total="total"):
+    """Reference ADR adjustment: {name: values} for the debris and total series."""
+    x = list(data[debris].values)
+    z = list(data[total].values)
+    for year in range(max(scenario.effective_year, data.start_year), data.end_year + 1):
+        i = year - data.start_year
+        if scenario.adr_cumulative:
+            removal = scenario.adr_per_year * (year - scenario.effective_year + 1)
+        else:
+            removal = scenario.adr_per_year
+        x[i] = max(0.0, x[i] - removal)
+        z[i] = max(0.0, z[i] - removal)
+    return {debris: x, total: z}

@@ -87,6 +87,22 @@ def test_embed_search_bad_dimensions_name_the_option(data_csv, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ccm", "--a", "debris", "--b", "total", "--sizes", "a,b"],
+     "--sizes 'a,b' must be a grid 'lo:hi:count' or a comma list of integers"),
+    (["ccm", "--a", "debris", "--b", "total", "--sizes", "5:20:x"],
+     "--sizes '5:20:x' must be a grid 'lo:hi:count' or a comma list of integers"),
+    (["forecast", "--method", "simplex", "--columns", "debris,total", "--e", "2",
+      "--lags", "debris:x,total:1", "--to", "2035"],
+     "bad --lags entry 'debris:x'; expected name:count"),
+])
+def test_bad_integer_lists_name_the_option(data_csv, tmp_path, capsys, argv, message):
+    out = tmp_path / "bad"
+    assert main([*argv, "--data", str(data_csv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("bad*"))
+
+
 def test_forecast_simplex_and_smap(data_csv, tmp_path):
     for method, extra in (("simplex", []), ("smap", ["--theta", "2"])):
         out = tmp_path / f"fc_{method}.csv"
@@ -185,6 +201,17 @@ def test_simulate_malformed_config_exits_two(data_csv, tmp_path, capsys):
                  "--outdir", str(tmp_path / "r")])
     assert code == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_simulate_negative_lifetime_exits_two(data_csv, tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("[s]\nkind = pmd\npmd_years = 0\noperational_lifetime = -30\n",
+                   encoding="utf-8")
+    code = main(["simulate", "--data", str(data_csv), "--scenarios", str(cfg),
+                 "--outdir", str(tmp_path / "r")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: operational_lifetime must be >= 0, got -30\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_byte_identical_reruns(data_csv, tmp_path):

@@ -44,6 +44,12 @@ def test_scenario_validation():
     assert PolicyScenario("adr", adr_per_year=100).adjust_window_end(2022) == 2022
 
 
+def test_negative_operational_lifetime_is_rejected():
+    # it would make cohorts fall due before their launch year
+    with pytest.raises(ValueError, match=r"^operational_lifetime must be >= 0, got -30$"):
+        PolicyScenario("pmd", pmd_years=0, operational_lifetime=-30)
+
+
 def test_cohort_rule_first_deorbit():
     data = toy_data()
     scenario = PolicyScenario("pmd", pmd_years=0, effective_year=2000)
