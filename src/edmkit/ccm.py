@@ -78,6 +78,8 @@ class CcmConfig:
             )
         if self.samples_per_size < 1:
             raise ValueError("samples_per_size must be >= 1")
+        if self.exclusion_radius < 0:
+            raise ValueError(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
         if self.method not in ("random", "contiguous"):
             raise ValueError(f"unknown subsampling method {self.method!r}")
         object.__setattr__(self, "library_sizes", sizes)
@@ -172,6 +174,8 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
     and a full library this makes a series reconstruct itself exactly.
     """
     _check_aligned(cause, effect)
+    if exclusion_radius < 0:
+        raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
     library = _embed(cause, effect, dimension, tau)
 
     n = len(library)

@@ -136,9 +136,10 @@ class EmbeddingLibrary:
 
     ``vectors[i]`` is the state at ``times[i]`` and ``targets[i]`` is the
     value of the target series at ``times[i] + tp``.  Every embedding builds
-    its library in ascending time order, which ``prefix_knn`` requires;
-    ``knn`` accepts any order.  ``norms`` records any per-series (mean, std)
-    applied to the coordinates so queries can be transformed identically.
+    its library in ascending time order, which the forecasting protocol
+    relies on; ``knn`` accepts any order.  ``norms`` records any per-series
+    (mean, std) applied to the coordinates so queries can be transformed
+    identically.
     """
 
     spec: EmbeddingSpec
@@ -387,26 +388,19 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     return NeighborSet(indices=chosen, distances=dists[chosen])
 
 
-def prefix_knn(library: EmbeddingLibrary, rows: np.ndarray,
+def prefix_knn(vectors: np.ndarray, queries: np.ndarray, limits: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``knn`` for a block of library rows, each searching only the rows before it.
+    """``knn`` for a block of queries, query ``q`` searching the first ``limits[q]`` rows.
 
-    Row ``r`` queries the sub-library of the rows below it under the spec's
-    exclusion window; as the library ascends in time (as every embedding
-    builds it), the candidates are a prefix, the rows more than ``radius``
-    steps earlier.  ``rows`` must ascend.  Returns the (rows, k) neighbour
-    indices and Euclidean distances, row for row what ``knn`` returns for
-    each query on its own, and raises the same NeighborShortfallError for
-    the first query that lacks ``k`` candidates.
+    Returns the (queries, k) neighbour indices and Euclidean distances, row
+    for row what ``knn`` returns for each query against the library of the
+    first ``limits[q]`` rows of ``vectors`` with no exclusion window.  Every
+    limit must be at least ``k``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    radius = library.spec.radius
-    limits = np.searchsorted(library.times, library.times[rows] - radius)
-    if rows.size and limits[0] < k:
-        raise _shortfall(k, int(limits[0]), int(rows[0]), radius)
-    width = int(limits[-1]) if rows.size else 0
-    diffs = library.vectors[None, :width] - library.vectors[rows, None]
+    width = int(limits.max()) if limits.size else 0
+    diffs = vectors[None, :width] - queries[:, None]
     dists = np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
     masked = np.where(np.arange(width) < limits[:, None], dists, np.inf)
     chosen = _smallest_k(masked, k)

@@ -1,13 +1,23 @@
 """The forecasting protocol shared by simplex projection and the S-map.
 
-The two methods differ only in how one query state is predicted; everything
-around that prediction lives here, together with the result type and the
-skill-table helpers of the parameter searches.
+The two methods differ only in how they predict from reconstructed states;
+everything around that prediction lives here, together with the result type
+and the skill-table helpers of the parameter searches.
 
 Two evaluation modes are provided: an expanding-window one-step-ahead skill
 evaluation against held-out history, and an iterative extrapolation that by
 default appends its own predictions to the library ("self conditioning") so
 the reconstruction can extend past the observed record.
+
+Both modes call one predictor per method, ``predict(vectors, forward,
+queries, limits, sizes, radius)``.  ``vectors`` holds library states in
+ascending time and ``forward`` the next value of each predicted series
+after each state.  Query ``q`` may use only the first ``limits[q]`` rows,
+``searchsorted(times, query_time - radius)``, which is exactly its
+admissible library because every library time precedes the query's.
+``sizes[q]`` (its library size before the exclusion window) and ``radius``
+only name a shortfall.  It returns (queries, columns) predictions and
+variances, and None or (queries, columns, dimension + 1) coefficients.
 """
 
 from __future__ import annotations
@@ -20,8 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_state_time, _gather, _layout,
-                        multivariate_embed)
+from .embedding import EmbeddingSpec, _check_state_time, _gather, _layout, multivariate_embed
 from .timeseries import UNDEFINED_SKILL, Dataset, _cell, _jsonable, pearson_rho, rmse
 
 __all__ = [
@@ -136,8 +145,8 @@ class ForecastResult:
             handle.write("\n")
 
 
-def _result(target: str, times: np.ndarray, predicted: np.ndarray, variance: np.ndarray,
-            band_variance: np.ndarray, records: list, labels: tuple[str, ...] | None,
+def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.ndarray,
+            variance: np.ndarray, band_variance: np.ndarray, coefficients: np.ndarray | None,
             observed: np.ndarray | None = None) -> ForecastResult:
     """A result scored against ``observed`` (unscored without), band from ``band_variance``."""
     scored = observed is not None
@@ -150,29 +159,24 @@ def _result(target: str, times: np.ndarray, predicted: np.ndarray, variance: np.
         rmse=rmse(observed, predicted) if scored else UNDEFINED_SKILL,
         band_halfwidth=1.96 * np.sqrt(band_variance),
         step_variance=variance,
-        coefficients=None if labels is None else np.vstack(records),
-        coefficient_labels=labels,
+        coefficients=coefficients,
+        coefficient_labels=None if coefficients is None
+        else ("intercept", *spec.coordinate_labels()),
     )
 
 
 def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: int,
                   eval_start: int | None, eval_end: int | None,
-                  predict_rows: Callable[[EmbeddingLibrary, np.ndarray], tuple],
-                  labels: tuple[str, ...] | None = None) -> ForecastResult:
+                  predict: Callable) -> ForecastResult:
     """Expanding-window one-step evaluation, scored with Pearson rho and RMSE.
 
     The evaluation years run from ``eval_start`` (default ``train_end + 1``)
-    through ``eval_end`` (default the last observed year).  For each year t
-    the library holds every embeddable point whose target falls at or before
-    t-1, and the query is the state at t-1.  Both come from the full
-    library: the query is its row ``r`` and the library is the prefix of
-    rows below ``r`` (``full.targets_through(t - 1)``), so the model never
-    sees the value it is asked to predict.  The queries go to the predictor
-    in blocks of ascending rows, each block sized so that its rows times the
-    library size times the dimension stay within ``_BLOCK_ELEMENTS``:
-    ``predict_rows(full, rows)`` returns ``(predictions, variances,
-    records)`` with one entry per row; with ``labels`` the records are the
-    result's coefficient rows.
+    through ``eval_end`` (default the last observed year).  Year t is
+    predicted from the state at t-1, row ``r`` of the full library, using the
+    rows below ``r`` outside the spec's exclusion window, so the model never
+    sees the value it is asked to predict.  Queries go to ``predict`` in
+    blocks of ascending rows whose rows times library size times dimension
+    stay within ``_BLOCK_ELEMENTS``.
     """
     start = train_end + 1 if eval_start is None else eval_start
     end = data.end_year if eval_end is None else eval_end
@@ -188,15 +192,14 @@ def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: in
     _check_state_time(data, spec, start - 1)
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
-    predicted = np.empty(times.shape[0], dtype=float)
-    variance = np.empty(times.shape[0], dtype=float)
-    records: list = []
+    limits = np.searchsorted(full.times, full.times[rows] - spec.radius)
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
-    for lo in range(0, rows.shape[0], step):
-        block = slice(lo, lo + step)
-        predicted[block], variance[block], block_records = predict_rows(full, rows[block])
-        records.extend(block_records)
-    return _result(target, times, predicted, variance, variance, records, labels,
+    blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
+                      limits[lo:lo + step], rows[lo:lo + step], spec.radius)
+              for lo in range(0, rows.shape[0], step)]
+    predicted, variance, coefficients = (
+        None if parts[0] is None else np.concatenate(parts)[:, 0] for parts in zip(*blocks))
+    return _result(target, spec, times, predicted, variance, variance, coefficients,
                    observed=full.targets[rows])
 
 
@@ -209,21 +212,17 @@ def extension_names(spec: EmbeddingSpec, target: str) -> tuple[str, ...]:
 
 
 def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: int,
-                  predict_step: Callable, self_condition: bool = True,
+                  predict: Callable, self_condition: bool = True,
                   adjust: Callable[[int, dict[str, float]], dict[str, float]] | None = None,
-                  labels: tuple[str, ...] | None = None) -> ForecastResult:
+                  exclusion_radius: int = 0) -> ForecastResult:
     """Year-at-a-time extrapolation to ``horizon_end``.
 
     The loop allocates once: a float64 buffer with one row per year for
-    every extended series, and the delay vectors for every row, transformed
-    with norms frozen from the observed data.  Each forecast year writes
-    one row of each.  ``predict_step(library, targets, query)`` gets the
-    target's ``EmbeddingLibrary`` over a prefix of those vectors, the
-    forward values of every extended series at each library point (one
-    column per series, in ``extension_names`` order) and the latest state
-    as ``(last_year, vector)``; it returns ``(values, variances, record)``
-    with one value and one variance per column and a per-step record; with
-    ``labels`` the records are the result's coefficient rows.  With self
+    every extended series (``extension_names``, one forward column each),
+    and the delay vectors for every row, transformed with norms frozen from
+    the observed data.  Each year ``predict`` gets a prefix of those vectors
+    as the library and the latest state as its one query, under
+    ``exclusion_radius``, and the year writes one row of each.  With self
     conditioning (the default) each prediction is appended as if observed,
     so the library grows along the forecast; without it the library stays
     capped at the observed record while query states are still formed from
@@ -231,7 +230,8 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     before they are appended, which lets policy engines inject
     interventions the later steps can see.  A non-finite value that a later
     step would use raises ValueError naming its series and year.  The band
-    accumulates the target's step variance along the horizon.
+    accumulates the target's step variance along the horizon; coefficient
+    rows, where ``predict`` returns them, are the target's.
     """
     if horizon_end <= data.end_year:
         raise ValueError(
@@ -249,25 +249,27 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     states = np.empty((times.shape[0], spec.dimension), dtype=float)
     states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
+    radius = int(exclusion_radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
     variances = np.empty(steps, dtype=float)
-    records: list = []
+    coefficients: list = []
     for i, year in enumerate(forecast_years):
-        last = n_obs + i - 1  # row of the latest known year
-        cap = last if self_condition else n_obs - 1  # row of the last library target
-        forward = values[first + 1:cap + 1]
-        library = EmbeddingLibrary(spec, target, 1, times[:cap - first], states[:cap - first],
-                                   forward[:, target_col], norms)
-        query = (int(year) - 1, states[last - first].copy())
-        step_values, step_vars, record = predict_step(library, forward, query)
+        query = n_obs + i - 1 - first  # state row of the latest known year
+        size = query if self_condition else n_obs - 1 - first  # library rows
+        limits = np.searchsorted(times[:size], times[query:query + 1] - radius)
+        step_values, step_vars, step_coefs = predict(
+            states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
+            limits, (size,), radius)
+        step_values = step_values[0].tolist()
         if adjust is not None:
             adjusted = adjust(int(year), dict(zip(names, step_values)))
             step_values = [adjusted[name] for name in names]
-        row = last + 1
+        row = first + query + 1
         values[row] = step_values
-        variances[i] = step_vars[target_col]
-        records.append(record)
+        variances[i] = step_vars[0, target_col]
+        if step_coefs is not None:
+            coefficients.append(step_coefs[0, target_col])
         if i + 1 < steps:
             bad = np.flatnonzero(~np.isfinite(values[row]))
             if bad.size:
@@ -276,8 +278,8 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
                     f"{float(values[row, bad[0]])!r} in year {int(year)}"
                 )
             states[row - first] = _gather(values, row, layout)
-    return _result(target, forecast_years, values[n_obs:, target_col].copy(), variances,
-                   np.cumsum(variances), records, labels)
+    return _result(target, spec, forecast_years, values[n_obs:, target_col].copy(), variances,
+                   np.cumsum(variances), np.vstack(coefficients) if coefficients else None)
 
 
 def best_row(rows: Sequence[tuple[float, float, float]], what: str) -> tuple[float, float, float]:

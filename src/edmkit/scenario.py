@@ -470,6 +470,8 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
                 name = line[1:-1].strip()
                 if not name:
                     raise ValueError(f"{path}: line {line_no}: empty section name")
+                if any(name == seen for seen, _ in sections):
+                    raise ValueError(f"{path}: line {line_no}: repeated section [{name}]")
                 current = {"name": name}
                 sections.append((name, current))
                 continue
@@ -496,10 +498,13 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
     if "horizon" in model_kwargs:
         model_kwargs["horizon_end"] = model_kwargs.pop("horizon")
     if "three_input_lags" in model_kwargs:
-        parts = [p.strip() for p in str(model_kwargs["three_input_lags"]).split(",")]
-        if len(parts) != 3:
+        try:
+            lags = tuple(int(p) for p in model_kwargs["three_input_lags"].split(","))
+        except ValueError:
+            lags = ()
+        if len(lags) != 3:
             raise ValueError(f"{path}: three_input_lags needs three comma-separated integers")
-        model_kwargs["three_input_lags"] = tuple(int(p) for p in parts)
+        model_kwargs["three_input_lags"] = lags
     config = ScenarioModelConfig(**model_kwargs)
 
     scenarios = []

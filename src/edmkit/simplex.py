@@ -11,17 +11,17 @@ neighbours are scaled by the smallest positive distance; if every neighbour
 sits at distance 0 the weights are uniform.
 
 The one-step evaluation and the iterative extrapolation are the shared
-protocol of ``edmkit.forecast``; this module supplies the predictor.
+protocol of ``edmkit.forecast``; this module supplies its predictor.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, knn, prefix_knn
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _shortfall, knn, prefix_knn
 # ForecastResult and extension_names are re-exported for existing callers
 from .forecast import (
     ForecastResult,
@@ -91,6 +91,27 @@ def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]
     return prediction, variance
 
 
+def _predictor(cfg: SimplexConfig) -> Callable:
+    """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest."""
+    k = cfg.effective_k
+
+    def predict(vectors, forward, queries, limits, sizes, radius):
+        short = np.flatnonzero(limits < k)
+        if short.size:
+            raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
+        indices, distances = prefix_knn(vectors, queries, limits, k)
+        weights = simplex_weights(distances)[:, None, :]
+        # (columns, queries, k), each neighbour set contiguous: the stacked
+        # matmul then rounds every average like the 1-D ``weights @ targets``
+        # of ``simplex_predict``; a strided gather or a summed product does not
+        targets = np.take(forward.T, indices, axis=1)
+        predictions = (weights @ targets[..., None])[..., 0, 0]
+        variances = (weights @ ((targets - predictions[..., None]) ** 2)[..., None])[..., 0, 0]
+        return predictions.T, variances.T, None
+
+    return predict
+
+
 def skill_eval(data: Dataset, target: str, cfg: SimplexConfig, train_end: int,
                eval_start: int | None = None, eval_end: int | None = None) -> ForecastResult:
     """Expanding-window one-step simplex evaluation over a year range.
@@ -98,18 +119,7 @@ def skill_eval(data: Dataset, target: str, cfg: SimplexConfig, train_end: int,
     Each year is predicted from a library containing only earlier-targeted
     points, then scored against the observations with Pearson rho and RMSE.
     """
-
-    def predict_rows(full: EmbeddingLibrary, rows: np.ndarray):
-        indices, distances = prefix_knn(full, rows, cfg.effective_k)
-        weights = simplex_weights(distances)[:, None, :]
-        targets = full.targets[indices][:, :, None]
-        # a stacked matmul rounds each row like the 1-D ``weights @ targets``
-        # of ``simplex_predict``; an elementwise product summed along the row does not
-        predictions = (weights @ targets)[:, 0, 0]
-        variances = (weights @ (targets - predictions[:, None, None]) ** 2)[:, 0, 0]
-        return predictions, variances, ()
-
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_rows)
+    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, _predictor(cfg))
 
 
 @dataclass(frozen=True)
@@ -163,17 +173,5 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig, horizon_e
     only analogues of the advancing edge, and the window's anti-shortcut
     purpose applies to held-out scoring, not open-ended continuation.
     """
-
-    def step(library: EmbeddingLibrary, targets: np.ndarray, query):
-        neighbours = knn(library, query, cfg.effective_k, exclusion_radius=exclusion_radius)
-        weights = simplex_weights(neighbours.distances)
-        values: list[float] = []
-        step_vars: list[float] = []
-        for column in targets.T:
-            chosen = column[neighbours.indices]
-            value = float(weights @ chosen)
-            values.append(value)
-            step_vars.append(float(weights @ (chosen - value) ** 2))
-        return values, step_vars, None
-
-    return run_iterative(data, cfg.spec, target, horizon_end, step, self_condition)
+    return run_iterative(data, cfg.spec, target, horizon_end, _predictor(cfg), self_condition,
+                         exclusion_radius=exclusion_radius)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import KW_ONLY, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .embedding import (
 from .forecast import (
     ForecastResult,
     best_row,
-    extension_names,
     one_step_eval,
     run_iterative,
     write_skill_table,
@@ -111,29 +110,17 @@ def smap_weights(distances: np.ndarray, theta: float) -> np.ndarray:
     return np.exp(-theta * distances / mean_distance)
 
 
-def _fit(library: EmbeddingLibrary, columns: Iterable[np.ndarray],
-         query: tuple[int, Sequence[float]], cfg: SMapConfig,
-         exclusion_radius: int | None) -> list[tuple[float, np.ndarray, float]]:
-    """S-map fits at one query state, one per target column.
+def _fit(vectors: np.ndarray, forward: np.ndarray, query: np.ndarray,
+         cfg: SMapConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S-map fits at one query state over every library row, one per forward column.
 
-    The admissible mask, distances, weights and square-root-weighted design
-    are computed once and shared; each column (forward values aligned with
-    the library rows) gets its own least-squares solve.  Returns one
-    ``(prediction, coefficients, variance)`` per column.
+    The distances, weights and square-root-weighted design are computed
+    once and shared; each column of ``forward`` (values aligned with the
+    library rows) gets its own least-squares solve.  Returns the
+    predictions, the variances and the (columns, dimension + 1) coefficients.
     """
-    query_vector = np.asarray(query[1], dtype=float)
-    dim = library.spec.dimension
-    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
-    keep = admissible_mask(library.times, query[0], radius)
-    count = int(keep.sum())
-    if count < dim + 2:
-        raise NeighborShortfallError(
-            f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
-            f"have {count} (library size {len(library)}, "
-            f"exclusion radius {radius})"
-        )
-    vectors = library.vectors[keep]
-    diffs = vectors - query_vector
+    count, dim = vectors.shape
+    diffs = vectors - query
     distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     weights = smap_weights(distances, cfg.theta)
     sqrt_w = np.sqrt(weights)[:, None]
@@ -143,17 +130,31 @@ def _fit(library: EmbeddingLibrary, columns: Iterable[np.ndarray],
         penalty[:, 1:] = math.sqrt(cfg.ridge) * np.eye(dim)
         design = np.concatenate([design, penalty], axis=0)
     fits = []
-    for column in columns:
-        targets = column[keep]
-        rhs = targets * sqrt_w[:, 0]
-        if cfg.ridge > 0.0:
-            rhs = np.concatenate([rhs, np.zeros(dim)])
+    for targets in forward.T:  # the ridge rows, if any, take target 0
+        rhs = np.concatenate([targets * sqrt_w[:, 0], np.zeros(design.shape[0] - count)])
         coefficients, *_ = np.linalg.lstsq(design, rhs, rcond=_SV_CUTOFF)
-        prediction = float(coefficients[0] + query_vector @ coefficients[1:])
         residuals = targets - (coefficients[0] + vectors @ coefficients[1:])
-        variance = float((weights * residuals**2).sum() / weights.sum())
-        fits.append((prediction, coefficients, variance))
-    return fits
+        fits.append((coefficients[0] + query @ coefficients[1:],
+                     (weights * residuals**2).sum() / weights.sum(), coefficients))
+    return tuple(np.array(part) for part in zip(*fits))
+
+
+def _predictor(cfg: SMapConfig) -> Callable:
+    """The protocol's predictor (see ``edmkit.forecast``): one local fit per query."""
+    dim = cfg.spec.dimension
+
+    def predict(vectors, forward, queries, limits, sizes, radius):
+        fits = []
+        for query, limit, size in zip(queries, limits, sizes):
+            if limit < dim + 2:
+                raise NeighborShortfallError(
+                    f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
+                    f"have {limit} (library size {size}, exclusion radius {radius})"
+                )
+            fits.append(_fit(vectors[:limit], forward[:limit], query, cfg))
+        return tuple(np.array(part) for part in zip(*fits))
+
+    return predict
 
 
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
@@ -166,10 +167,13 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     The fit solves weighted least squares through the square-root-weight
     design matrix.
     """
-    (prediction, coefficients, variance), = _fit(library, (library.targets,), query, cfg,
-                                                 exclusion_radius)
-    return SMapStep(time=int(query[0]), prediction=prediction,
-                    coefficients=coefficients, variance=variance)
+    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
+    keep = admissible_mask(library.times, query[0], radius)
+    predictions, variances, coefficients = _predictor(cfg)(
+        library.vectors[keep], library.targets[keep, None], np.asarray(query[1], dtype=float)[None],
+        [int(keep.sum())], [len(library)], radius)
+    return SMapStep(time=int(query[0]), prediction=float(predictions[0, 0]),
+                    coefficients=coefficients[0, 0], variance=float(variances[0, 0]))
 
 
 def skill_eval(data: Dataset, target: str, cfg: SMapConfig, train_end: int,
@@ -179,15 +183,7 @@ def skill_eval(data: Dataset, target: str, cfg: SMapConfig, train_end: int,
     The returned result carries the per-step coefficient rows so interaction
     strengths can be read off the evaluation period as well.
     """
-
-    def predict_rows(full: EmbeddingLibrary, rows: np.ndarray):
-        steps = [smap_predict(full.targets_through(int(full.times[r])),
-                              (int(full.times[r]), full.vectors[r]), cfg) for r in rows]
-        return ([step.prediction for step in steps], [step.variance for step in steps],
-                [step.coefficients for step in steps])
-
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, predict_rows,
-                         labels=("intercept", *cfg.spec.coordinate_labels()))
+    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, _predictor(cfg))
 
 
 @dataclass(frozen=True)
@@ -251,16 +247,8 @@ def smap_iterative_forecast(data: Dataset, target: str, cfg: SMapConfig, horizon
     blocking autocorrelation shortcuts when scoring against held-out
     observations, does not apply to open-ended continuation.
     """
-    target_col = extension_names(cfg.spec, target).index(target)
-
-    def step(library: EmbeddingLibrary, targets: np.ndarray, query):
-        fits = _fit(library, targets.T, query, cfg, exclusion_radius)
-        values = [prediction for prediction, _, _ in fits]
-        step_vars = [variance for _, _, variance in fits]
-        return values, step_vars, fits[target_col][1]
-
-    return run_iterative(data, cfg.spec, target, horizon_end, step, self_condition, adjust,
-                         labels=("intercept", *cfg.spec.coordinate_labels()))
+    return run_iterative(data, cfg.spec, target, horizon_end, _predictor(cfg), self_condition,
+                         adjust, exclusion_radius)
 
 
 def interaction_series(forecast: ForecastResult, coordinate: str) -> TimeSeries:

@@ -208,7 +208,12 @@ def _jsonable(v: float):
 def _require_finite(**fields) -> None:
     # NaN passes every ``x < 0`` range check, so configs reject it by name first
     for name, value in fields.items():
-        if value is not None and not math.isfinite(value):
+        try:
+            finite = value is None or math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{name} is too large, got an integer of "
+                             f"{value.bit_length()} bits") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

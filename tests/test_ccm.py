@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
+from edmkit.cli import main
 from edmkit.timeseries import TimeSeries, skill_defined
 
 from helpers import coupled_logistic_pair, logistic_series, oracle_cross_map, random_walk
@@ -213,3 +214,19 @@ def test_sweep_requires_aligned_series():
     cfg = CcmConfig(dimension=2, library_sizes=(10, 20), samples_per_size=2)
     with pytest.raises(ValueError, match="aligned"):
         convergence_sweep(a, b, cfg)
+
+
+def test_negative_exclusion_radius_is_rejected_by_name(tmp_path, capsys):
+    # a negative radius used to act as radius 0 while the manifest recorded it
+    message = "exclusion_radius must be >= 0, got -2"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CcmConfig(2, (10, 20), exclusion_radius=-2)
+    series = logistic_series(60)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cross_map(series, series, dimension=2, exclusion_radius=-2)
+    out = tmp_path / "ccm"
+    code = main(["ccm", "--a", "debris", "--b", "total", "--exclusion-radius", "-2",
+                 "--out", str(out)])  # on the bundled record
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())

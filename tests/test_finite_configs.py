@@ -91,3 +91,25 @@ def test_cli_rejects_non_finite_field(case, tmp_path, capsys):
     assert main(argv) == 2  # on the bundled record
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.glob("forecast*")) and not (tmp_path / "r").exists()
+
+
+HUGE = 10**400  # beyond the float range, where math.isfinite raises OverflowError
+
+
+@pytest.mark.parametrize("field", ["adr_per_year", "effective_year", "operational_lifetime",
+                                   "pmd_years"])
+def test_oversized_integer_is_rejected_by_name(field, tmp_path, capsys):
+    kind = "pmd" if field == "pmd_years" else "adr"
+    fields = {"pmd_years": 5} if kind == "pmd" else {"adr_per_year": 1}
+    fields[field] = HUGE
+    message = f"{field} is too large, got an integer of {HUGE.bit_length()} bits"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PolicyScenario(kind, **fields)
+    scenarios = tmp_path / "s.cfg"
+    scenarios.write_text(f"[s]\nkind = {kind}\n"
+                         + "".join(f"{key} = {value}\n" for key, value in fields.items()),
+                         encoding="utf-8")
+    argv = ["simulate", "--scenarios", str(scenarios), "--outdir", str(tmp_path / "r")]
+    assert main(argv) == 2  # on the bundled record
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()

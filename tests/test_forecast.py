@@ -2,6 +2,7 @@
 states, and the configuration surface."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from edmkit.embedding import (
     state_vector,
 )
 from edmkit.forecast import best_row
-from edmkit.simplex import SimplexConfig, embed_dimension_search, simplex_predict, skill_eval
-from edmkit.smap import SMapConfig, smap_predict, theta_search
+from edmkit.simplex import (SimplexConfig, embed_dimension_search, iterative_forecast,
+                            simplex_predict, skill_eval)
+from edmkit.smap import SMapConfig, smap_iterative_forecast, smap_predict, theta_search
 from edmkit.smap import skill_eval as smap_skill_eval
-from edmkit.timeseries import Dataset
+from edmkit.timeseries import Dataset, TimeSeries
 
 from helpers import coupled_logistic_pair
 
@@ -177,3 +179,51 @@ def test_best_row_ties_go_to_the_smallest_parameter():
     assert best_row(rows, "dimension") == (3, 0.9, 3.0)
     with pytest.raises(RuntimeError, match="^no dimension produced a defined skill$"):
         best_row(rows[:1], "dimension")
+
+
+ITERATIVE_SPECS = {
+    # the target leads neither layout, and every layout extends two series
+    "non_leading_target": EmbeddingSpec((("y", 2), ("x", 2))),
+    "tau2_normalized": EmbeddingSpec((("y", 2), ("x", 1)), tau=2, normalize=True),
+}
+
+
+@pytest.mark.parametrize("self_condition", [True, False])
+@pytest.mark.parametrize("radius", [0, 3])
+@pytest.mark.parametrize("name", sorted(ITERATIVE_SPECS))
+@pytest.mark.parametrize("method", ["simplex", "smap"])
+def test_iterative_steps_match_per_query_predictors(method, name, radius, self_condition):
+    # every iterative step equals simplex_predict / smap_predict on the
+    # equivalent library, fed the trajectory the loop itself produced; the
+    # layout extends both x and y, and forecasting either target yields
+    # the same joint trajectory, so two runs expose every forward column
+    data = Dataset(coupled_logistic_pair(90))  # from year 0
+    spec = ITERATIVE_SPECS[name]
+    horizon = data.end_year + 40
+    if method == "simplex":
+        cfg = SimplexConfig(spec)
+        results = {target: iterative_forecast(data, target, cfg, horizon, self_condition,
+                                              exclusion_radius=radius) for target in "xy"}
+    else:
+        cfg = SMapConfig(spec, 2.0, ridge=0.1)
+        results = {target: smap_iterative_forecast(data, target, cfg, horizon, self_condition,
+                                                   exclusion_radius=radius)
+                   for target in "xy"}
+    extended = {target: np.concatenate([data[target].to_array(), result.predicted])
+                for target, result in results.items()}
+    window = replace(spec, exclusion_radius=radius)
+    norms = multivariate_embed(data, spec, "x").norms
+    for target, result in results.items():
+        for i, year in enumerate(result.times):
+            known = Dataset(tuple(TimeSeries(s, 0, extended[s][:year]) for s in "xy"))
+            library = multivariate_embed(known if self_condition else data, window, target,
+                                         norms=norms)
+            query = (int(year) - 1, state_vector(known, spec, int(year) - 1, norms=norms))
+            if method == "simplex":
+                expected, variance = simplex_predict(library, query, cfg)
+            else:
+                step = smap_predict(library, query, cfg)
+                expected, variance = step.prediction, step.variance
+                assert result.coefficients[i].tobytes() == step.coefficients.tobytes()
+            assert result.predicted[i] == expected, (target, int(year))
+            assert result.step_variance[i] == variance, (target, int(year))

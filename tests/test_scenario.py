@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmkit.scenario import (
     CURRENT_PMD_YEARS,
@@ -237,6 +241,19 @@ def test_scenario_file_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_scenario_file(tmp_path / "nope.cfg")
 
+    bad_lags = tmp_path / "badlags.cfg"
+    bad_lags.write_text("three_input_lags = 1,a,1\n[s]\nkind = pmd\npmd_years = 5\n",
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad_lags))}: three_input_lags needs "
+                                         "three comma-separated integers$"):
+        load_scenario_file(bad_lags)
+
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("[s]\nkind = pmd\npmd_years = 5\n[s]\nkind = adr\nadr_per_year = 1\n",
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 4: repeated section \[s\]$"):
+        load_scenario_file(repeated)
+
 
 def test_zero_baseline_raises_named_error(monkeypatch):
     import edmkit.scenario
@@ -269,3 +286,59 @@ def test_reset_band_restarts_the_running_variance():
             expected.append(1.96 * np.sqrt(running))
         band = edmkit.scenario._reset_band(trajectory, reset_year).band_halfwidth
         assert band.tolist() == expected
+
+
+def _one_of(*choices):
+    return st.sampled_from(choices)
+
+
+# per key, values the parser accepts; _ODD values reach the same key at random
+_MODEL = {"theta": _one_of("0", "2.5"), "lags": _one_of("1", "2"), "tau": _one_of("1", "2"),
+          "ridge": _one_of("0", "0.1"), "horizon": _one_of("2040", "2050"),
+          "three_input_lags": _one_of("1,2,1", "2, 1, 1")}
+_SCENARIO = {"effective_year": st.integers(1990, 2030).map(str),
+             "operational_lifetime": st.integers(0, 20).map(str),
+             "pmd_years": st.integers(0, 30).map(str), "reduction_fraction": _one_of("0.2", "1"),
+             "adr_per_year": st.integers(0, 500).map(str), "compliance": _one_of("0.8", "1"),
+             "adr_cumulative": _one_of("yes", "off"), "launch_x_mode": _one_of("ratio", "z_only")}
+_ODD = st.one_of(_one_of("nan", "inf", "-inf", "", "a", "1,a,1", "-3", str(10**400), "1e400"),
+                 st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+_REQUIRED = {"pmd": "pmd_years", "adr": "adr_per_year", "launch_reduction": "reduction_fraction"}
+
+
+@st.composite
+def scenario_text(draw):
+    # mostly well-formed files, so that odd values reach every later check
+    def pair(schema, key):
+        odd = draw(st.integers(0, 9)) == 0
+        return f"{key} = {draw(_ODD if odd else schema[key])}"
+
+    def pairs(schema):
+        return [pair(schema, key)
+                for key in draw(st.lists(st.sampled_from(sorted(schema)), max_size=2))]
+
+    lines = pairs(_MODEL)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(sorted(_REQUIRED)))
+        lines += [f"[{draw(_one_of('a', 'b', 'c', 'd'))}]",  # few names: sections repeat
+                  f"kind = {kind}", pair(_SCENARIO, _REQUIRED[kind]), *pairs(_SCENARIO)]
+    if draw(st.integers(0, 3)) == 0:  # a comment, blank or malformed line
+        noise = draw(st.one_of(_one_of("# note", "", "warp = 9", "[]", "[ ]", "key only"), _ODD))
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(scenario_text())
+def test_load_scenario_file_returns_or_names_the_error(tmp_path_factory, text):
+    # generated files, 400-digit integers, nan, inf and repeated sections
+    # included: the parser returns unique scenarios or raises a named error
+    path = tmp_path_factory.mktemp("cfg") / "s.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        config, scenarios = load_scenario_file(path)
+    except (ValueError, FileNotFoundError):
+        return
+    assert isinstance(config, ScenarioModelConfig)
+    names = [scenario.name for scenario in scenarios]
+    assert names and len(set(names)) == len(names)

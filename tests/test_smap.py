@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from edmkit.bundled import load_bundled
 from edmkit.embedding import (
+    EmbeddingError,
     EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
@@ -308,3 +310,19 @@ def test_coefficient_csv(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "year,intercept,u(t),u(t-1)"
     assert len(lines) == 1 + len(result.times)
+
+
+def test_coefficient_labels_come_after_the_embedding_check(monkeypatch):
+    # one label per coordinate: a dimension far beyond the record must fail
+    # by name before any label is built, not after building a million
+    def refuse(spec):
+        raise AssertionError("coefficient labels built before the embedding check")
+
+    monkeypatch.setattr(EmbeddingSpec, "coordinate_labels", refuse)
+    data = load_bundled()
+    cfg = SMapConfig(EmbeddingSpec.univariate("debris", 1_000_000), 1.0)
+    message = "too short for embedding"
+    with pytest.raises(EmbeddingError, match=message):
+        smap_skill_eval(data, "debris", cfg, train_end=1990)
+    with pytest.raises(EmbeddingError, match=message):
+        smap_iterative_forecast(data, "debris", cfg, 2050)
