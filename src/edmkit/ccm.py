@@ -18,8 +18,9 @@ still available by disabling leave-one-out.
 
 Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
-A sweep embeds each direction once and measures all pairwise distances
-once; every cell then reads the columns of its library from that matrix.
+One driver serves a single cross map and a whole sweep direction: its query
+rows are walked once, in blocks whose distances to all n embeddable states
+serve every cell, so memory is O(block x n + cells x n), never n x n.
 CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
 is accepted and ignored.
 """
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, _smallest_k, multivariate_embed
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _smallest_k,
+                        multivariate_embed)
 from .timeseries import Dataset, TimeSeries, _cell, _jsonable, _require_finite, pearson_rho
 
 __all__ = [
@@ -78,16 +80,15 @@ class CcmConfig:
             )
         if self.samples_per_size < 1:
             raise ValueError("samples_per_size must be >= 1")
-        if self.exclusion_radius < 0:
-            raise ValueError(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
+        _check_radius(self.exclusion_radius)
         if self.method not in ("random", "contiguous"):
             raise ValueError(f"unknown subsampling method {self.method!r}")
         object.__setattr__(self, "library_sizes", sizes)
 
 
-#: Most distances computed in one block; bounds the per-block temporary of
-#: (rows x library x dimension) coordinate differences.
-_BLOCK_ELEMENTS = 4096
+#: Most coordinate differences computed in one block; bounds the per-block
+#: temporary of (rows x n x dimension) differences.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_aligned(cause: TimeSeries, effect: TimeSeries) -> None:
@@ -105,46 +106,12 @@ def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> E
     return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
 
 
-def _distance_blocks(queries: np.ndarray, lib_vectors: np.ndarray):
-    """Manhattan distances from every query state to every library state.
+def _estimates(distances: np.ndarray, keep: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Kernel estimates of ``values`` from the ``k`` nearest kept columns of each row.
 
-    Yields ``(rows, block)`` in ascending row order, where ``block[q, c]`` is
-    the distance from ``queries[rows[q]]`` to ``lib_vectors[c]`` and each
-    block holds at most ``_BLOCK_ELEMENTS`` distances (at least one row).
+    Columns must ascend in time so that the selection, which orders
+    neighbours by (distance, column), breaks ties toward the earlier time.
     """
-    step = max(1, _BLOCK_ELEMENTS // len(lib_vectors))
-    for start in range(0, len(queries), step):
-        stop = min(start + step, len(queries))
-        block = np.abs(queries[start:stop, None, :] - lib_vectors[None, :, :]).sum(axis=2)
-        yield np.arange(start, stop), block
-
-
-def _estimates(distances: np.ndarray, rows: np.ndarray, lib: np.ndarray, times: np.ndarray,
-               targets: np.ndarray, k: int, leave_one_out: bool,
-               exclusion_radius: int) -> np.ndarray:
-    """Kernel estimates of ``targets`` at the query ``rows`` from library ``lib``.
-
-    ``distances[q, c]`` is the distance from query ``rows[q]`` to library
-    point ``lib[c]``; ``lib`` must be sorted ascending so that the selection,
-    which orders neighbours by (distance, column), breaks distance ties toward
-    the earlier time.  Candidates excluded by leave-one-out or the exclusion
-    radius are set to infinite distance.
-    """
-    # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
-    # drops only the query's own time (gap 0)
-    if exclusion_radius > 0:
-        floor = exclusion_radius
-    else:
-        floor = 0 if leave_one_out else -1
-    keep = np.abs(times[rows, None] - times[None, lib]) > floor
-    admissible = keep.sum(axis=1)
-    short = np.flatnonzero(admissible < k)
-    if short.size:
-        q = short[0]
-        raise ValueError(
-            f"cross-map query at {int(times[rows[q]])} has only {int(admissible[q])} "
-            f"admissible neighbours, needs {k}"
-        )
     masked = np.where(keep, distances, np.inf)
     chosen = _smallest_k(masked, k)
     d = np.take_along_axis(masked, chosen, axis=1)
@@ -154,7 +121,51 @@ def _estimates(distances: np.ndarray, rows: np.ndarray, lib: np.ndarray, times: 
     weights /= weights.sum(axis=1, keepdims=True)
     # a stacked matmul rounds each row like a 1-D ``weights @ values``; an
     # elementwise product summed along the row does not
-    return (weights[:, None, :] @ targets[lib][chosen][:, :, None])[:, 0, 0]
+    return (weights[:, None, :] @ values[chosen][:, :, None])[:, 0, 0]
+
+
+def _cross_map_cells(library: EmbeddingLibrary, cells: list[np.ndarray], exclusion_radius: int,
+                     leave_one_out: bool = True) -> list[float]:
+    """Cross-map skill of each cell, a sorted array of library indices.
+
+    Every embeddable state is a query, estimated from the ``dimension + 1``
+    nearest admissible points of the cell's library.  Query rows are walked
+    once, in blocks: each block's Manhattan distances to all n states serve
+    every cell, and the estimates fill a (cells x n) array, so memory is
+    O(block x n + cells x n).  Admissibility is checked for every cell before
+    any distance is computed; a shortfall names the first failing cell's
+    first failing query.
+    """
+    times, vectors, targets = library.times, library.vectors, library.targets
+    n, dimension = vectors.shape
+    k = dimension + 1
+    # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
+    # drops only the query's own time (gap 0)
+    if exclusion_radius > 0:
+        floor = exclusion_radius
+    else:
+        floor = 0 if leave_one_out else -1
+    if floor >= 0:
+        for lib in cells:
+            # the library times within ``floor`` of each query's are dropped
+            admissible = lib.size - (np.searchsorted(times[lib], times + floor, side="right")
+                                     - np.searchsorted(times[lib], times - floor))
+            q = int(np.argmax(admissible < k))
+            if admissible[q] < k:
+                raise ValueError(
+                    f"cross-map query at {int(times[q])} has only {int(admissible[q])} "
+                    f"admissible neighbours, needs {k}"
+                )
+
+    estimates = np.empty((len(cells), n), dtype=float)
+    step = max(1, _BLOCK_ELEMENTS // (n * dimension))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = np.abs(vectors[start:stop, None, :] - vectors[None, :, :]).sum(axis=2)
+        keep = np.abs(times[start:stop, None] - times[None, :]) > floor
+        for cell, lib in enumerate(cells):
+            estimates[cell, start:stop] = _estimates(block[:, lib], keep[:, lib], targets[lib], k)
+    return [pearson_rho(targets, row) for row in estimates]
 
 
 def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 1,
@@ -174,8 +185,7 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
     and a full library this makes a series reconstruct itself exactly.
     """
     _check_aligned(cause, effect)
-    if exclusion_radius < 0:
-        raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
+    radius = _check_radius(exclusion_radius)
     library = _embed(cause, effect, dimension, tau)
 
     n = len(library)
@@ -193,12 +203,7 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "
             f"have {indices.size}"
         )
-
-    estimates = np.empty(n, dtype=float)
-    for rows, block in _distance_blocks(library.vectors, library.vectors[indices]):
-        estimates[rows] = _estimates(block, rows, indices, library.times, library.targets,
-                                     dimension + 1, leave_one_out, exclusion_radius)
-    return pearson_rho(library.targets, estimates)
+    return _cross_map_cells(library, [indices], radius, leave_one_out)[0]
 
 
 @dataclass(frozen=True)
@@ -307,8 +312,9 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     two grid points agree within the plateau tolerance.  A single-size grid
     cannot exhibit convergence, so the result is flagged insufficient.
 
-    Each direction holds one n x n float64 distance matrix (n embeddable
-    points) while its cells run.  ``threads`` is accepted and ignored.
+    Each direction holds one block of query-row distances and a
+    (cells x n) float64 estimates array (n embeddable points), so memory is
+    O(block x n + cells x n).  ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
     n = len(a) - (cfg.dimension - 1) * cfg.tau
@@ -316,44 +322,27 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")
 
-    libraries = [
-        [np.sort(_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg))
-         for j in range(cfg.samples_per_size)]
-        for size in sizes
-    ]
-    rows = np.arange(n)
+    cells = [np.sort(_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg))
+             for size in sizes for j in range(cfg.samples_per_size)]
 
-    def skills(cause: TimeSeries, effect: TimeSeries) -> np.ndarray:
+    def direction(cause: TimeSeries, effect: TimeSeries) -> CcmDirection:
         library = _embed(cause, effect, cfg.dimension, cfg.tau)
-        distances = np.empty((n, n), dtype=float)
-        for block_rows, block in _distance_blocks(library.vectors, library.vectors):
-            distances[block_rows] = block
-        samples = np.empty((len(sizes), cfg.samples_per_size), dtype=float)
-        for i, draws in enumerate(libraries):
-            for j, lib in enumerate(draws):
-                estimates = _estimates(
-                    distances[:, lib], rows, lib, library.times, library.targets,
-                    cfg.dimension + 1, True, cfg.exclusion_radius,
-                )
-                samples[i, j] = pearson_rho(library.targets, estimates)
-        return samples
-
-    def direction(cause: str, effect: str, samples: np.ndarray) -> CcmDirection:
+        samples = np.reshape(_cross_map_cells(library, cells, cfg.exclusion_radius),
+                             (len(sizes), cfg.samples_per_size))
         means = samples.mean(axis=1)
-        spreads = samples.std(axis=1)
         return CcmDirection(
-            cause=cause,
-            effect=effect,
+            cause=cause.name,
+            effect=effect.name,
             library_sizes=sizes,
             mean_rho=tuple(float(v) for v in means),
-            spread=tuple(float(v) for v in spreads),
+            spread=tuple(float(v) for v in samples.std(axis=1)),
             samples=samples,
             verdict=_verdict(means, cfg),
         )
 
     return CcmResult(
-        a_from_b=direction(a.name, b.name, skills(a, b)),
-        b_from_a=direction(b.name, a.name, skills(b, a)),
+        a_from_b=direction(a, b),
+        b_from_a=direction(b, a),
         insufficient_grid=len(sizes) < 2,
         seed=cfg.seed,
     )

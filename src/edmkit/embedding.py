@@ -342,6 +342,13 @@ def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
     return columns[rows, np.argsort(masked[rows, columns], axis=1, kind="stable")]
 
 
+def _check_radius(exclusion_radius) -> int:
+    """An exclusion radius passed per call, as an int; negative ones are rejected by name."""
+    if exclusion_radius < 0:
+        raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
+    return int(exclusion_radius)
+
+
 def admissible_mask(times: np.ndarray, query_time: int, radius: int) -> np.ndarray:
     """Candidacy mask under the exclusion window (radius 0 admits everything)."""
     if radius <= 0:
@@ -374,7 +381,7 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     query_time, query_vector = query
     query_vector = np.asarray(query_vector, dtype=float)
-    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
+    radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
     dists = _distances(library.vectors, query_vector, metric)
     keep = admissible_mask(library.times, query_time, radius)
     candidates = np.nonzero(keep)[0]

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, _check_state_time, _gather, _layout, multivariate_embed
+from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather, _layout,
+                        multivariate_embed)
 from .timeseries import UNDEFINED_SKILL, Dataset, _cell, _jsonable, pearson_rho, rmse
 
 __all__ = [
@@ -237,6 +238,7 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
         raise ValueError(
             f"horizon {horizon_end} must lie beyond the observed record ({data.end_year})"
         )
+    radius = _check_radius(exclusion_radius)
     names = extension_names(spec, target)
     n_obs = data.n_years
     steps = horizon_end - data.end_year
@@ -249,7 +251,6 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     states = np.empty((times.shape[0], spec.dimension), dtype=float)
     states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
-    radius = int(exclusion_radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
     variances = np.empty(steps, dtype=float)

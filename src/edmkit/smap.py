@@ -34,6 +34,7 @@ from .embedding import (
     EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
+    _check_radius,
     admissible_mask,
 )
 from .forecast import (
@@ -167,7 +168,7 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     The fit solves weighted least squares through the square-root-weight
     design matrix.
     """
-    radius = library.spec.radius if exclusion_radius is None else int(exclusion_radius)
+    radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
     keep = admissible_mask(library.times, query[0], radius)
     predictions, variances, coefficients = _predictor(cfg)(
         library.vectors[keep], library.targets[keep, None], np.asarray(query[1], dtype=float)[None],

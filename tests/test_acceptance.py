@@ -6,13 +6,16 @@ yearly dataset; the property and oracle suites are data independent.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edmkit
 from edmkit.bundled import bundled_path, load_bundled
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
 from edmkit.embedding import EmbeddingLibrary, EmbeddingSpec, knn
@@ -299,6 +302,10 @@ def test_ccm_benchmark_directionality_and_null():
 
 def test_cli_determinism(tmp_path):
     data_path = bundled_path("leo_debris_1960_2022.csv")
+    # the commands run the edmkit these tests import, installed or not
+    package_root = str(Path(edmkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     outputs = []
     for tag, threads in (("a", "1"), ("b", "8")):
         outdir = tmp_path / tag
@@ -313,7 +320,7 @@ def test_cli_determinism(tmp_path):
              "--out", str(outdir / "ccm"), "--threads", threads],
         ]
         for argv in commands:
-            completed = subprocess.run(argv, capture_output=True, text=True)
+            completed = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert completed.returncode == 0, completed.stderr
         outputs.append({
             "table": (outdir / "table.csv").read_bytes(),

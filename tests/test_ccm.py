@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from edmkit import ccm
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
 from edmkit.cli import main
 from edmkit.timeseries import TimeSeries, skill_defined
@@ -31,18 +34,29 @@ def test_cross_map_requires_alignment_and_size():
         cross_map(short_a, short_b, dimension=5)
 
 
-def test_cross_map_deterministic_and_matches_oracle():
+def _block_budgets(n, dimension):
+    """The default block budget, then one that walks n query rows in blocks of 7."""
+    assert n > 2 * 7  # at least 3 blocks
+    return (ccm._BLOCK_ELEMENTS, 7 * n * dimension)
+
+
+def test_cross_map_deterministic_and_matches_oracle(monkeypatch):
     x, y = coupled_logistic_pair(120)
     rng = np.random.default_rng(0)
     n = len(x) - 1  # embeddable points at dimension 2
     indices = np.sort(rng.choice(n, size=60, replace=False))
-    first = cross_map(x, y, dimension=2, library_indices=indices)
-    second = cross_map(x, y, dimension=2, library_indices=indices)
-    assert first == second
     expected = oracle_cross_map(
         [x.value_at(t) for t in x.years], [y.value_at(t) for t in y.years],
         2, 1, indices.tolist())
-    assert first == pytest.approx(expected, abs=1e-10)
+    rhos = []
+    for budget in _block_budgets(n, 2):
+        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        first = cross_map(x, y, dimension=2, library_indices=indices)
+        second = cross_map(x, y, dimension=2, library_indices=indices)
+        assert first == second
+        assert first == pytest.approx(expected, abs=1e-10)
+        rhos.append(first)
+    assert rhos[0] == rhos[1]
 
 
 def test_directionality_on_coupled_pair():
@@ -170,20 +184,35 @@ def _redrawn_library(seed, size, j, n, method, replacement):
 @pytest.mark.parametrize("radius", [0, 3])
 @pytest.mark.parametrize("replacement", [False, True])
 @pytest.mark.parametrize("method", ["random", "contiguous"])
-def test_sweep_cells_match_oracle(method, replacement, radius):
+def test_sweep_cells_match_oracle(method, replacement, radius, monkeypatch):
     x, y = coupled_logistic_pair(61)
     n = len(x) - 1
     cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=13,
                     method=method, replacement=replacement, exclusion_radius=radius)
-    result = convergence_sweep(x, y, cfg)
+    results = []
+    for budget in _block_budgets(n, 2):
+        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        results.append(convergence_sweep(x, y, cfg))
     xs, ys = list(x.values), list(y.values)
     for i, size in enumerate(cfg.library_sizes):
         for j in range(cfg.samples_per_size):
             library = _redrawn_library(cfg.seed, size, j, n, method, replacement)
             expected_ab = oracle_cross_map(xs, ys, 2, 1, library, exclusion_radius=radius)
             expected_ba = oracle_cross_map(ys, xs, 2, 1, library, exclusion_radius=radius)
-            assert abs(result.a_from_b.samples[i, j] - expected_ab) <= 1e-10
-            assert abs(result.b_from_a.samples[i, j] - expected_ba) <= 1e-10
+            for result in results:
+                assert abs(result.a_from_b.samples[i, j] - expected_ab) <= 1e-10
+                assert abs(result.b_from_a.samples[i, j] - expected_ba) <= 1e-10
+    for first, second in zip(*(result.directions for result in results)):
+        assert first.samples.tobytes() == second.samples.tobytes()
+
+
+def _first_shortfall(library, n, radius, k):
+    """First query row left with fewer than k admissible neighbours, and its count."""
+    for query in range(n):
+        admissible = sum(abs(li - query) > radius for li in library)
+        if admissible < k:
+            return query, admissible
+    return None
 
 
 def test_sweep_shortfall_names_first_failing_query_year():
@@ -195,17 +224,51 @@ def test_sweep_shortfall_names_first_failing_query_year():
     cfg = CcmConfig(dimension=2, library_sizes=(10, 30), samples_per_size=3, seed=2,
                     exclusion_radius=radius)
     library = _redrawn_library(cfg.seed, 10, 0, n, "random", False)
+    shortfall = _first_shortfall(library, n, radius, k)
+    assert shortfall is not None, "the chosen radius leaves every query enough neighbours"
+    query, admissible = shortfall
     # delay vector i has its head at year 1961 + i
-    for query in range(n):
-        admissible = sum(abs(li - query) > radius for li in library)
-        if admissible < k:
-            break
-    else:
-        pytest.fail("the chosen radius leaves every query enough neighbours")
     message = (f"cross-map query at {1961 + query} has only {admissible} "
                f"admissible neighbours, needs {k}")
     with pytest.raises(ValueError, match=message):
         convergence_sweep(a, b, cfg)
+
+
+def test_sweep_shortfall_is_named_across_row_blocks(monkeypatch):
+    # the first failing cell fails late, in a later row block than other
+    # cells' first failures; the message still names that cell's query
+    x, y = coupled_logistic_pair(40)
+    a = TimeSeries("a", 1960, x.values)
+    b = TimeSeries("b", 1960, y.values)
+    n = len(a) - 1
+    radius, k, rows = 10, 3, 5
+    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 2)
+    assert n > 2 * rows  # at least 3 blocks
+    cfg = CcmConfig(dimension=2, library_sizes=(8, 20), samples_per_size=3, seed=1,
+                    exclusion_radius=radius)
+    failures = [_first_shortfall(_redrawn_library(cfg.seed, size, j, n, "random", False),
+                                 n, radius, k)
+                for size in cfg.library_sizes for j in range(cfg.samples_per_size)]
+    query, admissible = next(f for f in failures if f is not None)
+    assert any(f is not None and f[0] // rows < query // rows for f in failures)
+    # delay vector i has its head at year 1961 + i
+    message = (f"cross-map query at {1961 + query} has only {admissible} "
+               f"admissible neighbours, needs {k}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        convergence_sweep(a, b, cfg)
+
+
+def test_sweep_memory_stays_below_one_distance_matrix():
+    x, y = coupled_logistic_pair(1201)
+    n = len(x) - 1  # 1200 embeddable points at dimension 2
+    cfg = CcmConfig(dimension=2, library_sizes=(100, n), samples_per_size=1, seed=0)
+    tracemalloc.start()
+    try:
+        convergence_sweep(x, y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one n x n float64 matrix: 11.5 MB
 
 
 def test_sweep_requires_aligned_series():

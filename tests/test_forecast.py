@@ -14,6 +14,7 @@ from edmkit.embedding import (
     EmbeddingError,
     EmbeddingSpec,
     NeighborShortfallError,
+    knn,
     multivariate_embed,
     state_vector,
 )
@@ -227,3 +228,27 @@ def test_iterative_steps_match_per_query_predictors(method, name, radius, self_c
                 assert result.coefficients[i].tobytes() == step.coefficients.tobytes()
             assert result.predicted[i] == expected, (target, int(year))
             assert result.step_variance[i] == variance, (target, int(year))
+
+
+COUPLED = EmbeddingSpec((("x", 2), ("y", 2)))
+
+# each per-call exclusion radius entry point, called on a 60-point pair
+NEGATIVE_RADIUS_CALLS = {
+    "iterative_forecast": lambda data, library, query: iterative_forecast(
+        data, "x", SimplexConfig(COUPLED), data.end_year + 5, exclusion_radius=-2),
+    "smap_iterative_forecast": lambda data, library, query: smap_iterative_forecast(
+        data, "x", SMapConfig(COUPLED, 2.0), data.end_year + 5, exclusion_radius=-2),
+    "knn": lambda data, library, query: knn(library, query, 3, exclusion_radius=-2),
+    "smap_predict": lambda data, library, query: smap_predict(
+        library, query, SMapConfig(COUPLED, 2.0), exclusion_radius=-2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_RADIUS_CALLS))
+def test_negative_exclusion_radius_is_rejected_by_name(entry):
+    # a negative radius used to act as radius 0
+    data = Dataset(coupled_logistic_pair(60))
+    library = multivariate_embed(data, COUPLED, "x")
+    query = (int(library.times[-1]), library.vectors[-1])
+    with pytest.raises(ValueError, match="^exclusion_radius must be >= 0, got -2$"):
+        NEGATIVE_RADIUS_CALLS[entry](data, library, query)
