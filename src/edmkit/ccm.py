@@ -20,7 +20,11 @@ Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances to all n embeddable states
-serve every cell, so memory is O(block x n + cells x n), never n x n.
+serve every cell.  Within a block the samples of one library size are
+estimated together, in batches that gather no more distances than the block
+holds; a cell that is the whole library uses the block as it is.  One
+row-wise Pearson correlation then scores every cell.  Memory is
+O(block x n + cells x n), never n x n.
 CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
 is accepted and ignored.
 """
@@ -35,7 +39,7 @@ import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _smallest_k,
                         multivariate_embed)
-from .timeseries import Dataset, TimeSeries, _cell, _jsonable, _require_finite, pearson_rho
+from .timeseries import Dataset, TimeSeries, _cell, _jsonable, _require_finite, _rho_rows
 
 __all__ = [
     "CcmConfig",
@@ -107,34 +111,70 @@ def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> E
 
 
 def _estimates(distances: np.ndarray, keep: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """Kernel estimates of ``values`` from the ``k`` nearest kept columns of each row.
+    """Kernel estimates from the ``k`` nearest kept columns, for every row and cell.
 
-    Columns must ascend in time so that the selection, which orders
-    neighbours by (distance, column), breaks ties toward the earlier time.
+    ``distances`` and ``keep`` are (rows x cells x width), ``values`` is
+    (cells x width) and the result (rows x cells).  Each cell's columns must
+    ascend in time so that the selection, which orders neighbours by
+    (distance, column), breaks ties toward the earlier time.
     """
-    masked = np.where(keep, distances, np.inf)
+    rows, cells, width = distances.shape
+    masked = np.where(keep, distances, np.inf).reshape(rows * cells, width)
     chosen = _smallest_k(masked, k)
     d = np.take_along_axis(masked, chosen, axis=1)
     nearest = d[:, :1]
     exact = nearest == 0.0
     weights = np.where(exact, d == 0.0, np.exp(-d / np.where(exact, 1.0, nearest)))
     weights /= weights.sum(axis=1, keepdims=True)
+    picked = values[np.arange(cells)[:, None], chosen.reshape(rows, cells, k)].reshape(-1, k)
     # a stacked matmul rounds each row like a 1-D ``weights @ values``; an
     # elementwise product summed along the row does not
-    return (weights[:, None, :] @ values[chosen][:, :, None])[:, 0, 0]
+    return (weights[:, None, :] @ picked[:, :, None]).reshape(rows, cells)
 
 
-def _cross_map_cells(library: EmbeddingLibrary, cells: list[np.ndarray], exclusion_radius: int,
-                     leave_one_out: bool = True) -> list[float]:
-    """Cross-map skill of each cell, a sorted array of library indices.
+def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: int) -> None:
+    """Raise if a query keeps fewer than ``k`` neighbours in one of these libraries.
 
-    Every embeddable state is a query, estimated from the ``dimension + 1``
-    nearest admissible points of the cell's library.  Query rows are walked
-    once, in blocks: each block's Manhattan distances to all n states serve
-    every cell, and the estimates fill a (cells x n) array, so memory is
-    O(block x n + cells x n).  Admissibility is checked for every cell before
-    any distance is computed; a shortfall names the first failing cell's
-    first failing query.
+    ``libraries`` is (cells x size); library entries whose time is within
+    ``floor`` of the query's are dropped.  The message names the first
+    failing cell's first failing query.
+    """
+    cells, size = libraries.shape
+    n = times.shape[0]
+    # entries per (cell, row); times are consecutive, so the entries a query
+    # drops are those on rows q - floor .. q + floor, a window of the cumsum
+    counts = np.bincount((libraries + n * np.arange(cells)[:, None]).ravel(),
+                         minlength=cells * n).reshape(cells, n)
+    below = np.zeros((cells, n + 1), dtype=counts.dtype)
+    np.cumsum(counts, axis=1, out=below[:, 1:])
+    rows = np.arange(n)
+    dropped = below[:, np.minimum(rows + floor + 1, n)] - below[:, np.maximum(rows - floor, 0)]
+    admissible = size - dropped
+    short = admissible < k
+    if short.any():
+        cell = int(np.argmax(short.any(axis=1)))
+        q = int(np.argmax(short[cell]))
+        raise ValueError(
+            f"cross-map query at {int(times[q])} has only {int(admissible[cell, q])} "
+            f"admissible neighbours, needs {k}"
+        )
+
+
+def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclusion_radius: int,
+                     leave_one_out: bool = True) -> np.ndarray:
+    """Cross-map skill of each cell, a sorted row of library indices.
+
+    ``groups`` holds one (cells x size) array per library size; the result
+    has one skill per cell, in group order.  Every embeddable state is a
+    query, estimated from the ``dimension + 1`` nearest admissible points of
+    the cell's library.  Query rows are walked once, in blocks: each block's
+    Manhattan distances to all n states serve every cell.  The cells of one
+    size are estimated together, in batches whose gathered distances hold no
+    more elements than one block's; a cell that is the whole library uses the
+    block as it is, once for all such cells of its size.  The estimates fill
+    a (cells x n) array, so memory is O(block x n + cells x n).
+    Admissibility is checked for every cell before any distance is computed;
+    a shortfall names the first failing cell's first failing query.
     """
     times, vectors, targets = library.times, library.vectors, library.targets
     n, dimension = vectors.shape
@@ -142,30 +182,44 @@ def _cross_map_cells(library: EmbeddingLibrary, cells: list[np.ndarray], exclusi
     # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
     # drops only the query's own time (gap 0)
     if exclusion_radius > 0:
-        floor = exclusion_radius
+        floor = min(exclusion_radius, n)  # no gap reaches n; capped, numpy holds it
     else:
         floor = 0 if leave_one_out else -1
     if floor >= 0:
-        for lib in cells:
-            # the library times within ``floor`` of each query's are dropped
-            admissible = lib.size - (np.searchsorted(times[lib], times + floor, side="right")
-                                     - np.searchsorted(times[lib], times - floor))
-            q = int(np.argmax(admissible < k))
-            if admissible[q] < k:
-                raise ValueError(
-                    f"cross-map query at {int(times[q])} has only {int(admissible[q])} "
-                    f"admissible neighbours, needs {k}"
-                )
+        for libraries in groups:
+            _check_admissible(libraries, times, floor, k)
 
-    estimates = np.empty((len(cells), n), dtype=float)
     step = max(1, _BLOCK_ELEMENTS // (n * dimension))
+    budget = _BLOCK_ELEMENTS // dimension  # the most distances a block holds
+    batches = []  # (estimate rows, library indices or None for the whole library, values)
+    first = 0
+    for libraries in groups:
+        count, size = libraries.shape
+        cells = np.arange(first, first + count)
+        first += count
+        whole = ((libraries == np.arange(n)).all(axis=1) if size == n
+                 else np.zeros(count, dtype=bool))
+        if whole.any():
+            batches.append((cells[whole], None, targets[None]))
+        per_batch = max(1, budget // (min(step, n) * size))
+        cells, libraries = cells[~whole], libraries[~whole]
+        for lo in range(0, cells.size, per_batch):
+            batch = libraries[lo:lo + per_batch]
+            batches.append((cells[lo:lo + per_batch], batch, targets[batch]))
+
+    estimates = np.empty((first, n), dtype=float)
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = np.abs(vectors[start:stop, None, :] - vectors[None, :, :]).sum(axis=2)
         keep = np.abs(times[start:stop, None] - times[None, :]) > floor
-        for cell, lib in enumerate(cells):
-            estimates[cell, start:stop] = _estimates(block[:, lib], keep[:, lib], targets[lib], k)
-    return [pearson_rho(targets, row) for row in estimates]
+        for cells, batch, values in batches:
+            if batch is None:
+                found = _estimates(block[:, None], keep[:, None], values, k)
+            else:
+                found = _estimates(np.take(block, batch, axis=1), np.take(keep, batch, axis=1),
+                                   values, k)
+            estimates[cells, start:stop] = found.T
+    return _rho_rows(targets, estimates)
 
 
 def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 1,
@@ -203,7 +257,7 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "
             f"have {indices.size}"
         )
-    return _cross_map_cells(library, [indices], radius, leave_one_out)[0]
+    return float(_cross_map_cells(library, [indices[None]], radius, leave_one_out)[0])
 
 
 @dataclass(frozen=True)
@@ -312,9 +366,10 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     two grid points agree within the plateau tolerance.  A single-size grid
     cannot exhibit convergence, so the result is flagged insufficient.
 
-    Each direction holds one block of query-row distances and a
-    (cells x n) float64 estimates array (n embeddable points), so memory is
-    O(block x n + cells x n).  ``threads`` is accepted and ignored.
+    Each direction holds one block of query-row distances, one batch of
+    them gathered for the samples of one size (no larger than the block)
+    and a (cells x n) float64 estimates array (n embeddable points), so
+    memory is O(block x n + cells x n).  ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
     n = len(a) - (cfg.dimension - 1) * cfg.tau
@@ -322,13 +377,14 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")
 
-    cells = [np.sort(_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg))
-             for size in sizes for j in range(cfg.samples_per_size)]
+    groups = [np.sort([_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg)
+                       for j in range(cfg.samples_per_size)], axis=1)
+              for size in sizes]
 
     def direction(cause: TimeSeries, effect: TimeSeries) -> CcmDirection:
         library = _embed(cause, effect, cfg.dimension, cfg.tau)
-        samples = np.reshape(_cross_map_cells(library, cells, cfg.exclusion_radius),
-                             (len(sizes), cfg.samples_per_size))
+        samples = _cross_map_cells(library, groups, cfg.exclusion_radius).reshape(
+            len(sizes), cfg.samples_per_size)
         means = samples.mean(axis=1)
         return CcmDirection(
             cause=cause.name,

@@ -80,7 +80,7 @@ def _parse_integers(option: str, text: str, form: str, expand) -> list[int]:
         if ":" in text:
             return expand(*(int(part) for part in text.split(":")))
         return sorted({int(part) for part in text.split(",") if part.strip()})
-    except (TypeError, ValueError):  # TypeError: the wrong number of fields
+    except (TypeError, ValueError, OverflowError):  # TypeError: the wrong number of fields
         raise ValueError(
             f"{option} {text!r} must be {form} or a comma list of integers"
         ) from None
@@ -305,6 +305,11 @@ def _cmd_ccm(args) -> int:
     series_b = data[args.b]
     n_points = data.n_years - (args.e - 1) * args.tau
     if args.sizes is None:
+        # the default grid spans e + 2 .. n_points; name a bad --e or --tau
+        # before numpy is handed an endpoint it cannot hold
+        EmbeddingSpec.univariate(args.b, args.e, args.tau)
+        if n_points < args.e + 2:
+            raise ValueError(f"smallest library size {n_points} below dimension+2 = {args.e + 2}")
         sizes = _grid(args.e + 2, n_points, 20)
     else:
         sizes = _parse_integers("--sizes", args.sizes, "a grid 'lo:hi:count'", _grid)
@@ -470,8 +475,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as error:
-        message = error.args[0] if error.args else error
+    except (OSError, ValueError, KeyError) as error:
+        # an OSError's first argument is its errno; its text names the path
+        message = error.args[0] if error.args and not isinstance(error, OSError) else error
         print(f"error: {message}", file=sys.stderr)
         return 2
     except RuntimeError as error:

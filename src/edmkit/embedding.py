@@ -88,7 +88,7 @@ class EmbeddingSpec:
         names = [name for name, _ in cols]
         if len(set(names)) != len(names):
             raise ValueError(f"series may appear only once in an embedding: {names}")
-        if not float(self.tau).is_integer() or int(self.tau) < 1:
+        if not (self.tau >= 1 and self.tau % 1 == 0):  # also NaN, and ints beyond float
             raise ValueError(f"tau must be a whole positive number of years, got {self.tau}")
         if self.exclusion_radius is not None and int(self.exclusion_radius) < 0:
             raise ValueError(f"exclusion radius must be >= 0, got {self.exclusion_radius}")

@@ -193,7 +193,9 @@ def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: in
     _check_state_time(data, spec, start - 1)
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
-    limits = np.searchsorted(full.times, full.times[rows] - spec.radius)
+    # times are consecutive, so any radius from len(full) up leaves no row;
+    # capped there, a radius beyond int64 subtracts without overflow
+    limits = np.searchsorted(full.times, full.times[rows] - min(spec.radius, len(full)))
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
     blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
                       limits[lo:lo + step], rows[lo:lo + step], spec.radius)
@@ -258,7 +260,8 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     for i, year in enumerate(forecast_years):
         query = n_obs + i - 1 - first  # state row of the latest known year
         size = query if self_condition else n_obs - 1 - first  # library rows
-        limits = np.searchsorted(times[:size], times[query:query + 1] - radius)
+        # capped like the one-step limits: no radius past the buffer leaves a row
+        limits = np.searchsorted(times[:size], times[query:query + 1] - min(radius, len(times)))
         step_values, step_vars, step_coefs = predict(
             states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
             limits, (size,), radius)

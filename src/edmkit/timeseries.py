@@ -319,13 +319,25 @@ def pearson_rho(observed, predicted) -> float:
     obs, pred = _paired(observed, predicted)
     if obs.size < 2:
         return UNDEFINED_SKILL
-    o = obs - obs.mean()
-    p = pred - pred.mean()
+    return float(_rho_rows(obs, pred[None])[0])
+
+
+def _rho_rows(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Pearson correlation of ``observed`` with each row of ``predicted``.
+
+    The one correlation formula: both sides hold at least two values and no
+    NaN.  A row whose side has zero variance gets UNDEFINED_SKILL.  Every sum
+    of products is a stacked 1-D dot product, so a row's result has the same
+    bits whatever the number of rows.
+    """
+    o = observed - observed.mean()
+    p = predicted - predicted.mean(axis=1, keepdims=True)
     so = math.sqrt(float(o @ o))
-    sp = math.sqrt(float(p @ p))
-    if so == 0.0 or sp == 0.0:
-        return UNDEFINED_SKILL
-    return float(np.clip((o @ p) / (so * sp), -1.0, 1.0))
+    sp = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
+    op = (o @ p[:, :, None])[:, 0]
+    defined = (so != 0.0) & (sp != 0.0)
+    rho = np.divide(op, so * sp, out=np.full_like(op, UNDEFINED_SKILL), where=defined)
+    return np.clip(rho, -1.0, 1.0)
 
 
 def rmse(observed, predicted) -> float:

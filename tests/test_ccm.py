@@ -6,7 +6,7 @@ import pytest
 from edmkit import ccm
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
 from edmkit.cli import main
-from edmkit.timeseries import TimeSeries, skill_defined
+from edmkit.timeseries import UNDEFINED_SKILL, TimeSeries, pearson_rho, skill_defined
 
 from helpers import coupled_logistic_pair, logistic_series, oracle_cross_map, random_walk
 
@@ -293,3 +293,103 @@ def test_negative_exclusion_radius_is_rejected_by_name(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+def _record_batches(monkeypatch):
+    """Spy on the driver: (cells, width) of every batch it estimates, in order."""
+    batches = []
+    estimates = ccm._estimates
+
+    def spy(distances, keep, values, k):
+        batches.append(distances.shape[1:])
+        return estimates(distances, keep, values, k)
+
+    monkeypatch.setattr(ccm, "_estimates", spy)
+    return batches
+
+
+@pytest.mark.parametrize("radius", [0, 2])
+@pytest.mark.parametrize("method, replacement", [("random", True), ("contiguous", False)])
+def test_batched_sweep_matches_per_cell_cross_maps(method, replacement, radius, monkeypatch):
+    # draws with replacement repeat indices, at the full size too; a
+    # contiguous draw at the full size is the whole library
+    x, y = coupled_logistic_pair(81)
+    n = len(x) - 1
+    samples = 6
+    cfg = CcmConfig(dimension=2, library_sizes=(30, 50, n), samples_per_size=samples, seed=4,
+                    method=method, replacement=replacement, exclusion_radius=radius)
+    batches = _record_batches(monkeypatch)
+    for budget, split in zip(_block_budgets(n, 2), (False, True)):
+        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        batches.clear()
+        result = convergence_sweep(x, y, cfg)
+        # the 7-row budget splits the size-30 samples over several batches
+        assert any(1 < cells < samples for cells, width in batches if width == 30) == split
+        for i, size in enumerate(cfg.library_sizes):
+            for j in range(samples):
+                library = _redrawn_library(cfg.seed, size, j, n, method, replacement)
+                assert (len(set(library)) < size) == replacement
+                for direction, (cause, effect) in zip(result.directions, ((x, y), (y, x))):
+                    expected = cross_map(cause, effect, 2, library_indices=library,
+                                         exclusion_radius=radius)
+                    assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_batched_driver_matches_per_cell_on_tied_integer_series(dimension, monkeypatch):
+    rng = np.random.default_rng(dimension)
+    a = TimeSeries("a", 0, rng.integers(0, 4, 60).astype(float))
+    b = TimeSeries("b", 0, rng.integers(0, 4, 60).astype(float))
+    library = ccm._embed(a, b, dimension, 1)
+    n = len(library)
+    draw = np.random.default_rng(0)
+    groups = [np.sort(draw.choice(n, (5, size)), axis=1) for size in (25, 40)]
+    # the whole library twice around a full-size draw with repeated indices
+    groups.append(np.stack([np.arange(n), np.sort(draw.choice(n, n)), np.arange(n)]))
+    for budget in _block_budgets(n, dimension):
+        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        for leave_one_out in (True, False):
+            for radius in (0, 2):
+                skill = ccm._cross_map_cells(library, groups, radius, leave_one_out)
+                expected = [cross_map(a, b, dimension, library_indices=cell,
+                                      exclusion_radius=radius, leave_one_out=leave_one_out)
+                            for cells in groups for cell in cells]
+                assert skill.tobytes() == np.array(expected).tobytes()
+
+
+def test_constant_cause_is_undefined_in_every_cell():
+    effect = logistic_series(80, name="e")
+    cause = TimeSeries("c", 0, [2.5] * 80)
+    cfg = CcmConfig(dimension=2, library_sizes=(10, 40, 79), samples_per_size=4, seed=1)
+    samples = convergence_sweep(cause, effect, cfg).a_from_b.samples
+    undefined = np.float64(UNDEFINED_SKILL).tobytes()
+    assert np.float64(pearson_rho([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])).tobytes() == undefined
+    assert samples.tobytes() == undefined * samples.size
+
+
+def test_sweep_shortfall_is_named_from_a_later_batch(monkeypatch):
+    # the first failing cell is the sixth sample of the smallest size, whose
+    # samples are estimated in batches of four; the message still names it
+    x, y = coupled_logistic_pair(40)
+    a = TimeSeries("a", 1960, x.values)
+    b = TimeSeries("b", 1960, y.values)
+    n = len(a) - 1
+    radius, k, rows, size = 6, 3, 5, 8
+    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 2)
+    cfg = CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=8, seed=8,
+                    exclusion_radius=radius)
+    batches = _record_batches(monkeypatch)
+    convergence_sweep(a, b, CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=8,
+                                      seed=8))  # the same batches, no shortfall
+    per_batch = next(cells for cells, width in batches if width == size)
+    failures = [_first_shortfall(_redrawn_library(cfg.seed, size, j, n, "random", False),
+                                 n, radius, k)
+                for j in range(cfg.samples_per_size)]
+    j = next(j for j, f in enumerate(failures) if f is not None)
+    assert per_batch <= j < 2 * per_batch
+    query, admissible = failures[j]
+    # delay vector i has its head at year 1961 + i
+    message = (f"cross-map query at {1961 + query} has only {admissible} "
+               f"admissible neighbours, needs {k}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        convergence_sweep(a, b, cfg)

@@ -1,9 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edmkit import cli
 from edmkit.cli import main
 
 
@@ -262,3 +269,90 @@ def test_simulate_zero_baseline_exits_two(data_csv, tmp_path, capsys, monkeypatc
                  "--outdir", str(tmp_path / "reports")])
     assert code == 2
     assert "baseline debris forecast for 2035 is 0" in capsys.readouterr().err
+
+
+BIG = "9" * 400
+CCM = ["ccm", "--a", "debris", "--b", "total"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["embed-search", "--e", f"1:{BIG}"], 2, "must be a range 'lo:hi'"),
+    (["embed-search", "--e", "1", "--tau", BIG], 1, "only 0 admissible points remain"),
+    (["forecast", "--method", "simplex", "--e", "2", "--to", "2030", "--exclusion-radius", BIG],
+     1, "only 0 admissible points remain"),
+    (CCM + ["--e", BIG], 2, "smallest library size -"),
+    (CCM + ["--tau", BIG], 2, "smallest library size -"),
+    (CCM + ["--e", f"-{BIG}"], 2, "embedding dimension must be >= 1"),
+    (CCM + ["--exclusion-radius", BIG], 2, "has only 0 admissible neighbours"),
+    (["embed-search", "--data", ""], 2, "Is a directory"),
+    (["embed-search", "--out", ""], 2, "Is a directory"),
+])
+def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, tmp_path,
+                                                           monkeypatch, capsys):
+    # each of these used to end with an OverflowError, a numpy casting error
+    # or an IsADirectoryError traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+#: Tokens no option accepts as meant: NaN, a colon pair, empty, negative and
+#: a 400-digit number (which fits no C integer or double).
+MALFORMED = ("nan", "NaN", "a:b", "", "-3", BIG)
+#: Options whose values size the work: only small values are drawn, so that
+#: no example starts a huge sweep or horizon.
+SMALL = {"--samples": ("1", "3", "0", "-3", "nan", ""), "--sizes": ("6:30:3", "8,20", "a:b", ""),
+         "--to": ("2021", "2030", "1990", "-3", "nan", "")}
+VALID = {int: ("1", "2", "4"), float: ("0", "2.5"),
+         str: ("debris", "total", "launched", "1:3", "2,3", "debris:1,total:1")}
+PATHS = ("data", "scenarios", "out", "outdir", "svg")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand and options drawn from the parser's own option table."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(commands.choices)))
+    argv = [command]
+    for action in commands.choices[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not (action.required or draw(st.booleans())):
+            continue
+        option = action.option_strings[0]
+        argv.append(option)
+        if action.nargs == 0:  # a flag takes no value
+            continue
+        if option in SMALL:
+            tokens = SMALL[option]
+        elif draw(st.integers(0, 3)) == 0:  # one value in four is malformed
+            tokens = MALFORMED
+        elif action.choices:
+            tokens = tuple(action.choices)
+        elif action.dest in PATHS:
+            tokens = ("out.csv", "sub/out")
+        else:
+            tokens = VALID[action.type or str]
+        argv.append(draw(st.sampled_from(tokens)))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_with_a_named_error(tmp_path_factory, argv):
+    folder = tmp_path_factory.mktemp("argv")  # relative output paths land here
+    here = os.getcwd()
+    stderr = io.StringIO()
+    os.chdir(folder)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # argparse rejects the argv
+                code = exit.code
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()

@@ -7,6 +7,7 @@ from edmkit.timeseries import (
     UNDEFINED_SKILL,
     Dataset,
     TimeSeries,
+    _rho_rows,
     align,
     load_csv,
     pearson_rho,
@@ -129,6 +130,31 @@ def test_pearson_drops_missing_pairs():
     pred = [1.1, np.nan, 3.2, 3.9]
     expected = pearson_rho([1.0, 3.0, 4.0], [1.1, 3.2, 3.9])
     assert pearson_rho(obs, pred) == pytest.approx(expected)
+
+
+def _one_row_rho(observed, predicted):
+    """The correlation formula written out with 1-D dot products, one row at a time."""
+    o = observed - observed.mean()
+    p = predicted - predicted.mean()
+    so = math.sqrt(float(o @ o))
+    sp = math.sqrt(float(p @ p))
+    if so == 0.0 or sp == 0.0:
+        return UNDEFINED_SKILL
+    return float(np.clip((o @ p) / (so * sp), -1.0, 1.0))
+
+
+def test_row_wise_rho_matches_the_one_row_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 60, 1000, 9998):
+        observed = rng.normal(size=n)
+        rows = np.stack([observed + rng.normal(size=n), 1e6 * rng.random(n), np.full(n, 3.0),
+                         -observed, rng.integers(0, 4, n).astype(float)])
+        for row, value in zip(rows, _rho_rows(observed, rows)):
+            assert value.tobytes() == np.float64(_one_row_rho(observed, row)).tobytes()
+            assert value.tobytes() == np.float64(pearson_rho(observed, row)).tobytes()
+    constant = np.full(5, 2.0)
+    undefined = np.float64(UNDEFINED_SKILL).tobytes()
+    assert _rho_rows(constant, rng.random((3, 5))).tobytes() == undefined * 3
 
 
 def test_rmse_values():
