@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _smallest_k,
-                        multivariate_embed)
-from .timeseries import Dataset, TimeSeries, _cell, _jsonable, _require_finite, _rho_rows
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidates, _check_radius,
+                        _distance_rows, _floor, _nearest, multivariate_embed)
+from .timeseries import (Dataset, TimeSeries, _cell, _jsonable, _require_finite, _rho_rows,
+                         _row_dot)
 
 __all__ = [
     "CcmConfig",
@@ -119,17 +120,13 @@ def _estimates(distances: np.ndarray, keep: np.ndarray, values: np.ndarray, k: i
     (distance, column), breaks ties toward the earlier time.
     """
     rows, cells, width = distances.shape
-    masked = np.where(keep, distances, np.inf).reshape(rows * cells, width)
-    chosen = _smallest_k(masked, k)
-    d = np.take_along_axis(masked, chosen, axis=1)
+    chosen, d = _nearest(distances.reshape(-1, width), keep.reshape(-1, width), k)
     nearest = d[:, :1]
     exact = nearest == 0.0
     weights = np.where(exact, d == 0.0, np.exp(-d / np.where(exact, 1.0, nearest)))
     weights /= weights.sum(axis=1, keepdims=True)
     picked = values[np.arange(cells)[:, None], chosen.reshape(rows, cells, k)].reshape(-1, k)
-    # a stacked matmul rounds each row like a 1-D ``weights @ values``; an
-    # elementwise product summed along the row does not
-    return (weights[:, None, :] @ picked[:, :, None]).reshape(rows, cells)
+    return _row_dot(weights, picked).reshape(rows, cells)
 
 
 def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: int) -> None:
@@ -161,30 +158,23 @@ def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: i
 
 
 def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclusion_radius: int,
-                     leave_one_out: bool = True) -> np.ndarray:
+                     leave_one_out: bool = True, estimates: np.ndarray | None = None
+                     ) -> np.ndarray:
     """Cross-map skill of each cell, a sorted row of library indices.
 
     ``groups`` holds one (cells x size) array per library size; the result
     has one skill per cell, in group order.  Every embeddable state is a
     query, estimated from the ``dimension + 1`` nearest admissible points of
-    the cell's library.  Query rows are walked once, in blocks: each block's
-    Manhattan distances to all n states serve every cell.  The cells of one
-    size are estimated together, in batches whose gathered distances hold no
-    more elements than one block's; a cell that is the whole library uses the
-    block as it is, once for all such cells of its size.  The estimates fill
-    a (cells x n) array, so memory is O(block x n + cells x n).
-    Admissibility is checked for every cell before any distance is computed;
-    a shortfall names the first failing cell's first failing query.
+    the cell's library in the row blocks and size batches of the module
+    docstring; the estimates fill ``estimates`` when given, else a new
+    (cells x n) array.  Admissibility is checked for every cell before any
+    distance is computed; a shortfall names the first failing cell's first
+    failing query.
     """
     times, vectors, targets = library.times, library.vectors, library.targets
     n, dimension = vectors.shape
     k = dimension + 1
-    # a radius r > 0 drops every time gap up to r; otherwise leave-one-out
-    # drops only the query's own time (gap 0)
-    if exclusion_radius > 0:
-        floor = min(exclusion_radius, n)  # no gap reaches n; capped, numpy holds it
-    else:
-        floor = 0 if leave_one_out else -1
+    floor = min(_floor(exclusion_radius, leave_one_out), n)  # no gap reaches n; int64 holds n
     if floor >= 0:
         for libraries in groups:
             _check_admissible(libraries, times, floor, k)
@@ -207,11 +197,12 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
             batch = libraries[lo:lo + per_batch]
             batches.append((cells[lo:lo + per_batch], batch, targets[batch]))
 
-    estimates = np.empty((first, n), dtype=float)
+    if estimates is None:
+        estimates = np.empty((first, n), dtype=float)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        block = np.abs(vectors[start:stop, None, :] - vectors[None, :, :]).sum(axis=2)
-        keep = np.abs(times[start:stop, None] - times[None, :]) > floor
+        block = _distance_rows(vectors, vectors[start:stop], "manhattan")
+        keep = _candidates(times, times[start:stop], floor)
         for cells, batch, values in batches:
             if batch is None:
                 found = _estimates(block[:, None], keep[:, None], values, k)
@@ -366,10 +357,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     two grid points agree within the plateau tolerance.  A single-size grid
     cannot exhibit convergence, so the result is flagged insufficient.
 
-    Each direction holds one block of query-row distances, one batch of
-    them gathered for the samples of one size (no larger than the block)
-    and a (cells x n) float64 estimates array (n embeddable points), so
-    memory is O(block x n + cells x n).  ``threads`` is accepted and ignored.
+    Both directions fill one (cells x n) estimates array, allocated before
+    any cell is drawn.  ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
     n = len(a) - (cfg.dimension - 1) * cfg.tau
@@ -377,14 +366,25 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")
 
+    try:  # a grid too large for memory is named before any cell is drawn
+        estimates = np.empty((len(sizes) * cfg.samples_per_size, n), dtype=float)
+    except (MemoryError, ValueError):
+        raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
+                         f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
     groups = [np.sort([_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg)
                        for j in range(cfg.samples_per_size)], axis=1)
               for size in sizes]
 
     def direction(cause: TimeSeries, effect: TimeSeries) -> CcmDirection:
         library = _embed(cause, effect, cfg.dimension, cfg.tau)
-        samples = _cross_map_cells(library, groups, cfg.exclusion_radius).reshape(
-            len(sizes), cfg.samples_per_size)
+        try:
+            samples = _cross_map_cells(library, groups, cfg.exclusion_radius,
+                                       estimates=estimates).reshape(len(sizes), -1)
+        except ValueError as error:  # the admissibility pre-check
+            if not cfg.replacement:
+                raise
+            raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
+                             f"a library can hold excluded points more than once") from None
         means = samples.mean(axis=1)
         return CcmDirection(
             cause=cause.name,

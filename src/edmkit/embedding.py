@@ -7,19 +7,19 @@ Faithful reconstruction classically requires the dimension to exceed twice
 the (unobservable) attractor dimension, so that condition is documented here
 rather than enforced; in practice the dimension is chosen by forecast skill.
 
-Neighbour search measures the distance to every library point and keeps
-the ``k`` nearest, ordered by (distance, time): ties at equal distance break
-deterministically toward the earlier time index, exactly as a stable sort of
-all distances would order them.  Rows narrower than ``_PARTITION_WIDTH`` are
-stably sorted in full; wider rows are partitioned at the k-th smallest value
-instead.  Every value strictly below it is kept, the remaining places go to
-the earliest values equal to it, and only those ``k`` survivors are sorted,
-which selects the same columns in the same order as the full sort.
-
-The temporal exclusion window suppresses autocorrelation shortcuts: with a
-radius ``r > 0``, candidates within ``r`` steps of the query time are removed
-from neighbour candidacy.  A radius of 0 disables the window entirely (an
-exact self-match is then admissible).
+Simplex projection, the S-map and cross mapping share one neighbour core.
+``_distance_rows`` measures Euclidean or Manhattan distances from a block of
+queries to the library.  A point is a candidate for a query when their time
+gap exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``,
+which suppresses autocorrelation shortcuts; for radius 0, -1 (every point,
+an exact self-match included) or 0 under cross mapping's leave-one-out.
+``_candidates`` applies the rule as a mask, ``_prefix_limits`` as a prefix
+length for a library of earlier times only.  ``_nearest`` keeps the ``k``
+nearest candidates by (distance, time), exactly as a stable sort of all
+distances orders them: ``_smallest_k`` sorts rows narrower than
+``_PARTITION_WIDTH`` in full and partitions wider ones at the k-th smallest
+value, keeping every value below it and the earliest values equal to it, so
+only ``k`` survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "multivariate_embed",
     "state_vector",
     "knn",
-    "prefix_knn",
 ]
 
 
@@ -305,12 +304,17 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
     return _gather(_columns(data, spec), time_index - data.start_year, _layout(spec, norms))
 
 
-def _distances(vectors: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
-    diffs = vectors - query
+def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
+    """The (queries x rows) distances from each query to each row of ``vectors``.
+
+    Manhattan sums each difference row whole: summing one coordinate at a
+    time rounds differently from E = 8 on, where numpy sums pairwise.
+    """
+    diffs = vectors - queries[:, None]
     if metric == "euclidean":
-        return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
     if metric == "manhattan":
-        return np.abs(diffs).sum(axis=1)
+        return np.abs(diffs).sum(axis=-1)
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
@@ -349,11 +353,34 @@ def _check_radius(exclusion_radius) -> int:
     return int(exclusion_radius)
 
 
-def admissible_mask(times: np.ndarray, query_time: int, radius: int) -> np.ndarray:
-    """Candidacy mask under the exclusion window (radius 0 admits everything)."""
-    if radius <= 0:
-        return np.ones(times.shape[0], dtype=bool)
-    return np.abs(times - query_time) > radius
+def _floor(radius: int, leave_one_out: bool = False) -> int:
+    """The candidacy floor of the module docstring: r > 0 gives r, 0 gives -1 or 0 (leave-one-out)."""
+    if radius > 0:
+        return radius
+    return 0 if leave_one_out else -1
+
+
+def _candidates(times: np.ndarray, query_times, floor: int) -> np.ndarray:
+    """Candidacy of each library time (last axis) for each query time, under ``floor``."""
+    return np.abs(times - np.asarray(query_times)[..., None]) > floor
+
+
+def _prefix_limits(times: np.ndarray, query_times: np.ndarray, radius: int) -> np.ndarray:
+    """How many leading rows of ascending ``times`` lie more than ``radius`` before each query.
+
+    Query times ascend too.  No row lies further back than the last query's
+    offset from ``times[0]``; capped there, a radius beyond int64 subtracts
+    without overflow.
+    """
+    reach = min(radius, int(query_times[-1]) - int(times[0]))
+    return np.searchsorted(times, query_times - reach)
+
+
+def _nearest(distances: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's ``k`` nearest kept distances, by (distance, column), and those."""
+    masked = np.where(keep, distances, np.inf)
+    chosen = _smallest_k(masked, k)
+    return chosen, np.take_along_axis(masked, chosen, axis=1)
 
 
 def _shortfall(k: int, admissible: int, size: int, radius: int) -> NeighborShortfallError:
@@ -380,11 +407,9 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     query_time, query_vector = query
-    query_vector = np.asarray(query_vector, dtype=float)
     radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
-    dists = _distances(library.vectors, query_vector, metric)
-    keep = admissible_mask(library.times, query_time, radius)
-    candidates = np.nonzero(keep)[0]
+    dists = _distance_rows(library.vectors, np.asarray(query_vector, dtype=float)[None], metric)[0]
+    candidates = np.flatnonzero(_candidates(library.times, query_time, _floor(radius)))
     if candidates.shape[0] < k:
         raise _shortfall(k, candidates.shape[0], len(library), radius)
     times = library.times
@@ -393,22 +418,3 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     # in time order, the stable selection breaks distance ties toward the earlier time
     chosen = candidates[_smallest_k(dists[candidates][None, :], k)[0]]
     return NeighborSet(indices=chosen, distances=dists[chosen])
-
-
-def prefix_knn(vectors: np.ndarray, queries: np.ndarray, limits: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``knn`` for a block of queries, query ``q`` searching the first ``limits[q]`` rows.
-
-    Returns the (queries, k) neighbour indices and Euclidean distances, row
-    for row what ``knn`` returns for each query against the library of the
-    first ``limits[q]`` rows of ``vectors`` with no exclusion window.  Every
-    limit must be at least ``k``.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    width = int(limits.max()) if limits.size else 0
-    diffs = vectors[None, :width] - queries[:, None]
-    dists = np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
-    masked = np.where(np.arange(width) < limits[:, None], dists, np.inf)
-    chosen = _smallest_k(masked, k)
-    return chosen, np.take_along_axis(masked, chosen, axis=1)

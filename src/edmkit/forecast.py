@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather, _layout,
-                        multivariate_embed)
+                        _prefix_limits, multivariate_embed)
 from .timeseries import UNDEFINED_SKILL, Dataset, _cell, _jsonable, pearson_rho, rmse
 
 __all__ = [
@@ -193,9 +193,7 @@ def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: in
     _check_state_time(data, spec, start - 1)
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
-    # times are consecutive, so any radius from len(full) up leaves no row;
-    # capped there, a radius beyond int64 subtracts without overflow
-    limits = np.searchsorted(full.times, full.times[rows] - min(spec.radius, len(full)))
+    limits = _prefix_limits(full.times, full.times[rows], spec.radius)
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
     blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
                       limits[lo:lo + step], rows[lo:lo + step], spec.radius)
@@ -244,24 +242,27 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
     names = extension_names(spec, target)
     n_obs = data.n_years
     steps = horizon_end - data.end_year
-    values = np.empty((n_obs + steps, len(names)), dtype=float)
-    values[:n_obs] = np.column_stack([data[name].to_array() for name in names])
     norms = multivariate_embed(data, spec, target, tp=1).norms  # frozen from observed data
-    layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
     first = spec.max_offset
+    try:  # every array that grows with the horizon, so one too long for memory is named
+        values = np.empty((n_obs + steps, len(names)), dtype=float)
+        states = np.empty((n_obs + steps - first, spec.dimension), dtype=float)
+        variances = np.empty(steps, dtype=float)
+    except (MemoryError, ValueError):
+        raise ValueError(f"horizon {horizon_end} lies too far past the record "
+                         f"({data.end_year}) to fit in memory") from None
+    values[:n_obs] = np.column_stack([data[name].to_array() for name in names])
+    layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
     times = data.start_year + np.arange(first, n_obs + steps)
-    states = np.empty((times.shape[0], spec.dimension), dtype=float)
     states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
-    variances = np.empty(steps, dtype=float)
     coefficients: list = []
     for i, year in enumerate(forecast_years):
         query = n_obs + i - 1 - first  # state row of the latest known year
         size = query if self_condition else n_obs - 1 - first  # library rows
-        # capped like the one-step limits: no radius past the buffer leaves a row
-        limits = np.searchsorted(times[:size], times[query:query + 1] - min(radius, len(times)))
+        limits = _prefix_limits(times[:size], times[query:query + 1], radius)
         step_values, step_vars, step_coefs = predict(
             states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
             limits, (size,), radius)

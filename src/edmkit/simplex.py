@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingLibrary, EmbeddingSpec, _shortfall, knn, prefix_knn
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _distance_rows, _nearest, _shortfall,
+                        knn)
 # ForecastResult and extension_names are re-exported for existing callers
 from .forecast import (
     ForecastResult,
@@ -31,7 +32,7 @@ from .forecast import (
     run_iterative,
     write_skill_table,
 )
-from .timeseries import Dataset
+from .timeseries import Dataset, _row_dot
 
 __all__ = [
     "SimplexConfig",
@@ -99,14 +100,14 @@ def _predictor(cfg: SimplexConfig) -> Callable:
         short = np.flatnonzero(limits < k)
         if short.size:
             raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
-        indices, distances = prefix_knn(vectors, queries, limits, k)
-        weights = simplex_weights(distances)[:, None, :]
-        # (columns, queries, k), each neighbour set contiguous: the stacked
-        # matmul then rounds every average like the 1-D ``weights @ targets``
-        # of ``simplex_predict``; a strided gather or a summed product does not
+        width = int(limits.max())
+        indices, distances = _nearest(_distance_rows(vectors[:width], queries, "euclidean"),
+                                      np.arange(width) < limits[:, None], k)
+        weights = simplex_weights(distances)
+        # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
         targets = np.take(forward.T, indices, axis=1)
-        predictions = (weights @ targets[..., None])[..., 0, 0]
-        variances = (weights @ ((targets - predictions[..., None]) ** 2)[..., None])[..., 0, 0]
+        predictions = _row_dot(weights, targets)
+        variances = _row_dot(weights, (targets - predictions[..., None]) ** 2)
         return predictions.T, variances.T, None
 
     return predict

@@ -34,8 +34,10 @@ from .embedding import (
     EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
+    _candidates,
     _check_radius,
-    admissible_mask,
+    _distance_rows,
+    _floor,
 )
 from .forecast import (
     ForecastResult,
@@ -121,8 +123,7 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, query: np.ndarray,
     predictions, the variances and the (columns, dimension + 1) coefficients.
     """
     count, dim = vectors.shape
-    diffs = vectors - query
-    distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    distances = _distance_rows(vectors, query[None], "euclidean")[0]
     weights = smap_weights(distances, cfg.theta)
     sqrt_w = np.sqrt(weights)[:, None]
     design = np.concatenate([np.ones((count, 1)), vectors], axis=1) * sqrt_w
@@ -169,7 +170,7 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     design matrix.
     """
     radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
-    keep = admissible_mask(library.times, query[0], radius)
+    keep = _candidates(library.times, query[0], _floor(radius))
     predictions, variances, coefficients = _predictor(cfg)(
         library.vectors[keep], library.targets[keep, None], np.asarray(query[1], dtype=float)[None],
         [int(keep.sum())], [len(library)], radius)

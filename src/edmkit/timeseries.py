@@ -322,19 +322,27 @@ def pearson_rho(observed, predicted) -> float:
     return float(_rho_rows(obs, pred[None])[0])
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of ``a`` and ``b`` along the last axis, broadcast over the others.
+
+    Each is a stacked 1-D matmul over contiguous rows, so it rounds like the 1-D
+    ``a[i] @ b[i]`` whatever the number of rows; a product summed along the row does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _rho_rows(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Pearson correlation of ``observed`` with each row of ``predicted``.
 
     The one correlation formula: both sides hold at least two values and no
-    NaN.  A row whose side has zero variance gets UNDEFINED_SKILL.  Every sum
-    of products is a stacked 1-D dot product, so a row's result has the same
-    bits whatever the number of rows.
+    NaN.  A row whose side has zero variance gets UNDEFINED_SKILL.  A row's
+    result has the same bits whatever the number of rows.
     """
     o = observed - observed.mean()
     p = predicted - predicted.mean(axis=1, keepdims=True)
     so = math.sqrt(float(o @ o))
-    sp = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
-    op = (o @ p[:, :, None])[:, 0]
+    sp = np.sqrt(_row_dot(p, p))
+    op = _row_dot(o, p)
     defined = (so != 0.0) & (sp != 0.0)
     rho = np.divide(op, so * sp, out=np.full_like(op, UNDEFINED_SKILL), where=defined)
     return np.clip(rho, -1.0, 1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from edmkit import ccm
+from edmkit.bundled import load_bundled
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
-from edmkit.cli import main
+from edmkit.cli import _grid, main
 from edmkit.timeseries import UNDEFINED_SKILL, TimeSeries, pearson_rho, skill_defined
 
 from helpers import coupled_logistic_pair, logistic_series, oracle_cross_map, random_walk
@@ -393,3 +394,49 @@ def test_sweep_shortfall_is_named_from_a_later_batch(monkeypatch):
                f"admissible neighbours, needs {k}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         convergence_sweep(a, b, cfg)
+
+
+def test_too_many_samples_are_named_before_any_cell_is_drawn(monkeypatch):
+    # a 400-digit sample count used to draw cells without end
+    def no_draws(*args):
+        raise AssertionError("a cell was drawn")
+
+    monkeypatch.setattr(ccm, "_draw_indices", no_draws)
+    series = logistic_series(60)
+    for samples in (10 ** 400, 10 ** 15):
+        cfg = CcmConfig(dimension=2, library_sizes=(10, 20), samples_per_size=samples)
+        with pytest.raises(ValueError, match=f"^samples_per_size={samples} asks for more"):
+            convergence_sweep(series, series, cfg)
+
+
+def test_too_many_samples_end_the_command_with_exit_two(tmp_path, capsys):
+    out = tmp_path / "ccm"
+    code = main(["ccm", "--a", "debris", "--b", "total", "--samples", "9" * 400,
+                 "--out", str(out)])  # on the bundled record
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: samples_per_size={'9' * 400} asks")
+    assert not any(tmp_path.iterdir())
+
+
+def test_replacement_shortfall_names_the_option(tmp_path, capsys):
+    # on the bundled record's default grid a 6-of-60 draw with replacement
+    # repeats an index about 23 % of the time, so some query falls short
+    data = load_bundled()
+    sizes = tuple(_grid(6, 60, 20))
+    shortfall = r"^cross-map query at \d+ has only \d+ admissible neighbours, needs 5"
+    cfg = CcmConfig(dimension=4, library_sizes=sizes, seed=0, replacement=True)
+    with pytest.raises(ValueError, match=f"{shortfall}; drawn with replacement "
+                                         r"\(replacement, --replacement\)"):
+        convergence_sweep(data["debris"], data["total"], cfg)
+    out = tmp_path / "ccm"
+    code = main(["ccm", "--a", "debris", "--b", "total", "--e", "4", "--seed", "0",
+                 "--replacement", "--out", str(out)])
+    assert code == 2
+    assert "--replacement" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # without replacement the same grid has no shortfall, and a radius
+    # shortfall keeps the plain message
+    convergence_sweep(data["debris"], data["total"], CcmConfig(4, sizes, seed=0))
+    with pytest.raises(ValueError, match=f"{shortfall}$"):
+        convergence_sweep(data["debris"], data["total"],
+                          CcmConfig(4, sizes, seed=0, exclusion_radius=30))

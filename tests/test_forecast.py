@@ -252,3 +252,28 @@ def test_negative_exclusion_radius_is_rejected_by_name(entry):
     query = (int(library.times[-1]), library.vectors[-1])
     with pytest.raises(ValueError, match="^exclusion_radius must be >= 0, got -2$"):
         NEGATIVE_RADIUS_CALLS[entry](data, library, query)
+
+
+@pytest.mark.parametrize("horizon", [pytest.param(10 ** 400, id="400-digits"), 10 ** 15])
+@pytest.mark.parametrize("method", ["simplex", "smap"])
+def test_too_long_horizon_is_named(method, horizon):
+    # a 400-digit horizon used to end with numpy's "Maximum allowed dimension exceeded"
+    data = load_bundled()
+    spec = EmbeddingSpec.univariate("debris", 2)
+    message = f"^horizon {horizon} lies too far past the record \\(2022\\) to fit in memory$"
+    with pytest.raises(ValueError, match=message):
+        if method == "simplex":
+            iterative_forecast(data, "debris", SimplexConfig(spec), horizon)
+        else:
+            smap_iterative_forecast(data, "debris", SMapConfig(spec, 1.0), horizon)
+
+
+def test_too_long_horizon_ends_the_command_with_exit_two(tmp_path, capsys):
+    big = "9" * 400
+    out = tmp_path / "out.csv"
+    code = main(["forecast", "--method", "simplex", "--e", "2", "--to", big,
+                 "--out", str(out)])  # on the bundled record
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: horizon {big} lies too far past the record "
+                                       f"(2022) to fit in memory\n")
+    assert not any(tmp_path.iterdir())
