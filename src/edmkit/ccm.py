@@ -31,16 +31,14 @@ is accepted and ignored.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidates, _check_radius,
                         _distance_rows, _floor, _nearest, multivariate_embed)
-from .timeseries import (Dataset, TimeSeries, _cell, _jsonable, _require_finite, _rho_rows,
-                         _row_dot)
+from .timeseries import (Dataset, TimeSeries, _cell, _frozen, _jsonable, _require_finite,
+                         _rho_rows, _row_dot, _write_csv, _write_json)
 
 __all__ = [
     "CcmConfig",
@@ -268,9 +266,7 @@ class CcmDirection:
     verdict: str
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _frozen(self.samples))
 
     @property
     def label(self) -> str:
@@ -296,13 +292,11 @@ class CcmResult:
 
     def to_csv(self, path) -> None:
         """Write every sample as (direction, library_size, sample, rho)."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["direction", "library_size", "sample", "rho"])
-            for direction in self.directions:
-                for size, samples in zip(direction.library_sizes, direction.samples):
-                    for j, value in enumerate(samples):
-                        writer.writerow([direction.label, size, j, _cell(value)])
+        _write_csv(path, ["direction", "library_size", "sample", "rho"],
+                   ([direction.label, size, j, _cell(value)]
+                    for direction in self.directions
+                    for size, samples in zip(direction.library_sizes, direction.samples)
+                    for j, value in enumerate(samples)))
 
     def summary(self) -> dict:
         def describe(direction: CcmDirection) -> dict:
@@ -323,9 +317,7 @@ class CcmResult:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, self.summary())
 
 
 def _verdict(means: np.ndarray, cfg: CcmConfig) -> str:

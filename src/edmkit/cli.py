@@ -3,9 +3,9 @@
 Subcommands: embed-search, forecast, ccm, simulate, version.  Every run is
 deterministic given its flags and seed; each command writes its outputs plus
 a manifest JSON recording the resolved parameters, input digests, seed, and
-tool version, so identical manifests imply bit-identical outputs.  The
-worker-count flag never changes results, only wall time, and is therefore
-excluded from the manifest.
+tool version, so identical manifests imply bit-identical outputs.  Every
+command runs single-threaded: ``--threads`` is accepted and ignored, so it
+changes neither results nor wall time, and is excluded from the manifest.
 
 Exit codes: 0 success, 1 computation error (for example an infeasible
 neighbour search), 2 usage or input error.
@@ -14,9 +14,7 @@ neighbour search), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -32,7 +30,7 @@ from .forecast import ForecastResult
 from .simplex import SimplexConfig, embed_dimension_search, iterative_forecast, skill_eval
 from .smap import SMapConfig, coefficients_to_csv, smap_iterative_forecast
 from .smap import skill_eval as smap_skill_eval
-from .timeseries import _jsonable, load_csv, pearson_rho, rmse
+from .timeseries import _jsonable, _write_csv, _write_json, load_csv, pearson_rho, rmse
 
 __all__ = ["main"]
 
@@ -56,9 +54,7 @@ def _write_manifest(primary: Path, command: str, parameters: dict,
         "outputs": [str(p) for p in outputs],
     }
     path = primary.with_suffix(".manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -132,14 +128,11 @@ def _cmd_embed_search(args) -> int:
     result.to_csv(out)
     summary_path = out.with_suffix(".summary.json")
     best_row = next(r for r in result.rows if r[0] == result.best_dimension)
-    summary = {
+    _write_json(summary_path, {
         "best_E": result.best_dimension,
         "best_rho": _jsonable(best_row[1]),
         "best_rmse": _jsonable(best_row[2]),
-    }
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     _write_manifest(
         out, "embed-search",
         {
@@ -310,7 +303,10 @@ def _cmd_ccm(args) -> int:
         EmbeddingSpec.univariate(args.b, args.e, args.tau)
         if n_points < args.e + 2:
             raise ValueError(f"smallest library size {n_points} below dimension+2 = {args.e + 2}")
-        sizes = _grid(args.e + 2, n_points, 20)
+        # leave-one-out under radius r drops up to 2r + 1 library points, so the
+        # smallest default library, drawn without replacement, keeps e + 1 for every query
+        smallest = min(args.e + 2 + 2 * max(args.exclusion_radius, 0), n_points)
+        sizes = _grid(smallest, n_points, 20)
     else:
         sizes = _parse_integers("--sizes", args.sizes, "a grid 'lo:hi:count'", _grid)
     cfg = CcmConfig(
@@ -367,21 +363,11 @@ def _cmd_simulate(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "mitigation_report.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["scenario", "kind", "debris_2050", "margin_of_error", "pct_mitigated"]
-        )
-        for report in reports:
-            writer.writerow([
-                report.scenario.name, report.scenario.kind,
-                repr(report.debris_2050), repr(report.margin_of_error),
-                repr(report.pct_mitigated),
-            ])
+    _write_csv(csv_path, ["scenario", "kind", "debris_2050", "margin_of_error", "pct_mitigated"],
+               ([r.scenario.name, r.scenario.kind, repr(r.debris_2050),
+                 repr(r.margin_of_error), repr(r.pct_mitigated)] for r in reports))
     json_path = outdir / "mitigation_report.json"
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump([r.as_dict() for r in reports], handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(json_path, [r.as_dict() for r in reports])
     outputs = [csv_path, json_path]
     for report in reports:
         trajectory_path = outdir / f"trajectory_{report.scenario.name}.csv"

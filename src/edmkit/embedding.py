@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timeseries import Dataset, TimeSeries
+from .timeseries import Dataset, TimeSeries, _frozen
 
 __all__ = [
     "EmbeddingError",
@@ -150,25 +150,16 @@ class EmbeddingLibrary:
     norms: tuple[tuple[str, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=int)
-        vectors = np.asarray(self.vectors, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
+        for name, dtype in (("times", int), ("vectors", float), ("targets", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        times, vectors = self.times, self.vectors
         if vectors.ndim != 2 or vectors.shape[1] != self.spec.dimension:
             raise ValueError(f"vectors must be (n, {self.spec.dimension}), got {vectors.shape}")
-        if times.shape != (vectors.shape[0],) or targets.shape != times.shape:
+        if times.shape != (vectors.shape[0],) or self.targets.shape != times.shape:
             raise ValueError("times, vectors, and targets must have matching lengths")
-        for arr in (times, vectors, targets):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "targets", targets)
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    @property
-    def target_times(self) -> np.ndarray:
-        return self.times + self.tp
 
     def targets_through(self, last_target_year: int) -> "EmbeddingLibrary":
         """The sub-library whose targets fall at or before the given year."""
@@ -192,14 +183,10 @@ class NeighborSet:
     distances: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=int)
-        distances = np.asarray(self.distances, dtype=float)
-        if indices.shape != distances.shape or indices.ndim != 1:
+        object.__setattr__(self, "indices", _frozen(self.indices, int))
+        object.__setattr__(self, "distances", _frozen(self.distances))
+        if self.indices.shape != self.distances.shape or self.indices.ndim != 1:
             raise ValueError("indices and distances must be matching 1-D arrays")
-        for arr in (indices, distances):
-            arr.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "distances", distances)
 
     def __len__(self) -> int:
         return self.indices.shape[0]

@@ -22,8 +22,6 @@ variances, and None or (queries, columns, dimension + 1) coefficients.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +30,8 @@ import numpy as np
 
 from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather, _layout,
                         _prefix_limits, multivariate_embed)
-from .timeseries import UNDEFINED_SKILL, Dataset, _cell, _jsonable, pearson_rho, rmse
+from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _write_csv,
+                         _write_json, pearson_rho, rmse)
 
 __all__ = [
     "ForecastResult",
@@ -73,33 +72,20 @@ class ForecastResult:
     coefficient_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=int)
-        predicted = np.asarray(self.predicted, dtype=float)
-        band = np.asarray(self.band_halfwidth, dtype=float)
-        step_var = np.asarray(self.step_variance, dtype=float)
-        n = times.shape[0]
-        if predicted.shape != (n,) or band.shape != (n,) or step_var.shape != (n,):
+        object.__setattr__(self, "times", _frozen(self.times, int))
+        for name in ("predicted", "band_halfwidth", "step_variance"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("observed", "coefficients"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, None if value is None else _frozen(value))
+        n = self.times.shape[0]
+        if any(getattr(self, name).shape != (n,)
+               for name in ("predicted", "band_halfwidth", "step_variance")):
             raise ValueError("times, predicted, band_halfwidth, step_variance must match")
-        observed = self.observed
-        if observed is not None:
-            observed = np.asarray(observed, dtype=float)
-            if observed.shape != (n,):
-                raise ValueError("observed must match times")
-            observed.setflags(write=False)
-        coefficients = self.coefficients
-        if coefficients is not None:
-            coefficients = np.asarray(coefficients, dtype=float)
-            if coefficients.shape[0] != n:
-                raise ValueError("coefficients must have one row per step")
-            coefficients.setflags(write=False)
-        for arr in (times, predicted, band, step_var):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "band_halfwidth", band)
-        object.__setattr__(self, "step_variance", step_var)
-        object.__setattr__(self, "coefficients", coefficients)
+        if self.observed is not None and self.observed.shape != (n,):
+            raise ValueError("observed must match times")
+        if self.coefficients is not None and self.coefficients.shape[0] != n:
+            raise ValueError("coefficients must have one row per step")
 
     def value_at(self, year: int) -> float:
         where = np.nonzero(self.times == year)[0]
@@ -109,20 +95,11 @@ class ForecastResult:
 
     def to_csv(self, path) -> None:
         """Write rows of (year, predicted, observed, band_lo, band_hi)."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["year", "predicted", "observed", "band_lo", "band_hi"])
-            for i, year in enumerate(self.times):
-                pred = self.predicted[i]
-                obs = self.observed[i] if self.observed is not None else math.nan
-                half = self.band_halfwidth[i]
-                writer.writerow([
-                    int(year),
-                    _cell(pred),
-                    _cell(obs),
-                    _cell(pred - half),
-                    _cell(pred + half),
-                ])
+        observed = np.full(len(self.times), math.nan) if self.observed is None else self.observed
+        _write_csv(path, ["year", "predicted", "observed", "band_lo", "band_hi"],
+                   ([int(year), _cell(pred), _cell(obs), _cell(pred - half), _cell(pred + half)]
+                    for year, pred, obs, half in zip(self.times, self.predicted, observed,
+                                                     self.band_halfwidth)))
 
     def as_dict(self) -> dict:
         return {
@@ -141,9 +118,7 @@ class ForecastResult:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, self.as_dict())
 
 
 def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.ndarray,
@@ -283,7 +258,7 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
                     f"{float(values[row, bad[0]])!r} in year {int(year)}"
                 )
             states[row - first] = _gather(values, row, layout)
-    return _result(target, spec, forecast_years, values[n_obs:, target_col].copy(), variances,
+    return _result(target, spec, forecast_years, values[n_obs:, target_col], variances,
                    np.cumsum(variances), np.vstack(coefficients) if coefficients else None)
 
 
@@ -305,8 +280,5 @@ def best_row(rows: Sequence[tuple[float, float, float]], what: str) -> tuple[flo
 def write_skill_table(path, header: Sequence[str], rows: Sequence[tuple[float, float, float]],
                       fmt: Callable[[float], str]) -> None:
     """Write (parameter, rho, rmse) rows; ``fmt`` renders the parameter."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for parameter, rho_value, rmse_value in rows:
-            writer.writerow([fmt(parameter), _cell(rho_value), _cell(rmse_value)])
+    _write_csv(path, header, ([fmt(parameter), _cell(rho_value), _cell(rmse_value)]
+                              for parameter, rho_value, rmse_value in rows))

@@ -23,7 +23,6 @@ the slopes (never the intercept).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Iterable, Sequence
@@ -46,7 +45,7 @@ from .forecast import (
     run_iterative,
     write_skill_table,
 )
-from .timeseries import Dataset, TimeSeries, _require_finite
+from .timeseries import Dataset, TimeSeries, _frozen, _require_finite, _write_csv
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -99,9 +98,7 @@ class SMapStep:
     variance: float
 
     def __post_init__(self) -> None:
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "coefficients", _frozen(self.coefficients))
 
 
 def smap_weights(distances: np.ndarray, theta: float) -> np.ndarray:
@@ -280,8 +277,6 @@ def coefficients_to_csv(forecast: ForecastResult, path) -> None:
     """Write the coefficient track as (year, intercept, one column per coordinate)."""
     if forecast.coefficients is None or forecast.coefficient_labels is None:
         raise ValueError("forecast carries no coefficient rows")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", *forecast.coefficient_labels])
-        for i, year in enumerate(forecast.times):
-            writer.writerow([int(year), *(repr(float(v)) for v in forecast.coefficients[i])])
+    _write_csv(path, ["year", *forecast.coefficient_labels],
+               ([int(year), *(repr(float(v)) for v in row)]
+                for year, row in zip(forecast.times, forecast.coefficients)))

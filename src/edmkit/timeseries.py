@@ -13,12 +13,15 @@ explicit ``UNDEFINED_SKILL`` marker rather than silently coerced to 0.
 
 Each series converts its values to a float64 array once, at construction.
 ``TimeSeries.to_array`` hands out that one array, shared and read-only: a
-caller that needs to write must copy it first.
+caller that needs to write must copy it first.  Containers take their arrays
+through ``_frozen``, and every output file is written by ``_write_csv`` or
+``_write_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,11 +183,9 @@ class Dataset:
 
     def to_csv(self, path, year_column: str = "year") -> None:
         """Write the dataset as UTF-8 CSV; values round-trip exactly through load_csv."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([year_column, *self.names])
-            for year, *row in zip(self.years, *(s.values for s in self.series)):
-                writer.writerow([year, *map(_format_value, row)])
+        _write_csv(path, [year_column, *self.names],
+                   ([year, *map(_format_value, row)]
+                    for year, *row in zip(self.years, *(s.values for s in self.series))))
 
 
 def _format_value(v: float) -> str:
@@ -203,6 +204,30 @@ def _cell(v: float) -> str:
 def _jsonable(v: float):
     # a JSON value: NaN (undefined) is null
     return None if math.isnan(v) else float(v)
+
+
+def _frozen(value, dtype=float) -> np.ndarray:
+    """``value`` as a read-only array: a writeable one is copied first, a read-only one reused."""
+    array = np.asarray(value, dtype=dtype)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV in the csv module's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, value) -> None:
+    """Write ``value`` as UTF-8 JSON, indented by 2 with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(value, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _require_finite(**fields) -> None:

@@ -179,6 +179,16 @@ def test_ccm_singleton_grid_flagged(data_csv, tmp_path):
     assert summary["insufficient_grid"]
 
 
+def test_ccm_default_grid_leaves_room_for_the_exclusion_radius(tmp_path, capsys):
+    # the default grid used to start at e + 2 whatever the radius, so a
+    # radius of 1 left the smallest libraries short of e + 1 neighbours
+    out = tmp_path / "ccm_r1"
+    assert main(["ccm", "--a", "debris", "--b", "total", "--e", "4", "--exclusion-radius", "1",
+                 "--seed", "7", "--out", str(out)]) == 0, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "ccm_r1.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["parameters"]["sizes"][0] == 8
+
+
 def test_simulate_with_config(data_csv, tmp_path):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmkit.ccm import CcmDirection
+from edmkit.embedding import EmbeddingLibrary, EmbeddingSpec, NeighborSet
+from edmkit.forecast import ForecastResult
+from edmkit.smap import SMapStep
 from edmkit.timeseries import Dataset, TimeSeries, load_csv
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -95,3 +99,41 @@ def test_series_array_is_not_part_of_equality_or_repr():
     with pytest.raises(KeyError, match=r"unknown series 'y'; have \['x'\]"):
         data["y"]
     assert "x" in data and "y" not in data
+
+
+def test_containers_copy_writeable_inputs_and_leave_them_writeable():
+    # building a container used to freeze the caller's own arrays in place
+    a = {"times": np.arange(2000, 2003), "vectors": np.arange(6.0).reshape(3, 2),
+         "targets": np.arange(3.0), "indices": np.array([2, 0]),
+         "distances": np.array([0.5, 1.5]), "predicted": np.arange(3.0),
+         "observed": np.ones(3), "band": np.full(3, 0.25), "variance": np.full(3, 0.5),
+         "coefficients": np.arange(9.0).reshape(3, 3), "coefficient_row": np.arange(3.0),
+         "samples": np.arange(4.0).reshape(2, 2)}
+    containers = [
+        EmbeddingLibrary(EmbeddingSpec.univariate("x", 2), "x", 1, a["times"], a["vectors"],
+                         a["targets"]),
+        NeighborSet(a["indices"], a["distances"]),
+        ForecastResult("x", a["times"], a["predicted"], a["observed"], 0.5, 0.1, a["band"],
+                       a["variance"], a["coefficients"], ("intercept", "x(t)", "x(t-1)")),
+        SMapStep(2000, 1.0, a["coefficient_row"], 0.1),
+        CcmDirection("x", "y", (3, 5), (0.1, 0.2), (0.0, 0.0), a["samples"], "negative"),
+    ]
+    held = [(c, name, value.copy()) for c in containers for name, value in vars(c).items()
+            if isinstance(value, np.ndarray)]
+    assert len(held) == 13
+    for name, array in a.items():
+        assert array.flags.writeable, name
+        array += 7  # a later write by the caller
+    for container, name, value in held:
+        array = getattr(container, name)
+        assert not array.flags.writeable
+        assert np.array_equal(array, value), (type(container).__name__, name)
+
+
+def test_containers_reuse_read_only_inputs():
+    series = TimeSeries("x", 2000, [1.0, 2.0, 3.0])
+    distances = series.to_array()
+    indices = np.arange(3)
+    indices.setflags(write=False)
+    neighbours = NeighborSet(indices, distances)
+    assert neighbours.indices is indices and neighbours.distances is distances
