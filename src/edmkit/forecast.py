@@ -84,8 +84,10 @@ class ForecastResult:
             raise ValueError("times, predicted, band_halfwidth, step_variance must match")
         if self.observed is not None and self.observed.shape != (n,):
             raise ValueError("observed must match times")
-        if self.coefficients is not None and self.coefficients.shape[0] != n:
-            raise ValueError("coefficients must have one row per step")
+        if self.coefficients is not None and (self.coefficients.ndim != 2
+                                              or self.coefficients.shape[0] != n):
+            raise ValueError(f"coefficients must be a 2-D array with one row per step, "
+                             f"got shape {self.coefficients.shape}")
 
     def value_at(self, year: int) -> float:
         where = np.nonzero(self.times == year)[0]

@@ -16,19 +16,25 @@ year (2000 by default) through the end of the observed record:
   off the books permanently; the annual mode matches how such campaigns are
   usually scored against aggregate counts).
 
-The adjusted history is then re-forecast with the S-map at the scenario
-file's theta (the bundled suite uses the paper's theta = 7, tuned on the
-original model-output series; a theta search on the bundled record itself
-selects theta = 0).  PMD keeps intervening during the forecast: each
-predicted year is reduced by the cohorts whose disposal falls due that
-year, before the value joins the library, so later steps learn the policy
-dynamic.  Once the last cohort has deorbited the forecast runs clean to the
-horizon, and the confidence band restarts there, since that final stretch
-is a fresh prediction problem with its own (shorter) horizon.
+Every kind runs through one pipeline:
 
-Every adjusted series is floored at zero.  A disposal window at or beyond
-the current 25-year practice leaves the recorded history untouched, so such
-scenarios are defined to equal the baseline exactly.
+1. adjust the observed window with the kind's adjuster;
+2. re-forecast the adjusted history with the S-map at the scenario file's
+   theta, flooring each year at 0 and, for PMD, removing the cohorts whose
+   disposal falls due that year before the value joins the library, so
+   later steps learn the policy dynamic;
+3. restart the confidence band the year after ``adjust_window_end``: the
+   first forecast year for launch reduction and ADR, so their band runs over
+   the whole horizon; for PMD the year after the last cohort deorbits, since
+   the clean stretch to the horizon is a fresh prediction problem;
+4. score against the two-input baseline, or the three-input one for launch
+   reduction, whose launch series changes the system evolution wholesale.
+
+The bundled suite uses the paper's theta = 7, tuned on the original
+model-output series; a theta search on the bundled record itself selects
+theta = 0.  A disposal window at or beyond the current 25-year practice
+leaves the recorded history untouched, so such scenarios are defined to
+equal the baseline exactly.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ __all__ = [
 #: cannot differ from the recorded history.
 CURRENT_PMD_YEARS = 25
 
+#: Each scenario kind and the one parameter it must set (the others stay None).
+_KIND_FIELDS = {"pmd": "pmd_years", "launch_reduction": "reduction_fraction",
+                "adr": "adr_per_year"}
+
 
 @dataclass(frozen=True)
 class PolicyScenario:
@@ -78,22 +88,13 @@ class PolicyScenario:
     launch_x_mode: str = "ratio"
 
     def __post_init__(self) -> None:
-        required = {
-            "pmd": "pmd_years",
-            "launch_reduction": "reduction_fraction",
-            "adr": "adr_per_year",
-        }
-        if self.kind not in required:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; use {sorted(required)}")
-        values = {
-            "pmd_years": self.pmd_years,
-            "reduction_fraction": self.reduction_fraction,
-            "adr_per_year": self.adr_per_year,
-        }
+        if self.kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown scenario kind {self.kind!r}; use {sorted(_KIND_FIELDS)}")
+        values = {name: getattr(self, name) for name in _KIND_FIELDS.values()}
         _require_finite(effective_year=self.effective_year,
                         operational_lifetime=self.operational_lifetime,
                         compliance=self.compliance, **values)
-        needed = required[self.kind]
+        needed = _KIND_FIELDS[self.kind]
         if values[needed] is None:
             raise ValueError(f"{self.kind} scenario needs {needed}")
         for field_name, value in values.items():
@@ -215,7 +216,11 @@ def _floored(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, values, 0.0)
 
 
-def _require_series(data: Dataset, *names: str) -> None:
+def _require(data: Dataset, scenario: PolicyScenario, kind: str, *names: str) -> None:
+    """The guard of ``<kind>_adjust``: a scenario of that kind, then each named series."""
+    if scenario.kind != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"{kind}_adjust needs {article} {kind} scenario, got {scenario.kind!r}")
     for name in names:
         if name not in data:
             raise ValueError(f"dataset is missing required series {name!r}")
@@ -235,9 +240,7 @@ def pmd_adjust(data: Dataset, scenario: PolicyScenario,
     Only the observed window changes here; disposals falling due after the
     record ends are applied during the forecast (see ``simulate``).
     """
-    if scenario.kind != "pmd":
-        raise ValueError(f"pmd_adjust needs a pmd scenario, got {scenario.kind!r}")
-    _require_series(data, debris, launched, total)
+    _require(data, scenario, "pmd", debris, launched, total)
     removed = _removed_through(data, scenario, launched, data.years)
     changed = removed > 0.0
     x, z = data[debris].to_array(), data[total].to_array()
@@ -254,11 +257,7 @@ def launch_reduction_adjust(data: Dataset, scenario: PolicyScenario,
     count drops by the per-year debris-per-launched-object ratio times the
     cumulative shortfall ("ratio" mode) or not at all ("z_only" mode).
     """
-    if scenario.kind != "launch_reduction":
-        raise ValueError(
-            f"launch_reduction_adjust needs a launch_reduction scenario, got {scenario.kind!r}"
-        )
-    _require_series(data, debris, launched, total)
+    _require(data, scenario, "launch_reduction", debris, launched, total)
     fraction = scenario.reduction_fraction
     x, y, z = (data[name].to_array() for name in (debris, launched, total))
     inside = np.arange(data.start_year, data.end_year + 1) >= scenario.effective_year
@@ -281,9 +280,7 @@ def adr_adjust(data: Dataset, scenario: PolicyScenario,
     mode reduces each recorded year by the yearly removal count; cumulative
     mode subtracts everything removed so far (and floors hard at zero).
     """
-    if scenario.kind != "adr":
-        raise ValueError(f"adr_adjust needs an adr scenario, got {scenario.kind!r}")
-    _require_series(data, debris, total)
+    _require(data, scenario, "adr", debris, total)
     years = np.arange(data.start_year, data.end_year + 1)
     inside = years >= scenario.effective_year
     removal = scenario.adr_per_year
@@ -295,7 +292,7 @@ def adr_adjust(data: Dataset, scenario: PolicyScenario,
 
 
 def _reset_band(trajectory: ForecastResult, reset_year: int) -> ForecastResult:
-    """Restart the cumulative band at reset_year (fresh final-phase horizon)."""
+    """Restart the cumulative band at reset_year (no-op at the first step or past the last)."""
     variance = trajectory.step_variance
     split = int(np.searchsorted(trajectory.times, reset_year))
     cumulative = np.concatenate([np.cumsum(variance[:split]), np.cumsum(variance[split:])])
@@ -307,12 +304,42 @@ def _floor_counts(_year: int, values: dict[str, float]) -> dict[str, float]:
     return {name: max(0.0, value) for name, value in values.items()}
 
 
+def _forecast(data: Dataset, config: ScenarioModelConfig, three_input: bool,
+              adjust) -> ForecastResult:
+    cfg = config.three_input_config() if three_input else config.two_input_config()
+    return smap_iterative_forecast(data, config.debris, cfg, config.horizon_end, adjust=adjust)
+
+
 def baseline_forecast(data: Dataset, config: ScenarioModelConfig,
                       three_input: bool = False) -> ForecastResult:
     """The no-intervention trajectory a scenario is scored against."""
-    cfg = config.three_input_config() if three_input else config.two_input_config()
-    return smap_iterative_forecast(data, config.debris, cfg, config.horizon_end,
-                                   adjust=_floor_counts)
+    return _forecast(data, config, three_input, _floor_counts)
+
+
+def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
+                     three_input: bool) -> ForecastResult:
+    """Adjust the observed window, re-forecast it and restart the band past the policy."""
+    debris, launched, total = config.debris, config.launched, config.total
+    adjust = _floor_counts
+    if scenario.kind == "adr":
+        adjusted = adr_adjust(data, scenario, debris, total)
+    elif scenario.kind == "launch_reduction":
+        adjusted = launch_reduction_adjust(data, scenario, debris, launched, total)
+    else:
+        adjusted = pmd_adjust(data, scenario, debris, launched, total)
+        cohorts, delay = _cohorts(data, scenario, launched)
+
+        def adjust(year: int, values: dict[str, float]) -> dict[str, float]:
+            out = _floor_counts(year, values)
+            cohort = year - delay - data.start_year
+            removal = float(cohorts[cohort]) if 0 <= cohort < cohorts.size else 0.0
+            if removal > 0.0:  # the cohort falling due this year leaves both counts
+                out[debris] = max(0.0, out[debris] - removal)
+                out[total] = max(0.0, out[total] - removal)
+            return out
+
+    trajectory = _forecast(adjusted, config, three_input, adjust)
+    return _reset_band(trajectory, scenario.adjust_window_end(data.end_year) + 1)
 
 
 def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
@@ -320,43 +347,28 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
              baseline_three_input: ForecastResult | None = None) -> MitigationReport:
     """Run one policy scenario end to end and score it against its baseline.
 
-    Pipeline: apply the kind's adjustment to the observed window, re-forecast
-    to the horizon (PMD keeps subtracting cohorts as they fall due, inside
-    the loop), then compare the final-year debris prediction against the
-    kind-appropriate baseline.  Launch-reduction scenarios are scored against
-    the three-input baseline, because adding the launch series changes the
-    system evolution wholesale; everything else uses the two-input baseline.
-    Raises ValueError when that baseline's final-year value is 0.
+    Runs the module's pipeline and compares the final-year debris prediction
+    against the three-input baseline (launch reduction) or the two-input one
+    (everything else); a baseline not passed in is forecast here.  Raises
+    ValueError when that baseline's final-year value is 0.
     """
     horizon = config.horizon_end
-    if scenario.kind == "launch_reduction":
-        if baseline_three_input is None:
-            baseline_three_input = baseline_forecast(data, config, three_input=True)
-        reference = baseline_three_input
-    else:
-        if baseline is None:
-            baseline = baseline_forecast(data, config)
-        reference = baseline
+    three_input = scenario.kind == "launch_reduction"
+    reference = baseline_three_input if three_input else baseline
+    if reference is None:
+        reference = baseline_forecast(data, config, three_input=three_input)
     baseline_value = reference.value_at(horizon)
     if baseline_value == 0.0:
         raise ValueError(
             f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
             f"so the mitigated share is undefined"
         )
-
-    if scenario.kind == "pmd":
-        trajectory = _simulate_pmd(data, scenario, config, reference)
+    if scenario.kind == "pmd" and scenario.pmd_years >= CURRENT_PMD_YEARS:
+        # Already current practice: the recorded history embeds this policy,
+        # so the scenario is defined to equal the baseline.
+        trajectory = reference
     else:
-        if scenario.kind == "launch_reduction":
-            adjusted = launch_reduction_adjust(
-                data, scenario, config.debris, config.launched, config.total
-            )
-            model = config.three_input_config()
-        else:
-            adjusted = adr_adjust(data, scenario, config.debris, config.total)
-            model = config.two_input_config()
-        trajectory = smap_iterative_forecast(adjusted, config.debris, model, horizon,
-                                             adjust=_floor_counts)
+        trajectory = _policy_forecast(data, scenario, config, three_input)
 
     debris_final = trajectory.value_at(horizon)
     pct = 100.0 * (baseline_value - debris_final) / baseline_value
@@ -368,35 +380,6 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
         margin_of_error=float(trajectory.band_halfwidth[-1]),
         trajectory=trajectory,
     )
-
-
-def _simulate_pmd(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-                  baseline: ForecastResult) -> ForecastResult:
-    if scenario.pmd_years >= CURRENT_PMD_YEARS:
-        # Already current practice: the recorded history embeds this policy,
-        # so the scenario is defined to equal the baseline.
-        return baseline
-    horizon = config.horizon_end
-    adjusted = pmd_adjust(data, scenario, config.debris, config.launched, config.total)
-    cohorts, delay = _cohorts(data, scenario, config.launched)
-
-    def apply_due_deorbits(year: int, values: dict[str, float]) -> dict[str, float]:
-        out = _floor_counts(year, values)
-        cohort = year - delay - data.start_year
-        removal = float(cohorts[cohort]) if 0 <= cohort < cohorts.size else 0.0
-        if removal > 0.0:
-            out[config.debris] = max(0.0, out[config.debris] - removal)
-            out[config.total] = max(0.0, out[config.total] - removal)
-        return out
-
-    trajectory = smap_iterative_forecast(
-        adjusted, config.debris, config.two_input_config(), horizon,
-        adjust=apply_due_deorbits,
-    )
-    window_end = scenario.adjust_window_end(data.end_year)
-    if window_end < horizon:
-        trajectory = _reset_band(trajectory, window_end + 1)
-    return trajectory
 
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],

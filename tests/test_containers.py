@@ -137,3 +137,11 @@ def test_containers_reuse_read_only_inputs():
     indices.setflags(write=False)
     neighbours = NeighborSet(indices, distances)
     assert neighbours.indices is indices and neighbours.distances is distances
+
+
+@pytest.mark.parametrize("coefficients", [1.0, [1.0, 2.0]], ids=["scalar", "one-d"])
+def test_forecast_result_requires_a_coefficient_row_per_step(coefficients):
+    # a scalar used to end with IndexError, a 1-D track was accepted
+    with pytest.raises(ValueError, match="coefficients must be a 2-D array with one row per"):
+        ForecastResult("x", [1, 2], [0.0, 1.0], None, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0],
+                       coefficients=coefficients)

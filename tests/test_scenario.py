@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmkit.bundled import bundled_path, load_bundled
 from edmkit.scenario import (
     CURRENT_PMD_YEARS,
     PolicyScenario,
@@ -14,6 +15,7 @@ from edmkit.scenario import (
     launch_reduction_adjust,
     load_scenario_file,
     pmd_adjust,
+    run_scenarios,
     simulate,
 )
 from edmkit.timeseries import Dataset
@@ -342,3 +344,57 @@ def test_load_scenario_file_returns_or_names_the_error(tmp_path_factory, text):
     assert isinstance(config, ScenarioModelConfig)
     names = [scenario.name for scenario in scenarios]
     assert names and len(set(names)) == len(names)
+
+
+def test_adjusters_name_the_wrong_kind_and_the_missing_series():
+    data = toy_data()
+    pmd = PolicyScenario("pmd", pmd_years=5)
+    adr = PolicyScenario("adr", adr_per_year=100)
+    for adjuster, scenario, message in (
+        (pmd_adjust, adr, "pmd_adjust needs a pmd scenario, got 'adr'"),
+        (launch_reduction_adjust, pmd,
+         "launch_reduction_adjust needs a launch_reduction scenario, got 'pmd'"),
+        (adr_adjust, pmd, "adr_adjust needs an adr scenario, got 'pmd'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            adjuster(data, scenario)
+    no_total = Dataset.from_columns(data.start_year, {
+        name: data[name].values for name in ("debris", "launched")})
+    for adjuster, scenario in ((pmd_adjust, pmd),
+                               (launch_reduction_adjust,
+                                PolicyScenario("launch_reduction", reduction_fraction=0.1)),
+                               (adr_adjust, adr)):
+        with pytest.raises(ValueError, match="^dataset is missing required series 'total'$"):
+            adjuster(no_total, scenario)
+
+
+def _bits(report):
+    t = report.trajectory
+    return ([np.asarray(a).tobytes() for a in (t.times, t.predicted, t.band_halfwidth,
+                                               t.step_variance, t.coefficients)],
+            repr((report.debris_2050, report.baseline_2050, report.pct_mitigated,
+                  report.margin_of_error)))
+
+
+def test_every_kind_runs_one_pipeline_on_the_bundled_record():
+    data = load_bundled()
+    config, scenarios = load_scenario_file(bundled_path("scenarios/table2.cfg"))
+    batch = {r.scenario.name: r for r in run_scenarios(data, scenarios, config)}
+    for scenario in scenarios:
+        # shared baselines change nothing
+        assert _bits(simulate(data, scenario, config)) == _bits(batch[scenario.name])
+    for name, report in batch.items():
+        if name.startswith(("adr_", "launch_minus_")):
+            # the band restarts at the first forecast year: one running sum
+            trajectory = report.trajectory
+            assert np.array_equal(trajectory.band_halfwidth,
+                                  1.96 * np.sqrt(np.cumsum(trajectory.step_variance))), name
+    for name, reset_year in (("pmd_10yr", 2043), ("pmd_0yr", 2033)):
+        report = batch[name]
+        assert report.scenario.adjust_window_end(data.end_year) + 1 == reset_year
+        times, variance = report.trajectory.times, report.trajectory.step_variance
+        split = int(np.flatnonzero(times == reset_year)[0])
+        expected = np.concatenate([np.cumsum(variance[:split]), np.cumsum(variance[split:])])
+        assert np.array_equal(report.trajectory.band_halfwidth, 1.96 * np.sqrt(expected)), name
+        assert report.trajectory.band_halfwidth[split] == 1.96 * np.sqrt(variance[split])
+    assert batch["pmd_25yr"].pct_mitigated == 0.0
