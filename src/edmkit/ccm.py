@@ -38,7 +38,7 @@ import numpy as np
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidates, _check_radius,
                         _distance_rows, _floor, _nearest, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _frozen, _jsonable, _require_finite,
-                         _rho_rows, _row_dot, _write_csv, _write_json)
+                         _rho_rows, _row_dot, _whole_number, _write_csv, _write_json)
 
 __all__ = [
     "CcmConfig",
@@ -72,7 +72,9 @@ class CcmConfig:
     def __post_init__(self) -> None:
         _require_finite(convergence_margin=self.convergence_margin,
                         plateau_tolerance=self.plateau_tolerance)
-        sizes = tuple(int(s) for s in self.library_sizes)
+        for name in ("dimension", "tau", "samples_per_size", "seed"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
+        sizes = tuple(_whole_number("library_sizes", s) for s in self.library_sizes)
         if not sizes:
             raise ValueError("library_sizes is empty")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -83,7 +85,7 @@ class CcmConfig:
             )
         if self.samples_per_size < 1:
             raise ValueError("samples_per_size must be >= 1")
-        _check_radius(self.exclusion_radius)
+        object.__setattr__(self, "exclusion_radius", _check_radius(self.exclusion_radius))
         if self.method not in ("random", "contiguous"):
             raise ValueError(f"unknown subsampling method {self.method!r}")
         object.__setattr__(self, "library_sizes", sizes)

@@ -30,9 +30,14 @@ from .forecast import ForecastResult
 from .simplex import SimplexConfig, embed_dimension_search, iterative_forecast, skill_eval
 from .smap import SMapConfig, coefficients_to_csv, smap_iterative_forecast
 from .smap import skill_eval as smap_skill_eval
-from .timeseries import _jsonable, _write_csv, _write_json, load_csv, pearson_rho, rmse
+from .timeseries import Dataset, _jsonable, _write_csv, _write_json, load_csv, pearson_rho, rmse
 
 __all__ = ["main"]
+
+#: Parsed options the manifest leaves out: the subcommand, the output
+#: locations, ``--threads`` (ignored), ``--seed`` (the manifest's own field)
+#: and ``--no-band`` (recorded as ``band``).  Every other option is recorded.
+_UNRECORDED = frozenset({"command", "func", "threads", "seed", "out", "outdir", "svg", "no_band"})
 
 
 def _sha256(path: Path) -> str:
@@ -58,10 +63,16 @@ def _write_manifest(primary: Path, command: str, parameters: dict,
     return path
 
 
-def _resolve_data(arg: str | None) -> Path:
-    if arg is None:
-        return bundled_path(DEFAULT_DATASET)
-    return Path(arg)
+def _parameters(args: argparse.Namespace, **resolved) -> dict:
+    """The manifest's parameters: every recorded option, then the values the command resolved."""
+    recorded = {name: value for name, value in vars(args).items() if name not in _UNRECORDED}
+    return {**recorded, **resolved}
+
+
+def _load(arg: str | None) -> tuple[Path, Dataset]:
+    """The data path (the bundled record when ``arg`` is None) and its dataset."""
+    path = bundled_path(DEFAULT_DATASET) if arg is None else Path(arg)
+    return path, load_csv(path)
 
 
 def _grid(lo: int, hi: int, count: int) -> list[int]:
@@ -113,15 +124,13 @@ def _cmd_version(_args) -> int:
 
 
 def _cmd_embed_search(args) -> int:
-    data_path = _resolve_data(args.data)
-    data = load_csv(data_path)
+    data_path, data = _load(args.data)
     dimensions = _parse_integers("--e", args.e, "a range 'lo:hi'",
                                  lambda lo, hi: list(range(lo, hi + 1)))
     result = embed_dimension_search(
         data, args.target, dimensions,
         train_end=args.train_end, tau=args.tau,
         eval_start=args.eval_start, eval_end=args.eval_end,
-        threads=args.threads,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -133,46 +142,35 @@ def _cmd_embed_search(args) -> int:
         "best_rho": _jsonable(best_row[1]),
         "best_rmse": _jsonable(best_row[2]),
     })
-    _write_manifest(
-        out, "embed-search",
-        {
-            "data": str(data_path), "target": args.target, "e": args.e,
-            "tau": args.tau, "train_end": args.train_end,
-            "eval_start": args.eval_start, "eval_end": args.eval_end,
-        },
-        [data_path], None, [out, summary_path],
-    )
+    _write_manifest(out, "embed-search", _parameters(args, data=str(data_path)),
+                    [data_path], None, [out, summary_path])
     print(f"best E = {result.best_dimension} (rho = {best_row[1]:.4f}); table: {out}")
     return 0
 
 
-def _combine_results(insample: ForecastResult | None,
-                     extrapolation: ForecastResult | None, target: str) -> ForecastResult:
-    parts = [p for p in (insample, extrapolation) if p is not None]
-    times = np.concatenate([p.times for p in parts])
-    predicted = np.concatenate([p.predicted for p in parts])
-    band = np.concatenate([p.band_halfwidth for p in parts])
-    step_var = np.concatenate([p.step_variance for p in parts])
-    observed = np.concatenate([
-        p.observed if p.observed is not None else np.full(p.times.shape[0], np.nan)
-        for p in parts
-    ])
-    coefficients = None
-    labels = None
-    if all(p.coefficients is not None for p in parts):
-        coefficients = np.concatenate([p.coefficients for p in parts], axis=0)
-        labels = parts[0].coefficient_labels
+def _combine_results(parts: list[ForecastResult]) -> ForecastResult:
+    """The parts as one result in their order, scored over the observed steps.
+
+    A part without observations (an extrapolation) reads NaN there;
+    coefficients are kept only when every part has them.
+    """
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([np.full(p.times.shape, np.nan) if getattr(p, name) is None
+                               else getattr(p, name) for p in parts])
+
+    observed, predicted = joined("observed"), joined("predicted")
+    with_coefficients = all(p.coefficients is not None for p in parts)
     return ForecastResult(
-        target=target,
-        times=times,
+        target=parts[0].target,
+        times=joined("times"),
         predicted=predicted,
         observed=observed,
         rho=pearson_rho(observed, predicted),
         rmse=rmse(observed, predicted),
-        band_halfwidth=band,
-        step_variance=step_var,
-        coefficients=coefficients,
-        coefficient_labels=labels,
+        band_halfwidth=joined("band_halfwidth"),
+        step_variance=joined("step_variance"),
+        coefficients=joined("coefficients") if with_coefficients else None,
+        coefficient_labels=parts[0].coefficient_labels if with_coefficients else None,
     )
 
 
@@ -180,9 +178,7 @@ def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
     """Minimal static line chart: observed and predicted, optional band."""
     width, height, pad = 760, 420, 48
     times = result.times.astype(float)
-    series = [result.predicted]
-    if result.observed is not None:
-        series.append(result.observed)
+    series = [result.predicted, result.observed]
     if with_band:
         series.append(result.predicted - result.band_halfwidth)
         series.append(result.predicted + result.band_halfwidth)
@@ -211,16 +207,15 @@ def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if with_band:
-        upper = [(t, p + h) for t, p, h in zip(times, result.predicted, result.band_halfwidth)
-                 if not math.isnan(p)]
-        lower = [(t, p - h) for t, p, h in zip(times, result.predicted, result.band_halfwidth)
-                 if not math.isnan(p)]
-        ring = upper + lower[::-1]
+        kept = ~np.isnan(result.predicted)
+        years, mid, half = times[kept], result.predicted[kept], result.band_halfwidth[kept]
+        # the upper edge forwards in time, then the lower edge back
+        ring = zip(np.concatenate([years, years[::-1]]),
+                   np.concatenate([mid + half, (mid - half)[::-1]]))
         points = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in ring)
         parts.append(f'<polygon fill="#cfe2f3" stroke="none" points="{points}"/>')
     parts.append(polyline(result.predicted, "#1155cc"))
-    if result.observed is not None:
-        parts.append(polyline(result.observed, "#333333", dash="4 3"))
+    parts.append(polyline(result.observed, "#333333", dash="4 3"))
     parts.append(
         f'<text x="{pad}" y="{pad - 16}" font-family="sans-serif" font-size="13">'
         f"{result.target}: observed (dashed) and predicted</text>"
@@ -230,8 +225,7 @@ def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
 
 
 def _cmd_forecast(args) -> int:
-    data_path = _resolve_data(args.data)
-    data = load_csv(data_path)
+    data_path, data = _load(args.data)
     columns = [part.strip() for part in args.columns.split(",") if part.strip()]
     if not columns:
         raise ValueError("--columns must name at least one series")
@@ -248,16 +242,15 @@ def _cmd_forecast(args) -> int:
     else:
         cfg = SimplexConfig(spec, k=args.knn)
         evaluate, extend = skill_eval, iterative_forecast
-    insample = None
-    extrapolation = None
+    parts = []
     in_sample_end = min(args.to, data.end_year)
     if in_sample_end > args.train_end:
-        insample = evaluate(data, target, cfg, args.train_end, eval_end=in_sample_end)
+        parts.append(evaluate(data, target, cfg, args.train_end, eval_end=in_sample_end))
     if args.to > data.end_year:
-        extrapolation = extend(data, target, cfg, args.to, self_condition=self_condition)
-    if insample is None and extrapolation is None:
+        parts.append(extend(data, target, cfg, args.to, self_condition=self_condition))
+    if not parts:
         raise ValueError(f"nothing to forecast: horizon {args.to} inside train range")
-    combined = _combine_results(insample, extrapolation, target)
+    combined = _combine_results(parts)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -272,28 +265,19 @@ def _cmd_forecast(args) -> int:
         outputs.append(coef_path)
     if args.svg:
         svg_path = Path(args.svg)
+        svg_path.parent.mkdir(parents=True, exist_ok=True)
         _write_svg(svg_path, combined, with_band=not args.no_band)
         outputs.append(svg_path)
-    _write_manifest(
-        out, "forecast",
-        {
-            "data": str(data_path), "method": args.method, "columns": args.columns,
-            "e": args.e, "tau": args.tau, "theta": args.theta, "knn": args.knn,
-            "lags": args.lags, "train_end": args.train_end, "to": args.to,
-            "ridge": args.ridge, "band": not args.no_band,
-            "fixed_library": args.fixed_library,
-            "exclusion_radius": args.exclusion_radius,
-        },
-        [data_path], None, outputs,
-    )
+    _write_manifest(out, "forecast",
+                    _parameters(args, data=str(data_path), band=not args.no_band),
+                    [data_path], None, outputs)
     rho_text = "undefined" if math.isnan(combined.rho) else f"{combined.rho:.4f}"
     print(f"{args.method} forecast of {target!r} to {args.to}: rho = {rho_text}; wrote {out}")
     return 0
 
 
 def _cmd_ccm(args) -> int:
-    data_path = _resolve_data(args.data)
-    data = load_csv(data_path)
+    data_path, data = _load(args.data)
     series_a = data[args.a]
     series_b = data[args.b]
     n_points = data.n_years - (args.e - 1) * args.tau
@@ -319,23 +303,15 @@ def _cmd_ccm(args) -> int:
         method=args.method,
         exclusion_radius=args.exclusion_radius,
     )
-    result = convergence_sweep(series_a, series_b, cfg, threads=args.threads)
+    result = convergence_sweep(series_a, series_b, cfg)
     stem = Path(args.out)
     stem.parent.mkdir(parents=True, exist_ok=True)
     curves_path = stem.with_suffix(".csv") if stem.suffix == "" else stem
     result.to_csv(curves_path)
     summary_path = curves_path.with_suffix(".summary.json")
     result.to_json(summary_path)
-    _write_manifest(
-        curves_path, "ccm",
-        {
-            "data": str(data_path), "a": args.a, "b": args.b, "e": args.e,
-            "tau": args.tau, "sizes": sizes, "samples": args.samples,
-            "replacement": args.replacement, "method": args.method,
-            "exclusion_radius": args.exclusion_radius,
-        },
-        [data_path], args.seed, [curves_path, summary_path],
-    )
+    _write_manifest(curves_path, "ccm", _parameters(args, data=str(data_path), sizes=sizes),
+                    [data_path], args.seed, [curves_path, summary_path])
     for direction in result.directions:
         final = direction.final_mean_rho
         final_text = "undefined" if math.isnan(final) else f"{final:.4f}"
@@ -356,9 +332,8 @@ def _cmd_simulate(args) -> int:
             if fallback.exists():
                 scenario_path = fallback
     config, scenarios = load_scenario_file(scenario_path)
-    data_path = _resolve_data(args.data)
-    data = load_csv(data_path)
-    reports = run_scenarios(data, scenarios, config, threads=args.threads)
+    data_path, data = _load(args.data)
+    reports = run_scenarios(data, scenarios, config)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -373,11 +348,9 @@ def _cmd_simulate(args) -> int:
         trajectory_path = outdir / f"trajectory_{report.scenario.name}.csv"
         report.trajectory.to_csv(trajectory_path)
         outputs.append(trajectory_path)
-    _write_manifest(
-        csv_path, "simulate",
-        {"data": str(data_path), "scenarios": str(scenario_path)},
-        [data_path, scenario_path], None, outputs,
-    )
+    _write_manifest(csv_path, "simulate",
+                    _parameters(args, data=str(data_path), scenarios=str(scenario_path)),
+                    [data_path, scenario_path], None, outputs)
     for report in reports:
         print(f"{report.scenario.name}: 2050 debris = {report.debris_2050:.0f}, "
               f"mitigated = {report.pct_mitigated:.2f}%")

@@ -48,7 +48,7 @@ import numpy as np
 from .embedding import EmbeddingSpec
 from .forecast import ForecastResult
 from .smap import SMapConfig, smap_iterative_forecast
-from .timeseries import Dataset, _require_finite
+from .timeseries import Dataset, _require_finite, _whole_number
 
 __all__ = [
     "CURRENT_PMD_YEARS",
@@ -94,6 +94,8 @@ class PolicyScenario:
         _require_finite(effective_year=self.effective_year,
                         operational_lifetime=self.operational_lifetime,
                         compliance=self.compliance, **values)
+        for name in ("effective_year", "operational_lifetime", "pmd_years"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         needed = _KIND_FIELDS[self.kind]
         if values[needed] is None:
             raise ValueError(f"{self.kind} scenario needs {needed}")
@@ -151,6 +153,8 @@ class ScenarioModelConfig:
 
     def __post_init__(self) -> None:
         _require_finite(theta=self.theta, ridge=self.ridge)
+        for name in ("lags", "horizon_end"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
 
     def two_input_config(self) -> SMapConfig:
         spec = EmbeddingSpec(

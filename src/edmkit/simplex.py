@@ -23,16 +23,15 @@ import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _distance_rows, _nearest, _shortfall,
                         knn)
-# ForecastResult and extension_names are re-exported for existing callers
+# ForecastResult is re-exported for existing callers
 from .forecast import (
     ForecastResult,
     best_row,
-    extension_names,
     one_step_eval,
     run_iterative,
     write_skill_table,
 )
-from .timeseries import Dataset, _row_dot
+from .timeseries import Dataset, _row_dot, _whole_number
 
 __all__ = [
     "SimplexConfig",
@@ -59,6 +58,7 @@ class SimplexConfig:
     k: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _whole_number("k", self.k))
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 

@@ -242,6 +242,15 @@ def _require_finite(**fields) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _whole_number(name: str, value):
+    """``value`` as an int (None kept); a fraction is rejected by name, not truncated."""
+    if value is None:
+        return None
+    if value % 1 != 0:  # also NaN and ±inf
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_csv(path, year_column: str = "year") -> Dataset:
     """Load a yearly dataset from a CSV file with a header row.
 

@@ -154,6 +154,19 @@ def test_forecast_svg(data_csv, tmp_path):
     assert svg.read_text(encoding="utf-8").startswith("<svg")
 
 
+def test_forecast_svg_into_a_missing_directory(data_csv, tmp_path):
+    # --out made its own folder but --svg did not, so the command ended with
+    # exit 2 after writing the CSV and JSON and before the manifest
+    out = tmp_path / "sub" / "x.csv"
+    svg = tmp_path / "sub" / "charts" / "x.svg"
+    assert main(["forecast", "--method", "simplex", "--data", str(data_csv), "--e", "3",
+                 "--train-end", "2022", "--to", "2030", "--svg", str(svg),
+                 "--out", str(out)]) == 0
+    assert svg.stat().st_size > 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
+    assert str(svg) in manifest["outputs"]
+
+
 def test_ccm_outputs_and_determinism(data_csv, tmp_path):
     out_a = tmp_path / "ccm_a"
     out_b = tmp_path / "ccm_b"
@@ -209,6 +222,34 @@ def test_simulate_with_config(data_csv, tmp_path):
     assert float(rows["late_start"][4]) == 0.0
     assert (outdir / "trajectory_adr_small.csv").exists()
     assert (outdir / "mitigation_report.manifest.json").exists()
+
+
+def test_manifest_records_every_option_but_outputs_threads_and_seed(data_csv, tmp_path):
+    data = str(data_csv)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("horizon = 2030\n[adr_small]\nkind = adr\nadr_per_year = 100\n",
+                   encoding="utf-8")
+    runs = [
+        (["forecast", "--method", "simplex", "--e", "3", "--to", "2030", "--svg",
+          str(tmp_path / "f.svg"), "--no-band", "--fixed-library", "--knn", "5",
+          "--out", str(tmp_path / "f.csv")], "f.manifest.json",
+         {"band": False, "columns": "debris", "data": data, "e": 3, "exclusion_radius": None,
+          "fixed_library": True, "knn": 5, "lags": None, "method": "simplex", "ridge": 0.0,
+          "tau": 1, "theta": None, "to": 2030, "train_end": 1990}),
+        (["ccm", "--a", "debris", "--b", "total", "--e", "3", "--samples", "3",
+          "--sizes", "45,10,25", "--seed", "7", "--out", str(tmp_path / "c")],
+         "c.manifest.json",
+         {"a": "debris", "b": "total", "data": data, "e": 3, "exclusion_radius": 0,
+          "method": "random", "replacement": False, "samples": 3, "sizes": [10, 25, 45],
+          "tau": 1}),
+        (["simulate", "--scenarios", str(cfg), "--outdir", str(tmp_path / "r")],
+         "r/mitigation_report.manifest.json", {"data": data, "scenarios": str(cfg)}),
+    ]
+    for argv, manifest_name, parameters in runs:
+        assert main([*argv, "--data", data, "--threads", "2"]) == 0
+        manifest = json.loads((tmp_path / manifest_name).read_text(encoding="utf-8"))
+        assert manifest["parameters"] == parameters
+        assert manifest["seed"] == (7 if argv[0] == "ccm" else None)
 
 
 def test_simulate_malformed_config_exits_two(data_csv, tmp_path, capsys):

@@ -13,6 +13,7 @@ from edmkit.ccm import CcmConfig
 from edmkit.cli import main
 from edmkit.embedding import EmbeddingSpec
 from edmkit.scenario import PolicyScenario, ScenarioModelConfig
+from edmkit.simplex import SimplexConfig
 from edmkit.smap import SMapConfig
 
 NAN = float("nan")
@@ -91,6 +92,49 @@ def test_cli_rejects_non_finite_field(case, tmp_path, capsys):
     assert main(argv) == 2  # on the bundled record
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.glob("forecast*")) and not (tmp_path / "r").exists()
+
+
+# field -> (constructor of one value, a whole value, reader of the stored field)
+WHOLE_CASES = {
+    "PolicyScenario.pmd_years": (lambda v: PolicyScenario("pmd", pmd_years=v), 5,
+                                 lambda c: c.pmd_years),
+    "PolicyScenario.operational_lifetime": (
+        lambda v: PolicyScenario("pmd", pmd_years=5, operational_lifetime=v), 2,
+        lambda c: c.operational_lifetime),
+    "PolicyScenario.effective_year": (
+        lambda v: PolicyScenario("adr", adr_per_year=1, effective_year=v), 2000,
+        lambda c: c.effective_year),
+    "SimplexConfig.k": (lambda v: SimplexConfig(SPEC, k=v), 2, lambda c: c.k),
+    "CcmConfig.dimension": (lambda v: CcmConfig(v, (10, 20)), 3, lambda c: c.dimension),
+    "CcmConfig.tau": (lambda v: CcmConfig(2, (10, 20), tau=v), 1, lambda c: c.tau),
+    "CcmConfig.samples_per_size": (lambda v: CcmConfig(2, (10, 20), samples_per_size=v), 2,
+                                   lambda c: c.samples_per_size),
+    "CcmConfig.seed": (lambda v: CcmConfig(2, (10, 20), seed=v), 1, lambda c: c.seed),
+    "CcmConfig.library_sizes": (lambda v: CcmConfig(2, (v, 20)), 10,
+                                lambda c: c.library_sizes[0]),
+    "CcmConfig.exclusion_radius": (lambda v: CcmConfig(2, (10, 20), exclusion_radius=v), 1,
+                                   lambda c: c.exclusion_radius),
+    "EmbeddingSpec.lag count for 'debris'": (lambda v: EmbeddingSpec((("debris", v),)), 2,
+                                             lambda c: c.columns[0][1]),
+    "EmbeddingSpec.exclusion_radius": (
+        lambda v: EmbeddingSpec((("debris", 2),), exclusion_radius=v), 1,
+        lambda c: c.exclusion_radius),
+    "ScenarioModelConfig.horizon_end": (lambda v: ScenarioModelConfig(horizon_end=v), 2030,
+                                        lambda c: c.horizon_end),
+    "ScenarioModelConfig.lags": (lambda v: ScenarioModelConfig(lags=v), 2, lambda c: c.lags),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_CASES))
+def test_integer_field_rejects_a_fraction_and_stores_a_whole_float_as_int(case):
+    # a fraction used to end in a numpy IndexError or TypeError, or be truncated
+    build, whole, read = WHOLE_CASES[case]
+    field = case.partition(".")[2]
+    message = f"{field} must be a whole number, got {whole + 0.5!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(whole + 0.5)
+    stored = read(build(float(whole)))
+    assert stored == whole and type(stored) is int
 
 
 HUGE = 10**400  # beyond the float range, where math.isfinite raises OverflowError
