@@ -14,10 +14,13 @@ neighbour search), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,19 +51,38 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary: Path, command: str, parameters: dict,
-                    inputs: list[Path], seed: int | None, outputs: list[Path]) -> Path:
-    manifest = {
+def _file(path) -> Path:
+    """``path`` as a Path; an existing folder there is named before anything is written,
+    and before ``Path("").with_suffix`` could fail with a message naming no folder."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
+def _write_outputs(writers: list[tuple[Path, Callable[[Path], None]]], command: str,
+                   parameters: dict, inputs: list[Path], seed: int | None) -> None:
+    """Write each output with its writer, then the manifest beside the first output.
+
+    Every output path and the manifest's pass ``_file`` and get their folders
+    before the first write, so a bad output path leaves no file behind.
+    """
+    outputs = [path for path, _ in writers]
+    manifest_path = outputs[0].with_suffix(".manifest.json")
+    for path in (*outputs, manifest_path):
+        _file(path)
+    for path in outputs:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    for path, write in writers:
+        write(path)
+    _write_json(manifest_path, {
         "command": command,
         "parameters": parameters,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
-    }
-    path = primary.with_suffix(".manifest.json")
-    _write_json(path, manifest)
-    return path
+    })
 
 
 def _parameters(args: argparse.Namespace, **resolved) -> dict:
@@ -132,18 +154,13 @@ def _cmd_embed_search(args) -> int:
         train_end=args.train_end, tau=args.tau,
         eval_start=args.eval_start, eval_end=args.eval_end,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out)
-    summary_path = out.with_suffix(".summary.json")
+    out = _file(args.out)
     best_row = next(r for r in result.rows if r[0] == result.best_dimension)
-    _write_json(summary_path, {
-        "best_E": result.best_dimension,
-        "best_rho": _jsonable(best_row[1]),
-        "best_rmse": _jsonable(best_row[2]),
-    })
-    _write_manifest(out, "embed-search", _parameters(args, data=str(data_path)),
-                    [data_path], None, [out, summary_path])
+    summary = {"best_E": result.best_dimension, "best_rho": _jsonable(best_row[1]),
+               "best_rmse": _jsonable(best_row[2])}
+    _write_outputs([(out, result.to_csv),
+                    (out.with_suffix(".summary.json"), lambda path: _write_json(path, summary))],
+                   "embed-search", _parameters(args, data=str(data_path)), [data_path], None)
     print(f"best E = {result.best_dimension} (rho = {best_row[1]:.4f}); table: {out}")
     return 0
 
@@ -252,25 +269,17 @@ def _cmd_forecast(args) -> int:
         raise ValueError(f"nothing to forecast: horizon {args.to} inside train range")
     combined = _combine_results(parts)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    outputs = [out]
-    combined.to_csv(out)
-    json_path = out.with_suffix(".json")
-    combined.to_json(json_path)
-    outputs.append(json_path)
+    out = _file(args.out)
+    writers = [(out, combined.to_csv), (out.with_suffix(".json"), combined.to_json)]
     if combined.coefficients is not None:  # S-map only
-        coef_path = out.with_name(out.stem + "_coefficients.csv")
-        coefficients_to_csv(combined, coef_path)
-        outputs.append(coef_path)
+        writers.append((out.with_name(out.stem + "_coefficients.csv"),
+                        lambda path: coefficients_to_csv(combined, path)))
     if args.svg:
-        svg_path = Path(args.svg)
-        svg_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_svg(svg_path, combined, with_band=not args.no_band)
-        outputs.append(svg_path)
-    _write_manifest(out, "forecast",
-                    _parameters(args, data=str(data_path), band=not args.no_band),
-                    [data_path], None, outputs)
+        writers.append((Path(args.svg),
+                        lambda path: _write_svg(path, combined, with_band=not args.no_band)))
+    _write_outputs(writers, "forecast",
+                   _parameters(args, data=str(data_path), band=not args.no_band),
+                   [data_path], None)
     rho_text = "undefined" if math.isnan(combined.rho) else f"{combined.rho:.4f}"
     print(f"{args.method} forecast of {target!r} to {args.to}: rho = {rho_text}; wrote {out}")
     return 0
@@ -305,13 +314,11 @@ def _cmd_ccm(args) -> int:
     )
     result = convergence_sweep(series_a, series_b, cfg)
     stem = Path(args.out)
-    stem.parent.mkdir(parents=True, exist_ok=True)
     curves_path = stem.with_suffix(".csv") if stem.suffix == "" else stem
-    result.to_csv(curves_path)
-    summary_path = curves_path.with_suffix(".summary.json")
-    result.to_json(summary_path)
-    _write_manifest(curves_path, "ccm", _parameters(args, data=str(data_path), sizes=sizes),
-                    [data_path], args.seed, [curves_path, summary_path])
+    _write_outputs([(curves_path, result.to_csv),
+                    (curves_path.with_suffix(".summary.json"), result.to_json)],
+                   "ccm", _parameters(args, data=str(data_path), sizes=sizes),
+                   [data_path], args.seed)
     for direction in result.directions:
         final = direction.final_mean_rho
         final_text = "undefined" if math.isnan(final) else f"{final:.4f}"
@@ -336,21 +343,16 @@ def _cmd_simulate(args) -> int:
     reports = run_scenarios(data, scenarios, config)
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "mitigation_report.csv"
-    _write_csv(csv_path, ["scenario", "kind", "debris_2050", "margin_of_error", "pct_mitigated"],
-               ([r.scenario.name, r.scenario.kind, repr(r.debris_2050),
-                 repr(r.margin_of_error), repr(r.pct_mitigated)] for r in reports))
-    json_path = outdir / "mitigation_report.json"
-    _write_json(json_path, [r.as_dict() for r in reports])
-    outputs = [csv_path, json_path]
-    for report in reports:
-        trajectory_path = outdir / f"trajectory_{report.scenario.name}.csv"
-        report.trajectory.to_csv(trajectory_path)
-        outputs.append(trajectory_path)
-    _write_manifest(csv_path, "simulate",
-                    _parameters(args, data=str(data_path), scenarios=str(scenario_path)),
-                    [data_path, scenario_path], None, outputs)
+    rows = [[r.scenario.name, r.scenario.kind, repr(r.debris_2050), repr(r.margin_of_error),
+             repr(r.pct_mitigated)] for r in reports]
+    header = ["scenario", "kind", "debris_2050", "margin_of_error", "pct_mitigated"]
+    _write_outputs([(outdir / "mitigation_report.csv", lambda path: _write_csv(path, header, rows)),
+                    (outdir / "mitigation_report.json",
+                     lambda path: _write_json(path, [r.as_dict() for r in reports])),
+                    *((outdir / f"trajectory_{r.scenario.name}.csv", r.trajectory.to_csv)
+                      for r in reports)],
+                   "simulate", _parameters(args, data=str(data_path), scenarios=str(scenario_path)),
+                   [data_path, scenario_path], None)
     for report in reports:
         print(f"{report.scenario.name}: 2050 debris = {report.debris_2050:.0f}, "
               f"mitigated = {report.pct_mitigated:.2f}%")

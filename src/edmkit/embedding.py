@@ -9,17 +9,23 @@ rather than enforced; in practice the dimension is chosen by forecast skill.
 
 Simplex projection, the S-map and cross mapping share one neighbour core.
 ``_distance_rows`` measures Euclidean or Manhattan distances from a block of
-queries to the library.  A point is a candidate for a query when their time
-gap exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``,
-which suppresses autocorrelation shortcuts; for radius 0, -1 (every point,
-an exact self-match included) or 0 under cross mapping's leave-one-out.
-``_candidates`` applies the rule as a mask, ``_prefix_limits`` as a prefix
-length for a library of earlier times only.  ``_nearest`` keeps the ``k``
-nearest candidates by (distance, time), exactly as a stable sort of all
-distances orders them: ``_smallest_k`` sorts rows narrower than
-``_PARTITION_WIDTH`` in full and partitions wider ones at the k-th smallest
-value, keeping every value below it and the earliest values equal to it, so
-only ``k`` survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
+queries to the library, into a caller's result and plane buffers when
+given them; below E = 8 Manhattan adds one coordinate plane at a time,
+which rounds like numpy's sum of fewer than 8 numbers, and from E = 8 on,
+where numpy sums pairwise, it sums whole difference rows.  A point is a
+candidate for a query when their time gap exceeds a floor (``_floor``):
+``r`` for an exclusion radius ``r > 0``, which suppresses autocorrelation
+shortcuts; for radius 0, -1 (every point, an exact self-match included) or
+0 under cross mapping's leave-one-out.  ``_candidates`` applies the rule
+as a mask, ``_prefix_limits`` as a prefix length for a library of earlier
+times only, and ``_exclude_band`` as inf written in place into a block of
+distances among consecutive times.  ``_nearest`` keeps the ``k`` nearest candidates
+by (distance, time), exactly as a stable sort of all distances orders them:
+``_smallest_k`` sorts rows narrower than ``_PARTITION_WIDTH`` in full and
+partitions wider ones at the k-th smallest value, keeping every value below
+it and the earliest values equal to it, whose columns one flat index pass
+finds, so only ``k`` survivors are sorted.  Kernel sums are
+``timeseries._row_dot``.
 """
 
 from __future__ import annotations
@@ -293,17 +299,33 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
     return _gather(_columns(data, spec), time_index - data.start_year, _layout(spec, norms))
 
 
-def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
+def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str,
+                   out: np.ndarray | None = None,
+                   plane: np.ndarray | None = None) -> np.ndarray:
     """The (queries x rows) distances from each query to each row of ``vectors``.
 
-    Manhattan sums each difference row whole: summing one coordinate at a
-    time rounds differently from E = 8 on, where numpy sums pairwise.
+    The distances fill ``out`` when it is given, else a new array.  Below
+    E = 8 Manhattan adds one coordinate plane ``|v[:, c] - q[:, c]|`` at a
+    time into the result, the order in which numpy sums fewer than 8
+    elements, so no (queries x rows x E) difference array is built; each
+    plane is written into ``plane``, a scratch array of the result's shape,
+    when it is given.  From E = 8 on numpy sums pairwise, which the planes
+    would round differently, so each difference row is summed whole.
     """
+    if metric == "manhattan" and vectors.shape[1] < 8:
+        if out is None:
+            out = np.empty((queries.shape[0], vectors.shape[0]))
+        if plane is None:
+            plane = np.empty_like(out)
+        np.abs(np.subtract(vectors[:, 0], queries[:, :1], out=out), out=out)
+        for c in range(1, vectors.shape[1]):
+            out += np.abs(np.subtract(vectors[:, c], queries[:, c:c + 1], out=plane), out=plane)
+        return out
     diffs = vectors - queries[:, None]
     if metric == "euclidean":
-        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
+        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs), out=out)
     if metric == "manhattan":
-        return np.abs(diffs).sum(axis=-1)
+        return np.abs(diffs).sum(axis=-1, out=out)
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
@@ -334,7 +356,7 @@ def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
         room = k - np.count_nonzero(masked < kth, axis=1)[:, None]
         keep &= ~ties | (np.cumsum(ties, axis=1) <= room)
     rows = np.arange(masked.shape[0])[:, None]
-    columns = np.nonzero(keep)[1].reshape(masked.shape[0], k)
+    columns = (np.flatnonzero(keep) % masked.shape[1]).reshape(masked.shape[0], k)
     return columns[rows, np.argsort(masked[rows, columns], axis=1, kind="stable")]
 
 
@@ -358,6 +380,19 @@ def _candidates(times: np.ndarray, query_times, floor: int) -> np.ndarray:
     return np.abs(times - np.asarray(query_times)[..., None]) > floor
 
 
+def _exclude_band(block: np.ndarray, first: int, floor: int) -> None:
+    """Write inf, in place, where ``_candidates`` is False for a block of query rows.
+
+    Row i of ``block`` holds the distances from library row ``first + i`` to
+    every library row, and library times are consecutive, so the columns
+    that are no candidates are those within ``floor`` of ``first + i``.
+    """
+    if floor < 0:
+        return
+    for i, row in enumerate(block, start=first):
+        row[max(i - floor, 0):i + floor + 1] = np.inf
+
+
 def _prefix_limits(times: np.ndarray, query_times: np.ndarray, radius: int) -> np.ndarray:
     """How many leading rows of ascending ``times`` lie more than ``radius`` before each query.
 
@@ -369,9 +404,13 @@ def _prefix_limits(times: np.ndarray, query_times: np.ndarray, radius: int) -> n
     return np.searchsorted(times, query_times - reach)
 
 
-def _nearest(distances: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of each row's ``k`` nearest kept distances, by (distance, column), and those."""
-    masked = np.where(keep, distances, np.inf)
+def _nearest(distances: np.ndarray, keep: np.ndarray | None,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's ``k`` nearest kept distances, by (distance, column), and those.
+
+    ``keep`` None means every column is kept: the excluded ones already hold inf.
+    """
+    masked = distances if keep is None else np.where(keep, distances, np.inf)
     chosen = _smallest_k(masked, k)
     return chosen, np.take_along_axis(masked, chosen, axis=1)
 

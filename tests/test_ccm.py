@@ -358,6 +358,24 @@ def test_batched_driver_matches_per_cell_on_tied_integer_series(dimension, monke
                 assert skill.tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3, 8])
+def test_tied_full_library_cross_map_is_independent_of_the_block_size(dimension, monkeypatch):
+    # wide rows take the partition path of the selection, whose ties must
+    # fall the same way in a one-row block as in the default blocks
+    rng = np.random.default_rng(30 + dimension)
+    a = TimeSeries("a", 0, rng.integers(0, 4, 1200).astype(float))
+    b = TimeSeries("b", 0, rng.integers(0, 4, 1200).astype(float))
+    for radius in (0, 2):
+        for leave_one_out in (True, False):
+            monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", 1 << 16)
+            default = cross_map(a, b, dimension, exclusion_radius=radius,
+                                leave_one_out=leave_one_out)
+            monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", 1)  # one query row per block
+            single = cross_map(a, b, dimension, exclusion_radius=radius,
+                               leave_one_out=leave_one_out)
+            assert np.float64(single).tobytes() == np.float64(default).tobytes()
+
+
 def test_constant_cause_is_undefined_in_every_cell():
     effect = logistic_series(80, name="e")
     cause = TimeSeries("c", 0, [2.5] * 80)

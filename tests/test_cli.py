@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -165,6 +166,34 @@ def test_forecast_svg_into_a_missing_directory(data_csv, tmp_path):
     assert svg.stat().st_size > 0
     manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
     assert str(svg) in manifest["outputs"]
+
+
+FORECAST = ["forecast", "--method", "simplex", "--e", "3", "--to", "2030", "--out", "p.csv"]
+
+
+@pytest.mark.parametrize("argv, folder", [
+    (FORECAST + ["--svg", "adir"], "adir"),
+    (FORECAST, "p.json"),
+    (FORECAST, "p.manifest.json"),
+    (["forecast", "--method", "smap", "--theta", "2", "--e", "3", "--to", "2030",
+      "--out", "p.csv"], "p_coefficients.csv"),
+    (["simulate", "--outdir", "r"], "r/mitigation_report.json"),
+    (["simulate", "--outdir", "r"], "r/trajectory_adr_3000.csv"),
+    (["embed-search", "--e", "1:3", "--out", "e.csv"], "e.summary.json"),
+    (["ccm", "--a", "debris", "--b", "total", "--sizes", "8,20", "--samples", "2",
+      "--out", "c"], "c.manifest.json"),
+])
+def test_an_output_path_that_is_a_folder_stops_before_any_write(argv, folder, tmp_path,
+                                                                monkeypatch, capsys):
+    # forecast --svg <folder> used to fail after writing the CSV and JSON,
+    # and simulate after writing the CSV, leaving files no manifest records
+    (tmp_path / folder).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2  # on the bundled record
+    message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{folder}'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_ccm_outputs_and_determinism(data_csv, tmp_path):

@@ -7,8 +7,8 @@ replaced, so every caller keeps the bits it had.
 import numpy as np
 import pytest
 
-from edmkit.embedding import (_PARTITION_WIDTH, _candidates, _distance_rows, _floor, _nearest,
-                              _prefix_limits)
+from edmkit.embedding import (_PARTITION_WIDTH, _candidates, _distance_rows, _exclude_band, _floor,
+                              _nearest, _prefix_limits)
 from edmkit.timeseries import _row_dot
 
 
@@ -38,6 +38,37 @@ def test_manhattan_rows_match_the_cross_map_block_formula(dimension):
     vectors = _vectors(rng, 40, dimension)
     old = np.abs(vectors[5:12, None, :] - vectors[None, :, :]).sum(axis=2)
     assert _distance_rows(vectors, vectors[5:12], "manhattan").tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("dimension", range(1, 11))
+def test_manhattan_rows_fill_a_reused_block_buffer(dimension):
+    # below E = 8 the planes are added one at a time, from E = 8 on each row
+    # is summed whole; both must round like the whole-row sum
+    rng = np.random.default_rng(200 + dimension)
+    vectors = _vectors(rng, 57, dimension)
+    buffer = np.full((2, 9, 57), np.nan)
+    for rows in (9, 4, 1):
+        queries = _vectors(rng, rows, dimension)
+        expected = np.abs(vectors - queries[:, None]).sum(-1)
+        for plane in (None, buffer[1, :rows]):
+            block = _distance_rows(vectors, queries, "manhattan", out=buffer[0, :rows],
+                                   plane=plane)
+            assert np.shares_memory(block, buffer[0]) and block.shape == (rows, 57)
+            assert block.tobytes() == buffer[0, :rows].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("floor", [-1, 0, 1, 3])
+@pytest.mark.parametrize("first, rows", [(0, 4), (2, 5), (13, 7), (0, 20)])
+def test_exclude_band_writes_inf_where_no_candidate(floor, first, rows):
+    # library times are consecutive; the blocks touch the first row, the
+    # middle, the last row, and both ends at once
+    times = np.arange(1961, 1981)
+    block = np.random.default_rng((floor + 1, first)).random((rows, times.size))
+    before = block.copy()
+    _exclude_band(block, first, floor)
+    excluded = ~_candidates(times, times[first:first + rows], floor)
+    assert np.array_equal(np.isinf(block), excluded)
+    assert np.array_equal(block[~excluded], before[~excluded])
 
 
 def test_unknown_metric_is_named():
