@@ -20,12 +20,10 @@ Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances to all n embeddable states
-serve every cell.  A block fills one (rows x n) buffer, beside a second for
-one coordinate plane, both allocated once per call: its Manhattan
-distances are added one coordinate plane at a time below E = 8 and summed
-per row from E = 8 on (see ``embedding._distance_rows``), and each query's
-exclusion window is then written into it as inf, so every
-batch gathers distances that are already masked.  Within a block the
+serve every cell.  A block is one (rows x n) array of Manhattan distances
+(see ``embedding._distance_rows``), into which each query's exclusion
+window is written as inf, so every batch gathers distances that already
+hold inf wherever a column is no candidate.  Within a block the
 samples of one library size are estimated together, in batches that gather
 no more distances than the block holds; a cell that is the whole library
 uses the block as it is.  One row-wise Pearson correlation then scores
@@ -97,10 +95,10 @@ class CcmConfig:
 
 
 #: Most coordinate differences computed in one block: a block holds
-#: ``_BLOCK_ELEMENTS // (n * dimension)`` query rows, so the distance buffer
-#: and the plane buffer each have at most 1/dimension of this many entries.
-#: The (rows x n x dimension) differences are only built from dimension 8
-#: on, where the whole-row sum keeps numpy's pairwise rounding.
+#: ``_BLOCK_ELEMENTS // (n * dimension)`` query rows, so its distances and
+#: the scratch plane of ``_distance_rows`` each have at most 1/dimension of
+#: this many entries.  The (rows x n x dimension) differences are only built
+#: from dimension 8 on, where the whole-row sum keeps numpy's pairwise rounding.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -119,18 +117,17 @@ def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> E
     return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
 
 
-def _estimates(distances: np.ndarray, keep: None, values: np.ndarray, k: int) -> np.ndarray:
-    """Kernel estimates from the ``k`` nearest kept columns, for every row and cell.
+def _estimates(distances: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Kernel estimates from the ``k`` nearest candidate columns, for every row and cell.
 
-    ``distances`` are (rows x cells x width), ``values`` is (cells x width)
-    and the result (rows x cells).  ``keep`` is None, as
-    ``_cross_map_cells`` passes it: the distances already hold inf where the
-    exclusion window drops a column.  Each cell's columns must ascend in
-    time so that the selection, which orders neighbours by (distance,
-    column), breaks ties toward the earlier time.
+    ``distances`` are (rows x cells x width) and already hold inf where the
+    exclusion window drops a column; ``values`` is (cells x width) and the
+    result (rows x cells).  Each cell's columns must ascend in time so that
+    the selection, which orders neighbours by (distance, column), breaks
+    ties toward the earlier time.
     """
     rows, cells, width = distances.shape
-    chosen, d = _nearest(distances.reshape(-1, width), keep, k)
+    chosen, d = _nearest(distances.reshape(-1, width), k)
     nearest = d[:, :1]
     exact = nearest == 0.0
     weights = np.where(exact, d == 0.0, np.exp(-d / np.where(exact, 1.0, nearest)))
@@ -209,15 +206,13 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
 
     if estimates is None:
         estimates = np.empty((first, n), dtype=float)
-    buffer = np.empty((2, min(step, n), n))  # the distances and one coordinate plane
     for start in range(0, n, step):
         stop = min(start + step, n)
-        block = _distance_rows(vectors, vectors[start:stop], "manhattan",
-                               out=buffer[0, :stop - start], plane=buffer[1, :stop - start])
+        block = _distance_rows(vectors, vectors[start:stop], "manhattan")
         _exclude_band(block, start, floor)
         for cells, batch, values in batches:
             distances = block[:, None] if batch is None else np.take(block, batch, axis=1)
-            estimates[cells, start:stop] = _estimates(distances, None, values, k).T
+            estimates[cells, start:stop] = _estimates(distances, values, k).T
     return _rho_rows(targets, estimates)
 
 

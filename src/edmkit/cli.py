@@ -313,7 +313,7 @@ def _cmd_ccm(args) -> int:
         exclusion_radius=args.exclusion_radius,
     )
     result = convergence_sweep(series_a, series_b, cfg)
-    stem = Path(args.out)
+    stem = _file(args.out)
     curves_path = stem.with_suffix(".csv") if stem.suffix == "" else stem
     _write_outputs([(curves_path, result.to_csv),
                     (curves_path.with_suffix(".summary.json"), result.to_json)],

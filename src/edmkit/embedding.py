@@ -8,24 +8,24 @@ the (unobservable) attractor dimension, so that condition is documented here
 rather than enforced; in practice the dimension is chosen by forecast skill.
 
 Simplex projection, the S-map and cross mapping share one neighbour core.
-``_distance_rows`` measures Euclidean or Manhattan distances from a block of
-queries to the library, into a caller's result and plane buffers when
-given them; below E = 8 Manhattan adds one coordinate plane at a time,
-which rounds like numpy's sum of fewer than 8 numbers, and from E = 8 on,
-where numpy sums pairwise, it sums whole difference rows.  A point is a
-candidate for a query when their time gap exceeds a floor (``_floor``):
-``r`` for an exclusion radius ``r > 0``, which suppresses autocorrelation
-shortcuts; for radius 0, -1 (every point, an exact self-match included) or
-0 under cross mapping's leave-one-out.  ``_candidates`` applies the rule
-as a mask, ``_prefix_limits`` as a prefix length for a library of earlier
-times only, and ``_exclude_band`` as inf written in place into a block of
-distances among consecutive times.  ``_nearest`` keeps the ``k`` nearest candidates
-by (distance, time), exactly as a stable sort of all distances orders them:
-``_smallest_k`` sorts rows narrower than ``_PARTITION_WIDTH`` in full and
-partitions wider ones at the k-th smallest value, keeping every value below
-it and the earliest values equal to it, whose columns one flat index pass
-finds, so only ``k`` survivors are sorted.  Kernel sums are
-``timeseries._row_dot``.
+``_distance_rows`` returns Euclidean or Manhattan distances from a block of
+queries to the library as a new array; below E = 8 Manhattan adds one
+coordinate plane at a time, which rounds like numpy's sum of fewer than 8
+numbers, and from E = 8 on, where numpy sums pairwise, it sums whole
+difference rows.  A point is a candidate for a query when their time gap
+exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``, which
+suppresses autocorrelation shortcuts; for radius 0, -1 (every point, an
+exact self-match included) or 0 under cross mapping's leave-one-out.
+``_candidates`` applies the rule as a mask, ``_prefix_limits`` as a prefix
+length for a library of earlier times only, and ``_exclude_band`` as inf
+written in place into a block of distances among consecutive times.
+``_nearest`` has one input, distances in which every non-candidate already
+holds inf, and keeps the ``k`` nearest by (distance, column), exactly as a
+stable sort of the row orders them: ``_smallest_k`` sorts rows narrower
+than ``_PARTITION_WIDTH`` in full and partitions wider ones at the k-th
+smallest value, keeping every value below it and the earliest values equal
+to it, whose columns one flat index pass finds, so only ``k`` survivors are
+sorted.  Kernel sums are ``timeseries._row_dot``.
 """
 
 from __future__ import annotations
@@ -299,33 +299,28 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
     return _gather(_columns(data, spec), time_index - data.start_year, _layout(spec, norms))
 
 
-def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str,
-                   out: np.ndarray | None = None,
-                   plane: np.ndarray | None = None) -> np.ndarray:
+def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
     """The (queries x rows) distances from each query to each row of ``vectors``.
 
-    The distances fill ``out`` when it is given, else a new array.  Below
-    E = 8 Manhattan adds one coordinate plane ``|v[:, c] - q[:, c]|`` at a
-    time into the result, the order in which numpy sums fewer than 8
-    elements, so no (queries x rows x E) difference array is built; each
-    plane is written into ``plane``, a scratch array of the result's shape,
-    when it is given.  From E = 8 on numpy sums pairwise, which the planes
-    would round differently, so each difference row is summed whole.
+    Below E = 8 Manhattan writes the first coordinate plane
+    ``|v[:, 0] - q[:, 0]|`` into a new result in place and adds each other
+    plane through one scratch plane, the order in which numpy sums fewer
+    than 8 elements, so no (queries x rows x E) difference array is built.
+    From E = 8 on numpy sums pairwise, which the planes would round
+    differently, so each difference row is summed whole.
     """
     if metric == "manhattan" and vectors.shape[1] < 8:
-        if out is None:
-            out = np.empty((queries.shape[0], vectors.shape[0]))
-        if plane is None:
-            plane = np.empty_like(out)
-        np.abs(np.subtract(vectors[:, 0], queries[:, :1], out=out), out=out)
+        out = np.subtract(vectors[:, 0], queries[:, :1])
+        np.abs(out, out=out)
+        plane = np.empty_like(out)
         for c in range(1, vectors.shape[1]):
             out += np.abs(np.subtract(vectors[:, c], queries[:, c:c + 1], out=plane), out=plane)
         return out
     diffs = vectors - queries[:, None]
     if metric == "euclidean":
-        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs), out=out)
+        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
     if metric == "manhattan":
-        return np.abs(diffs).sum(axis=-1, out=out)
+        return np.abs(diffs).sum(axis=-1)
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
@@ -404,15 +399,13 @@ def _prefix_limits(times: np.ndarray, query_times: np.ndarray, radius: int) -> n
     return np.searchsorted(times, query_times - reach)
 
 
-def _nearest(distances: np.ndarray, keep: np.ndarray | None,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of each row's ``k`` nearest kept distances, by (distance, column), and those.
+def _nearest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's ``k`` nearest distances, by (distance, column), and those.
 
-    ``keep`` None means every column is kept: the excluded ones already hold inf.
+    Every column that is no candidate must already hold inf.
     """
-    masked = distances if keep is None else np.where(keep, distances, np.inf)
-    chosen = _smallest_k(masked, k)
-    return chosen, np.take_along_axis(masked, chosen, axis=1)
+    chosen = _smallest_k(distances, k)
+    return chosen, np.take_along_axis(distances, chosen, axis=1)
 
 
 def _shortfall(k: int, admissible: int, size: int, radius: int) -> NeighborShortfallError:
@@ -447,6 +440,7 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     times = library.times
     if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time
         candidates = candidates[np.argsort(times[candidates], kind="stable")]
-    # in time order, the stable selection breaks distance ties toward the earlier time
-    chosen = candidates[_smallest_k(dists[candidates][None, :], k)[0]]
-    return NeighborSet(indices=chosen, distances=dists[chosen])
+    # in time order, the stable selection breaks distance ties toward the earlier time;
+    # only candidates are selected from, so no excluded column can win a tie at inf
+    columns, nearest = _nearest(dists[candidates][None], k)
+    return NeighborSet(indices=candidates[columns[0]], distances=nearest[0])

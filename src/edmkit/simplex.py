@@ -100,9 +100,10 @@ def _predictor(cfg: SimplexConfig) -> Callable:
         short = np.flatnonzero(limits < k)
         if short.size:
             raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
-        width = int(limits.max())
-        indices, distances = _nearest(_distance_rows(vectors[:width], queries, "euclidean"),
-                                      np.arange(width) < limits[:, None], k)
+        distances = _distance_rows(vectors[:int(limits.max())], queries, "euclidean")
+        for row, limit in zip(distances, limits):
+            row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
+        indices, distances = _nearest(distances, k)
         weights = simplex_weights(distances)
         # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
         targets = np.take(forward.T, indices, axis=1)

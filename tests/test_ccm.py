@@ -301,9 +301,9 @@ def _record_batches(monkeypatch):
     batches = []
     estimates = ccm._estimates
 
-    def spy(distances, keep, values, k):
+    def spy(distances, values, k):
         batches.append(distances.shape[1:])
-        return estimates(distances, keep, values, k)
+        return estimates(distances, values, k)
 
     monkeypatch.setattr(ccm, "_estimates", spy)
     return batches

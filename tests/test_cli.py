@@ -366,6 +366,7 @@ CCM = ["ccm", "--a", "debris", "--b", "total"]
     (CCM + ["--exclusion-radius", BIG], 2, "has only 0 admissible neighbours"),
     (["embed-search", "--data", ""], 2, "Is a directory"),
     (["embed-search", "--out", ""], 2, "Is a directory"),
+    (CCM + ["--out", ""], 2, "Is a directory"),
 ])
 def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, tmp_path,
                                                            monkeypatch, capsys):
@@ -380,10 +381,12 @@ def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, 
 #: Tokens no option accepts as meant: NaN, a colon pair, empty, negative and
 #: a 400-digit number (which fits no C integer or double).
 MALFORMED = ("nan", "NaN", "a:b", "", "-3", BIG)
-#: Options whose values size the work: only small values are drawn, so that
-#: no example starts a huge sweep or horizon.
-SMALL = {"--samples": ("1", "3", "0", "-3", "nan", ""), "--sizes": ("6:30:3", "8,20", "a:b", ""),
-         "--to": ("2021", "2030", "1990", "-3", "nan", "")}
+#: Options whose values size the work: only small values, and the 400-digit
+#: one that every command rejects before any work, are drawn, so that no
+#: example starts a huge sweep or horizon.
+SMALL = {"--samples": ("1", "3", "0", "-3", "nan", "", BIG),
+         "--sizes": ("6:30:3", "8,20", "a:b", ""),
+         "--to": ("2021", "2030", "1990", "-3", "nan", "", BIG)}
 VALID = {int: ("1", "2", "4"), float: ("0", "2.5"),
          str: ("debris", "total", "launched", "1:3", "2,3", "debris:1,total:1")}
 PATHS = ("data", "scenarios", "out", "outdir", "svg")

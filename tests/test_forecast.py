@@ -150,6 +150,39 @@ def test_batched_simplex_matches_per_query(name, budget, monkeypatch):
     assert result.step_variance.tobytes() == expected[:, 1].tobytes()
 
 
+@pytest.mark.parametrize("rows", [2, 3, 5])
+@pytest.mark.parametrize("dimension, radius", [(1, 4), (2, 6)])
+def test_batched_simplex_never_uses_an_excluded_exact_copy(dimension, radius, rows, monkeypatch):
+    # from year m on the series repeats with period ``radius``, so the row at
+    # each query's limit, ``radius`` years back, holds the query's own state
+    # at distance 0 and lies inside the block's columns for every query but
+    # the block's last.  The history before m lies below every repeated
+    # value, and the queries end before a second copy would be admissible,
+    # so a prediction that used the excluded copy would change.
+    rng = np.random.default_rng(10 * dimension + radius)
+    m = 20
+    first = m + radius + dimension - 1  # the first query state with a copy at its limit
+    values = np.concatenate([rng.uniform(0.0, 1.0, m),
+                             np.tile(rng.uniform(2.0, 3.0, radius), 3)])
+    data = Dataset((TimeSeries("x", 0, values),))
+    spec = EmbeddingSpec.univariate("x", dimension, exclusion_radius=radius)
+    cfg = SimplexConfig(spec)
+    full = multivariate_embed(data, spec, "x", tp=1)
+    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", rows * len(full) * dimension)
+    result = skill_eval(data, "x", cfg, train_end=first, eval_end=first + radius)
+    assert result.times.shape == (radius,)
+    expected = []
+    for year in result.times:
+        row = int(year) - 1 - int(full.times[0])
+        assert full.vectors[row - radius].tobytes() == full.vectors[row].tobytes()
+        library = full.targets_through(int(year) - 1)
+        query = (int(year) - 1, full.vectors[row])
+        assert (knn(library, query, cfg.effective_k, "euclidean").distances > 0.0).all()
+        expected.append(simplex_predict(library, query, cfg))
+    assert result.predicted.tobytes() == np.array(expected)[:, 0].tobytes()
+    assert result.step_variance.tobytes() == np.array(expected)[:, 1].tobytes()
+
+
 def test_batched_simplex_shortfall_is_the_per_query_error():
     # the first query (the state at 5) has library rows at 1..4, of which
     # the radius-2 window leaves 1 and 2

@@ -110,3 +110,17 @@ def test_knn_matches_a_lexsort_reference(case):
     found = knn(library, (query_time, query), k, metric)
     assert np.array_equal(found.indices, expected)
     assert np.array_equal(found.distances, dists[expected])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_knn_keeps_an_admissible_overflow_ahead_of_an_excluded_column(metric):
+    # the distances at times 0 and 2 both overflow to inf; time 0 lies in the
+    # exclusion window, so it must not win the tie by coming first
+    times = np.arange(6)
+    vectors = np.array([[1e308], [-1e308], [1e308], [-1e308], [-1e308], [-1e308]])
+    spec = EmbeddingSpec.univariate("x", 1, exclusion_radius=1)
+    library = EmbeddingLibrary(spec, "x", 1, times, vectors, np.zeros(6))
+    with np.errstate(over="ignore"):
+        found = knn(library, (0, [-1e308]), 4, metric)
+    assert found.indices.tolist() == [3, 4, 5, 2]
+    assert found.distances.tolist() == [0.0, 0.0, 0.0, np.inf]
