@@ -19,15 +19,23 @@ still available by disabling leave-one-out.
 Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
 One driver serves a single cross map and a whole sweep direction: its query
-rows are walked once, in blocks whose distances to all n embeddable states
-serve every cell.  A block is one (rows x n) array of Manhattan distances
-(see ``embedding._distance_rows``), into which each query's exclusion
-window is written as inf, so every batch gathers distances that already
-hold inf wherever a column is no candidate.  Within a block the
-samples of one library size are estimated together, in batches that gather
-no more distances than the block holds; a cell that is the whole library
-uses the block as it is.  One row-wise Pearson correlation then scores
-every cell.  Memory is O(block x n + cells x n), never n x n.
+rows are walked once, in blocks whose distances serve every cell.  A block is
+one (rows x n) array of Manhattan distances (see
+``embedding._distance_rows``), into which each query's exclusion window is
+written as inf, so a column that is no candidate sorts after every
+candidate; only the columns some cell uses are kept.  Each block row is
+sorted once by (distance, column) with ``embedding._smallest_k``, and an
+int32 array holds every column's place in that order.  A cell's neighbours
+for a row are the columns of the k smallest ranks among its library, found
+by sorting those ranks, so they come in the order a stable sort of the
+cell's own distances gives them, and a column drawn twice stays beside its
+twin.  The samples of one library size are ranked together, in batches
+that gather no more ranks than the block holds distances.  A cell that
+holds each column exactly once (the whole library, or the one cell of a
+subsampled cross map) reads the first k of the order directly, and when
+every cell is like that each row's order stops at k columns.  One
+row-wise Pearson correlation then scores every cell.  Memory is
+O(block x n + cells x n), never n x n.
 CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
 is accepted and ignored.
 """
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _distance_rows,
-                        _exclude_band, _floor, _nearest, multivariate_embed)
+                        _exclude_band, _floor, _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _frozen, _jsonable, _require_finite,
                          _rho_rows, _row_dot, _whole_number, _write_csv, _write_json)
 
@@ -117,23 +125,28 @@ def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> E
     return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
 
 
-def _estimates(distances: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """Kernel estimates from the ``k`` nearest candidate columns, for every row and cell.
+def _estimates(distances: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Kernel estimates from each row's ``k`` nearest distances, ascending, and their values.
 
-    ``distances`` are (rows x cells x width) and already hold inf where the
-    exclusion window drops a column; ``values`` is (cells x width) and the
-    result (rows x cells).  Each cell's columns must ascend in time so that
-    the selection, which orders neighbours by (distance, column), breaks
-    ties toward the earlier time.
+    Both are (rows x k) and the result has one estimate per row.
     """
-    rows, cells, width = distances.shape
-    chosen, d = _nearest(distances.reshape(-1, width), k)
-    nearest = d[:, :1]
+    nearest = distances[:, :1]
     exact = nearest == 0.0
-    weights = np.where(exact, d == 0.0, np.exp(-d / np.where(exact, 1.0, nearest)))
+    weights = np.where(exact, distances == 0.0,
+                       np.exp(-distances / np.where(exact, 1.0, nearest)))
     weights /= weights.sum(axis=1, keepdims=True)
-    picked = values[np.arange(cells)[:, None], chosen.reshape(rows, cells, k)].reshape(-1, k)
-    return _row_dot(weights, picked).reshape(rows, cells)
+    return _row_dot(weights, values)
+
+
+def _select(rank: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` smallest ranks among each cell's library columns, for every query row.
+
+    ``rank`` is (rows x columns) and ``batch`` (cells x size); the result is
+    (rows x cells x k).  A column drawn twice keeps both copies, side by side.
+    """
+    ranks = np.take(rank, batch, axis=1)
+    ranks.sort(axis=-1)
+    return ranks[..., :k]
 
 
 def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: int) -> None:
@@ -187,32 +200,54 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
             _check_admissible(libraries, times, floor, k)
 
     step = max(1, _BLOCK_ELEMENTS // (n * dimension))
-    budget = _BLOCK_ELEMENTS // dimension  # the most distances a block holds
-    batches = []  # (estimate rows, library indices or None for the whole library, values)
+    budget = _BLOCK_ELEMENTS // dimension  # the most ranks a batch gathers
+    present = np.zeros(n, dtype=bool)
+    for libraries in groups:
+        present[libraries] = True
+    used = np.flatnonzero(present)
+    column = np.cumsum(present) - 1  # each library index's column among the used ones
+    whole = []  # cells holding every used column exactly once
+    batches = []  # (estimate rows, library columns) of the other cells
     first = 0
     for libraries in groups:
         count, size = libraries.shape
         cells = np.arange(first, first + count)
         first += count
-        whole = ((libraries == np.arange(n)).all(axis=1) if size == n
-                 else np.zeros(count, dtype=bool))
-        if whole.any():
-            batches.append((cells[whole], None, targets[None]))
+        complete = ((libraries == used).all(axis=1) if size == used.size
+                    else np.zeros(count, dtype=bool))
+        whole.append(cells[complete])
+        cells, libraries = cells[~complete], column[libraries[~complete]]
         per_batch = max(1, budget // (min(step, n) * size))
-        cells, libraries = cells[~whole], libraries[~whole]
         for lo in range(0, cells.size, per_batch):
-            batch = libraries[lo:lo + per_batch]
-            batches.append((cells[lo:lo + per_batch], batch, targets[batch]))
+            batches.append((cells[lo:lo + per_batch], libraries[lo:lo + per_batch]))
+    whole = np.concatenate(whole)
+    prefix = used.size if batches else k  # ranks need every column's place
 
     if estimates is None:
         estimates = np.empty((first, n), dtype=float)
+    values = targets[used]
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = _distance_rows(vectors, vectors[start:stop], "manhattan")
         _exclude_band(block, start, floor)
-        for cells, batch, values in batches:
-            distances = block[:, None] if batch is None else np.take(block, batch, axis=1)
-            estimates[cells, start:stop] = _estimates(distances, values, k).T
+        if used.size < n:
+            block = np.take(block, used, axis=1)
+        order = _smallest_k(block, prefix)
+        if whole.size:
+            nearest = order[:, :k]
+            estimates[whole, start:stop] = _estimates(np.take_along_axis(block, nearest, axis=1),
+                                                      values[nearest])
+        if not batches:
+            continue
+        rows = np.arange(stop - start)[:, None]
+        rank = np.empty(block.shape, dtype=np.int32)  # each column's place in its row's order
+        rank[rows, order] = np.arange(used.size, dtype=np.int32)
+        near, picked = np.take_along_axis(block, order, axis=1), values[order]
+        for cells, batch in batches:
+            top = (rows[:, None], _select(rank, batch, k))
+            estimates[cells, start:stop] = _estimates(
+                near[top].reshape(-1, k), picked[top].reshape(-1, k)
+            ).reshape(stop - start, -1).T
     return _rho_rows(targets, estimates)
 
 

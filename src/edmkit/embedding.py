@@ -21,11 +21,12 @@ length for a library of earlier times only, and ``_exclude_band`` as inf
 written in place into a block of distances among consecutive times.
 ``_nearest`` has one input, distances in which every non-candidate already
 holds inf, and keeps the ``k`` nearest by (distance, column), exactly as a
-stable sort of the row orders them: ``_smallest_k`` sorts rows narrower
-than ``_PARTITION_WIDTH`` in full and partitions wider ones at the k-th
-smallest value, keeping every value below it and the earliest values equal
-to it, whose columns one flat index pass finds, so only ``k`` survivors are
-sorted.  Kernel sums are ``timeseries._row_dot``.
+stable sort of the row orders them; cross mapping ranks each row once in
+that order.  ``_smallest_k`` sorts in full rows narrower than
+``_PARTITION_WIDTH`` and rows it must order whole, and partitions the
+others at the k-th smallest value, keeping every value below it and the
+earliest values equal to it, whose columns one flat index pass finds, so
+only ``k`` survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
 """
 
 from __future__ import annotations
@@ -325,10 +326,14 @@ def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.
 
 
 #: Row width from which ``_smallest_k`` partitions instead of sorting the
-#: whole row.  Where partitioning wins depends on the rows in the block: at
-#: k = 5 on uniform random blocks (2 vCPU, numpy 2.4) from about 900 columns
-#: for single rows, about 40 for 60-row blocks and about 24 for 2,700-row
-#: blocks, so at 1000 the wide batched blocks take the slower full sort.
+#: whole row.  Its callers are ``_nearest`` (``knn`` with one row, simplex
+#: with blocks of query rows, both with small k) and ``ccm._cross_map_cells``,
+#: which takes each row block's whole order when some cell needs ranks
+#: (sorted in full at any width) and its first k columns when every cell
+#: holds each column once.  Where partitioning wins depends on the rows in
+#: the block: at k = 5 on uniform random blocks (2 vCPU, numpy 2.4) from
+#: about 900 columns for single rows, about 40 for 60-row blocks and about
+#: 24 for 2,700-row blocks.
 _PARTITION_WIDTH = 1000
 
 
@@ -338,7 +343,7 @@ def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
     The result equals ``np.argsort(masked, axis=1, kind="stable")[:, :k]``,
     so ties go to the earlier column; ``k`` must not exceed the row width.
     """
-    if masked.shape[1] < _PARTITION_WIDTH:
+    if masked.shape[1] < _PARTITION_WIDTH or k == masked.shape[1]:  # nothing to partition off
         return np.argsort(masked, axis=1, kind="stable")[:, :k]
     kth = np.partition(masked, k - 1, axis=1)[:, k - 1:k]
     if np.isnan(kth).any():  # NaN sorts last and equals nothing; leave it to the sort

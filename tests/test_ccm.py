@@ -297,28 +297,38 @@ def test_negative_exclusion_radius_is_rejected_by_name(tmp_path, capsys):
 
 
 def _record_batches(monkeypatch):
-    """Spy on the driver: (cells, width) of every batch it estimates, in order."""
+    """Spy on `_cross_map_cells`: (cells, width) of every batch it ranks, in order."""
     batches = []
-    estimates = ccm._estimates
+    select = ccm._select
 
-    def spy(distances, values, k):
-        batches.append(distances.shape[1:])
-        return estimates(distances, values, k)
+    def spy(rank, batch, k):
+        batches.append(batch.shape)
+        return select(rank, batch, k)
 
-    monkeypatch.setattr(ccm, "_estimates", spy)
+    monkeypatch.setattr(ccm, "_select", spy)
     return batches
 
 
 @pytest.mark.parametrize("radius", [0, 2])
-@pytest.mark.parametrize("method, replacement", [("random", True), ("contiguous", False)])
-def test_batched_sweep_matches_per_cell_cross_maps(method, replacement, radius, monkeypatch):
+@pytest.mark.parametrize("method, replacement, full", [
+    pytest.param("random", True, True, id="random-True"),
+    pytest.param("contiguous", False, True, id="contiguous-False"),
+    pytest.param("contiguous", False, False, id="contiguous-partial"),
+])
+def test_batched_sweep_matches_per_cell_cross_maps(method, replacement, full, radius,
+                                                   monkeypatch):
     # draws with replacement repeat indices, at the full size too; a
-    # contiguous draw at the full size is the whole library
+    # contiguous draw at the full size is the whole library, and without it
+    # the contiguous draws leave some columns unused
     x, y = coupled_logistic_pair(81)
     n = len(x) - 1
     samples = 6
-    cfg = CcmConfig(dimension=2, library_sizes=(30, 50, n), samples_per_size=samples, seed=4,
+    sizes = (30, 50, n) if full else (30, 50)
+    cfg = CcmConfig(dimension=2, library_sizes=sizes, samples_per_size=samples, seed=4,
                     method=method, replacement=replacement, exclusion_radius=radius)
+    union = {int(t) for size in sizes for j in range(samples)
+             for t in _redrawn_library(cfg.seed, size, j, n, method, replacement)}
+    assert (len(union) < n) == (not full)
     batches = _record_batches(monkeypatch)
     for budget, split in zip(_block_budgets(n, 2), (False, True)):
         monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
@@ -334,6 +344,35 @@ def test_batched_sweep_matches_per_cell_cross_maps(method, replacement, radius, 
                     expected = cross_map(cause, effect, 2, library_indices=library,
                                          exclusion_radius=radius)
                     assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
+
+
+def _record_rankings(monkeypatch):
+    """Spy on `_cross_map_cells`: (row width, order width) of every ranking of a block."""
+    rankings = []
+    smallest_k = ccm._smallest_k
+
+    def spy(block, width):
+        rankings.append((block.shape[1], width))
+        return smallest_k(block, width)
+
+    monkeypatch.setattr(ccm, "_smallest_k", spy)
+    return rankings
+
+
+def test_sweep_ranks_each_block_once_not_each_batch(monkeypatch):
+    # the paper's grid shape: 20 sizes x 20 samples from dimension + 2 to n
+    x, y = coupled_logistic_pair(121)
+    n = len(x) - 2
+    sizes = tuple(sorted({int(round(v)) for v in np.linspace(5, n, 20)}))
+    cfg = CcmConfig(dimension=3, library_sizes=sizes, samples_per_size=20, seed=6)
+    rows = 9
+    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 3)
+    rankings = _record_rankings(monkeypatch)
+    batches = _record_batches(monkeypatch)
+    convergence_sweep(x, y, cfg)
+    blocks = -(-n // rows)
+    assert rankings == [(n, n)] * (2 * blocks)  # both directions
+    assert len(batches) > 20 * len(rankings)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
