@@ -18,7 +18,9 @@ from .embedding import (
     multivariate_embed,
     state_vector,
 )
-from .forecast import ForecastResult
+from .forecast import ForecastResult, iterative_forecast, skill_eval
+from .forecast import iterative_forecast as smap_iterative_forecast
+from .forecast import skill_eval as smap_skill_eval
 from .scenario import (
     CURRENT_PMD_YEARS,
     MitigationReport,
@@ -35,9 +37,7 @@ from .simplex import (
     DimensionSearchResult,
     SimplexConfig,
     embed_dimension_search,
-    iterative_forecast,
     simplex_predict,
-    skill_eval,
 )
 from .smap import (
     DEFAULT_THETA_GRID,
@@ -46,11 +46,9 @@ from .smap import (
     ThetaSearchResult,
     coefficients_to_csv,
     interaction_series,
-    smap_iterative_forecast,
     smap_predict,
     theta_search,
 )
-from .smap import skill_eval as smap_skill_eval
 from .timeseries import (
     UNDEFINED_SKILL,
     Dataset,

@@ -4,7 +4,8 @@ To test whether series A drives series B, the *effect* series B is delay
 embedded and each of its manifold states estimates the contemporaneous value
 of A as the kernel-weighted average of A at the nearest neighbour times
 (Manhattan distance, ``dimension + 1`` neighbours, weights
-``exp(-d_j / d_1)``).  If A truly forces B, then B's history carries A's
+``exp(-d_j / d_1)``; when ``d_1 = 0`` the zero-distance neighbours share the
+whole weight, unlike simplex, which keeps the others in the average).  If A truly forces B, then B's history carries A's
 signature, and the Pearson correlation between estimated and actual A rises
 toward a positive plateau as the library grows.  Sweeping the library size
 with seeded random subsamples produces that convergence curve for both

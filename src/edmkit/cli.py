@@ -29,10 +29,9 @@ from .bundled import DEFAULT_DATASET, bundled_path
 from .ccm import CcmConfig, convergence_sweep
 from .embedding import EmbeddingSpec
 from .scenario import load_scenario_file, run_scenarios
-from .forecast import ForecastResult
-from .simplex import SimplexConfig, embed_dimension_search, iterative_forecast, skill_eval
-from .smap import SMapConfig, coefficients_to_csv, smap_iterative_forecast
-from .smap import skill_eval as smap_skill_eval
+from .forecast import ForecastResult, iterative_forecast, skill_eval
+from .simplex import SimplexConfig, embed_dimension_search
+from .smap import SMapConfig, coefficients_to_csv
 from .timeseries import Dataset, _jsonable, _write_csv, _write_json, load_csv, pearson_rho, rmse
 
 __all__ = ["main"]
@@ -255,16 +254,14 @@ def _cmd_forecast(args) -> int:
         if args.theta is None:
             raise ValueError("--method smap needs --theta")
         cfg = SMapConfig(spec, args.theta, ridge=args.ridge)
-        evaluate, extend = smap_skill_eval, smap_iterative_forecast
     else:
         cfg = SimplexConfig(spec, k=args.knn)
-        evaluate, extend = skill_eval, iterative_forecast
     parts = []
     in_sample_end = min(args.to, data.end_year)
     if in_sample_end > args.train_end:
-        parts.append(evaluate(data, target, cfg, args.train_end, eval_end=in_sample_end))
+        parts.append(skill_eval(data, target, cfg, args.train_end, eval_end=in_sample_end))
     if args.to > data.end_year:
-        parts.append(extend(data, target, cfg, args.to, self_condition=self_condition))
+        parts.append(iterative_forecast(data, target, cfg, args.to, self_condition=self_condition))
     if not parts:
         raise ValueError(f"nothing to forecast: horizon {args.to} inside train range")
     combined = _combine_results(parts)

@@ -4,27 +4,30 @@ The two methods differ only in how they predict from reconstructed states;
 everything around that prediction lives here, together with the result type
 and the skill-table helpers of the parameter searches.
 
-Two evaluation modes are provided: an expanding-window one-step-ahead skill
-evaluation against held-out history, and an iterative extrapolation that by
-default appends its own predictions to the library ("self conditioning") so
-the reconstruction can extend past the observed record.
+There is one pair of entry points, each taking a method's config
+(``SimplexConfig`` or ``SMapConfig``): ``skill_eval``, an expanding-window
+one-step-ahead skill evaluation against held-out history, and
+``iterative_forecast``, an extrapolation that by default appends its own
+predictions to the library ("self conditioning") so the reconstruction can
+extend past the observed record.
 
-Both modes call one predictor per method, ``predict(vectors, forward,
-queries, limits, sizes, radius)``.  ``vectors`` holds library states in
-ascending time and ``forward`` the next value of each predicted series
-after each state.  Query ``q`` may use only the first ``limits[q]`` rows,
-``searchsorted(times, query_time - radius)``, which is exactly its
-admissible library because every library time precedes the query's.
-``sizes[q]`` (its library size before the exclusion window) and ``radius``
-only name a shortfall.  It returns (queries, columns) predictions and
-variances, and None or (queries, columns, dimension + 1) coefficients.
+Each config supplies its predictor, ``cfg._predict(vectors, forward,
+queries, limits, sizes, radius)``, and both loops call it the same way.
+``vectors`` holds library states in ascending time and ``forward`` the next
+value of each predicted series after each state.  Query ``q`` may use only
+the first ``limits[q]`` rows, ``searchsorted(times, query_time - radius)``,
+which is exactly its admissible library because every library time precedes
+the query's.  ``sizes[q]`` (its library size before the exclusion window)
+and ``radius`` only name a shortfall.  It returns (queries, columns)
+predictions and variances, and None or (queries, columns, dimension + 1)
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -33,10 +36,14 @@ from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _write_csv,
                          _write_json, pearson_rho, rmse)
 
+if TYPE_CHECKING:
+    from .simplex import SimplexConfig
+    from .smap import SMapConfig
+
 __all__ = [
     "ForecastResult",
-    "one_step_eval",
-    "run_iterative",
+    "skill_eval",
+    "iterative_forecast",
     "extension_names",
     "best_row",
     "write_skill_table",
@@ -143,19 +150,21 @@ def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.n
     )
 
 
-def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: int,
-                  eval_start: int | None, eval_end: int | None,
-                  predict: Callable) -> ForecastResult:
+def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
+               eval_start: int | None = None, eval_end: int | None = None) -> ForecastResult:
     """Expanding-window one-step evaluation, scored with Pearson rho and RMSE.
 
     The evaluation years run from ``eval_start`` (default ``train_end + 1``)
     through ``eval_end`` (default the last observed year).  Year t is
     predicted from the state at t-1, row ``r`` of the full library, using the
     rows below ``r`` outside the spec's exclusion window, so the model never
-    sees the value it is asked to predict.  Queries go to ``predict`` in
+    sees the value it is asked to predict.  Queries go to ``cfg._predict`` in
     blocks of ascending rows whose rows times library size times dimension
-    stay within ``_BLOCK_ELEMENTS``.
+    stay within ``_BLOCK_ELEMENTS``.  An S-map result carries the per-step
+    coefficient rows, so interaction strengths can be read off the
+    evaluation period as well.
     """
+    spec = cfg.spec
     start = train_end + 1 if eval_start is None else eval_start
     end = data.end_year if eval_end is None else eval_end
     if start <= train_end:
@@ -172,8 +181,9 @@ def one_step_eval(data: Dataset, target: str, spec: EmbeddingSpec, train_end: in
     rows = times - 1 - int(full.times[0])  # row of each query state
     limits = _prefix_limits(full.times, full.times[rows], spec.radius)
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
-    blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
-                      limits[lo:lo + step], rows[lo:lo + step], spec.radius)
+    blocks = [cfg._predict(full.vectors, full.targets[:, None],
+                           full.vectors[rows[lo:lo + step]], limits[lo:lo + step],
+                           rows[lo:lo + step], spec.radius)
               for lo in range(0, rows.shape[0], step)]
     predicted, variance, coefficients = (
         None if parts[0] is None else np.concatenate(parts)[:, 0] for parts in zip(*blocks))
@@ -189,28 +199,40 @@ def extension_names(spec: EmbeddingSpec, target: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: int,
-                  predict: Callable, self_condition: bool = True,
-                  adjust: Callable[[int, dict[str, float]], dict[str, float]] | None = None,
-                  exclusion_radius: int = 0) -> ForecastResult:
+def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig,
+                       horizon_end: int, self_condition: bool = True,
+                       adjust: Callable[[int, dict[str, float]], dict[str, float]] | None = None,
+                       exclusion_radius: int = 0) -> ForecastResult:
     """Year-at-a-time extrapolation to ``horizon_end``.
 
-    The loop allocates once: a float64 buffer with one row per year for
-    every extended series (``extension_names``, one forward column each),
-    and the delay vectors for every row, transformed with norms frozen from
-    the observed data.  Each year ``predict`` gets a prefix of those vectors
-    as the library and the latest state as its one query, under
+    Multivariate specs extend every input series jointly
+    (``extension_names``): all series are predicted from the same extended
+    state, simplex averaging each series' own forward values under shared
+    neighbour weights and the S-map fitting each its own local regression,
+    so the joint trajectory stays coherent.  The loop allocates once: a
+    float64 buffer with one row per year for every extended series, and the
+    delay vectors for every row, transformed with norms frozen from the
+    observed data.  Each year ``cfg._predict`` gets a prefix of those
+    vectors as the library and the latest state as its one query, under
     ``exclusion_radius``, and the year writes one row of each.  With self
     conditioning (the default) each prediction is appended as if observed,
     so the library grows along the forecast; without it the library stays
     capped at the observed record while query states are still formed from
-    the extended series.  ``adjust`` is applied to each year's predictions
-    before they are appended, which lets policy engines inject
-    interventions the later steps can see.  A non-finite value that a later
-    step would use raises ValueError naming its series and year.  The band
-    accumulates the target's step variance along the horizon; coefficient
-    rows, where ``predict`` returns them, are the target's.
+    the extended series.  ``adjust`` (if given) maps each year's predicted
+    values before they join the library, which is how policy interventions
+    are injected mid-forecast where later steps can see them.  A non-finite
+    value that a later step would use raises ValueError naming its series
+    and year.  The band accumulates the target's step variance along the
+    horizon, so it can only widen; an S-map result keeps the target's
+    coefficient row per step.
+
+    Inside the generative loop the temporal exclusion window defaults to 0:
+    the freshest states (including values the forecast itself appended) are
+    the only analogues of the advancing edge, and the window's purpose,
+    blocking autocorrelation shortcuts when scoring against held-out
+    observations, does not apply to open-ended continuation.
     """
+    spec = cfg.spec
     if horizon_end <= data.end_year:
         raise ValueError(
             f"horizon {horizon_end} must lie beyond the observed record ({data.end_year})"
@@ -240,7 +262,7 @@ def run_iterative(data: Dataset, spec: EmbeddingSpec, target: str, horizon_end: 
         query = n_obs + i - 1 - first  # state row of the latest known year
         size = query if self_condition else n_obs - 1 - first  # library rows
         limits = _prefix_limits(times[:size], times[query:query + 1], radius)
-        step_values, step_vars, step_coefs = predict(
+        step_values, step_vars, step_coefs = cfg._predict(
             states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
             limits, (size,), radius)
         step_values = step_values[0].tolist()

@@ -46,8 +46,8 @@ from typing import Iterable
 import numpy as np
 
 from .embedding import EmbeddingSpec
-from .forecast import ForecastResult
-from .smap import SMapConfig, smap_iterative_forecast
+from .forecast import ForecastResult, iterative_forecast
+from .smap import SMapConfig
 from .timeseries import Dataset, _require_finite, _whole_number
 
 __all__ = [
@@ -311,7 +311,7 @@ def _floor_counts(_year: int, values: dict[str, float]) -> dict[str, float]:
 def _forecast(data: Dataset, config: ScenarioModelConfig, three_input: bool,
               adjust) -> ForecastResult:
     cfg = config.three_input_config() if three_input else config.two_input_config()
-    return smap_iterative_forecast(data, config.debris, cfg, config.horizon_end, adjust=adjust)
+    return iterative_forecast(data, config.debris, cfg, config.horizon_end, adjust=adjust)
 
 
 def baseline_forecast(data: Dataset, config: ScenarioModelConfig,

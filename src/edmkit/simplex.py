@@ -10,27 +10,22 @@ zero-distance neighbours take raw weight 1 while positive-distance
 neighbours are scaled by the smallest positive distance; if every neighbour
 sits at distance 0 the weights are uniform.
 
-The one-step evaluation and the iterative extrapolation are the shared
-protocol of ``edmkit.forecast``; this module supplies its predictor.
+The one-step evaluation (``skill_eval``) and the iterative extrapolation
+(``iterative_forecast``) are the shared protocol of ``edmkit.forecast``,
+re-exported here; ``SimplexConfig._predict`` is the predictor they call.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _distance_rows, _nearest, _shortfall,
                         knn)
-# ForecastResult is re-exported for existing callers
-from .forecast import (
-    ForecastResult,
-    best_row,
-    one_step_eval,
-    run_iterative,
-    write_skill_table,
-)
+# ForecastResult and the two forecasting entry points are re-exported for existing callers
+from .forecast import ForecastResult, best_row, iterative_forecast, skill_eval, write_skill_table
 from .timeseries import Dataset, _row_dot, _whole_number
 
 __all__ = [
@@ -66,6 +61,23 @@ class SimplexConfig:
     def effective_k(self) -> int:
         return self.spec.dimension + 1 if self.k is None else self.k
 
+    def _predict(self, vectors, forward, queries, limits, sizes, radius):
+        """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest."""
+        k = self.effective_k
+        short = np.flatnonzero(limits < k)
+        if short.size:
+            raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
+        distances = _distance_rows(vectors[:int(limits.max())], queries, "euclidean")
+        for row, limit in zip(distances, limits):
+            row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
+        indices, distances = _nearest(distances, k)
+        weights = simplex_weights(distances)
+        # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
+        targets = np.take(forward.T, indices, axis=1)
+        predictions = _row_dot(weights, targets)
+        variances = _row_dot(weights, (targets - predictions[..., None]) ** 2)
+        return predictions.T, variances.T, None
+
 
 def simplex_weights(distances: np.ndarray) -> np.ndarray:
     """Normalised exponential weights over sorted neighbour distances.
@@ -90,38 +102,6 @@ def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]
     prediction = float(weights @ targets)
     variance = float(weights @ (targets - prediction) ** 2)
     return prediction, variance
-
-
-def _predictor(cfg: SimplexConfig) -> Callable:
-    """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest."""
-    k = cfg.effective_k
-
-    def predict(vectors, forward, queries, limits, sizes, radius):
-        short = np.flatnonzero(limits < k)
-        if short.size:
-            raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
-        distances = _distance_rows(vectors[:int(limits.max())], queries, "euclidean")
-        for row, limit in zip(distances, limits):
-            row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
-        indices, distances = _nearest(distances, k)
-        weights = simplex_weights(distances)
-        # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
-        targets = np.take(forward.T, indices, axis=1)
-        predictions = _row_dot(weights, targets)
-        variances = _row_dot(weights, (targets - predictions[..., None]) ** 2)
-        return predictions.T, variances.T, None
-
-    return predict
-
-
-def skill_eval(data: Dataset, target: str, cfg: SimplexConfig, train_end: int,
-               eval_start: int | None = None, eval_end: int | None = None) -> ForecastResult:
-    """Expanding-window one-step simplex evaluation over a year range.
-
-    Each year is predicted from a library containing only earlier-targeted
-    points, then scored against the observations with Pearson rho and RMSE.
-    """
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, _predictor(cfg))
 
 
 @dataclass(frozen=True)
@@ -158,22 +138,3 @@ def embed_dimension_search(data: Dataset, target: str, dimensions: Iterable[int]
 
     rows = tuple(evaluate(d) for d in dims)
     return DimensionSearchResult(rows=rows, best_dimension=best_row(rows, "embedding dimension")[0])
-
-
-def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig, horizon_end: int,
-                       self_condition: bool = True,
-                       exclusion_radius: int = 0) -> ForecastResult:
-    """Extrapolate one year at a time until horizon_end.
-
-    Multivariate specs extend every input series jointly: all series share
-    the neighbour weights from the common manifold, each averaging its own
-    forward values.  The band accumulates the per-step weighted neighbour
-    variance along the horizon (so it can only widen).
-
-    The temporal exclusion window defaults to 0 inside the generative loop:
-    recent states (including the forecast's own appended values) are the
-    only analogues of the advancing edge, and the window's anti-shortcut
-    purpose applies to held-out scoring, not open-ended continuation.
-    """
-    return run_iterative(data, cfg.spec, target, horizon_end, _predictor(cfg), self_condition,
-                         exclusion_radius=exclusion_radius)

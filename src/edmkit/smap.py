@@ -19,13 +19,18 @@ The least-squares core uses singular-value semantics: singular values below
 returned, so near-duplicate library rows (common in short yearly records)
 degrade gracefully instead of crashing.  An optional ridge term penalises
 the slopes (never the intercept).
+
+The one-step evaluation (``skill_eval``, also ``edmkit.smap_skill_eval``)
+and the iterative extrapolation (``smap_iterative_forecast``) are the shared
+protocol of ``edmkit.forecast``, re-exported here; ``SMapConfig._predict``
+is the predictor they call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,13 +43,8 @@ from .embedding import (
     _distance_rows,
     _floor,
 )
-from .forecast import (
-    ForecastResult,
-    best_row,
-    one_step_eval,
-    run_iterative,
-    write_skill_table,
-)
+from .forecast import ForecastResult, best_row, skill_eval, write_skill_table
+from .forecast import iterative_forecast as smap_iterative_forecast
 from .timeseries import Dataset, TimeSeries, _frozen, _require_finite, _write_csv
 
 __all__ = [
@@ -81,6 +81,19 @@ class SMapConfig:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+
+    def _predict(self, vectors, forward, queries, limits, sizes, radius):
+        """The protocol's predictor (see ``edmkit.forecast``): one local fit per query."""
+        dim = self.spec.dimension
+        fits = []
+        for query, limit, size in zip(queries, limits, sizes):
+            if limit < dim + 2:
+                raise NeighborShortfallError(
+                    f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
+                    f"have {limit} (library size {size}, exclusion radius {radius})"
+                )
+            fits.append(_fit(vectors[:limit], forward[:limit], query, self))
+        return tuple(np.array(part) for part in zip(*fits))
 
 
 @dataclass(frozen=True)
@@ -138,24 +151,6 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, query: np.ndarray,
     return tuple(np.array(part) for part in zip(*fits))
 
 
-def _predictor(cfg: SMapConfig) -> Callable:
-    """The protocol's predictor (see ``edmkit.forecast``): one local fit per query."""
-    dim = cfg.spec.dimension
-
-    def predict(vectors, forward, queries, limits, sizes, radius):
-        fits = []
-        for query, limit, size in zip(queries, limits, sizes):
-            if limit < dim + 2:
-                raise NeighborShortfallError(
-                    f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
-                    f"have {limit} (library size {size}, exclusion radius {radius})"
-                )
-            fits.append(_fit(vectors[:limit], forward[:limit], query, cfg))
-        return tuple(np.array(part) for part in zip(*fits))
-
-    return predict
-
-
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
                  cfg: SMapConfig, exclusion_radius: int | None = None) -> SMapStep:
     """One S-map step at the query state.
@@ -168,21 +163,11 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     """
     radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
     keep = _candidates(library.times, query[0], _floor(radius))
-    predictions, variances, coefficients = _predictor(cfg)(
+    predictions, variances, coefficients = cfg._predict(
         library.vectors[keep], library.targets[keep, None], np.asarray(query[1], dtype=float)[None],
         [int(keep.sum())], [len(library)], radius)
     return SMapStep(time=int(query[0]), prediction=float(predictions[0, 0]),
                     coefficients=coefficients[0, 0], variance=float(variances[0, 0]))
-
-
-def skill_eval(data: Dataset, target: str, cfg: SMapConfig, train_end: int,
-               eval_start: int | None = None, eval_end: int | None = None) -> ForecastResult:
-    """Expanding-window one-step S-map evaluation (same protocol as simplex).
-
-    The returned result carries the per-step coefficient rows so interaction
-    strengths can be read off the evaluation period as well.
-    """
-    return one_step_eval(data, target, cfg.spec, train_end, eval_start, eval_end, _predictor(cfg))
 
 
 @dataclass(frozen=True)
@@ -225,29 +210,6 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
     best_theta, best_rho, _ = best_row(rows, "theta")
     verdict = "nonlinear" if best_theta > 0 else "linear"
     return ThetaSearchResult(rows=rows, best_theta=best_theta, best_rho=best_rho, verdict=verdict)
-
-
-def smap_iterative_forecast(data: Dataset, target: str, cfg: SMapConfig, horizon_end: int,
-                            self_condition: bool = True,
-                            adjust=None, exclusion_radius: int = 0) -> ForecastResult:
-    """Iterative S-map extrapolation to horizon_end, one year per step.
-
-    Multivariate layouts advance every input series jointly: each series gets
-    its own locally weighted regression per year, all conditioned on the same
-    extended state, so the joint trajectory stays coherent.  The result keeps
-    the target's coefficient row per step; the band accumulates the target's
-    residual variance along the horizon.  ``adjust`` (if given) maps each
-    year's predicted values before they join the library, which is how policy
-    interventions are injected mid-forecast.
-
-    Inside the generative loop the temporal exclusion window defaults to 0:
-    the freshest states (including values the forecast itself appended) are
-    the only analogues of the advancing edge, and the window's purpose,
-    blocking autocorrelation shortcuts when scoring against held-out
-    observations, does not apply to open-ended continuation.
-    """
-    return run_iterative(data, cfg.spec, target, horizon_end, _predictor(cfg), self_condition,
-                         adjust, exclusion_radius)
 
 
 def interaction_series(forecast: ForecastResult, coordinate: str) -> TimeSeries:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,46 @@ def test_config_validation():
         CcmConfig(dimension=4, library_sizes=(4, 10))
     with pytest.raises(ValueError):
         CcmConfig(dimension=2, library_sizes=(10, 20), method="bogus")
+
+
+# (call on the bundled debris and total series, message, ccm argv on the bundled record or None)
+CCM_ERRORS = {
+    "no_samples": (
+        lambda a, b: CcmConfig(dimension=4, library_sizes=(10, 20), samples_per_size=0),
+        "samples_per_size must be >= 1", ["--samples", "0"],
+    ),
+    "empty_library_indices": (
+        lambda a, b: cross_map(a, b, 4, library_indices=[]),
+        "library_indices must be a non-empty 1-D index collection", None,
+    ),
+    "two_dimensional_library_indices": (
+        lambda a, b: cross_map(a, b, 4, library_indices=[[0, 1], [2, 3]]),
+        "library_indices must be a non-empty 1-D index collection", None,
+    ),
+    "library_index_out_of_range": (
+        lambda a, b: cross_map(a, b, 4, library_indices=[0, 60]),
+        "library indices out of range 0..59", None,
+    ),
+    "size_past_embeddable_points": (
+        lambda a, b: convergence_sweep(a, b, CcmConfig(dimension=4, library_sizes=(10, 61))),
+        "largest library size 61 exceeds embeddable points 60", ["--sizes", "10,61"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CCM_ERRORS))
+def test_ccm_error_paths_name_the_problem(case, tmp_path, capsys):
+    call, message, argv = CCM_ERRORS[case]
+    data = load_bundled()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(data["debris"], data["total"])
+    if argv is None:
+        return
+    out = tmp_path / "ccm"
+    assert main(["ccm", "--a", "debris", "--b", "total", "--e", "4", *argv,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_serialization(tmp_path):

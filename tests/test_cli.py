@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmkit import cli
+from edmkit.bundled import DEFAULT_DATASET, bundled_path, load_bundled
 from edmkit.cli import main
+from edmkit.timeseries import load_csv
 
 
 @pytest.fixture()
@@ -103,6 +105,16 @@ def test_embed_search_bad_dimensions_name_the_option(data_csv, tmp_path, capsys,
     (["forecast", "--method", "simplex", "--columns", "debris,total", "--e", "2",
       "--lags", "debris:x,total:1", "--to", "2035"],
      "bad --lags entry 'debris:x'; expected name:count"),
+    (["forecast", "--method", "smap", "--theta", "2", "--columns", "debris,total", "--e", "3",
+      "--lags", "debris:2,launched:1", "--to", "2030"],
+     "--lags columns ['debris', 'launched'] do not match --columns ['debris', 'total']"),
+    (["forecast", "--method", "smap", "--theta", "2", "--columns", "debris,total", "--e", "3",
+      "--lags", "debris:2,total:2", "--to", "2030"],
+     "--lags total 4 does not match --e 3"),
+    (["forecast", "--method", "simplex", "--columns", " , ", "--e", "3", "--to", "2030"],
+     "--columns must name at least one series"),
+    (["forecast", "--method", "simplex", "--e", "3", "--to", "1985"],
+     "nothing to forecast: horizon 1985 inside train range"),
 ])
 def test_bad_integer_lists_name_the_option(data_csv, tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -124,6 +136,15 @@ def test_forecast_simplex_and_smap(data_csv, tmp_path):
         assert years[0] == 1991 and years[-1] == 2035
         assert out.with_suffix(".json").exists()
     assert (tmp_path / "fc_smap_coefficients.csv").exists()
+
+
+def test_forecast_lags_set_each_column_lag_count(data_csv, tmp_path):
+    out = tmp_path / "lags.csv"
+    assert main(["forecast", "--method", "smap", "--data", str(data_csv), "--columns",
+                 "debris,total", "--e", "3", "--lags", "debris:2,total:1", "--theta", "2",
+                 "--to", "2030", "--out", str(out)]) == 0
+    coefficients = (tmp_path / "lags_coefficients.csv").read_text(encoding="utf-8")
+    assert coefficients.splitlines()[0] == "year,intercept,debris(t),debris(t-1),total(t)"
 
 
 def test_forecast_horizon_inside_data(data_csv, tmp_path):
@@ -301,6 +322,33 @@ def test_simulate_negative_lifetime_exits_two(data_csv, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_simulate_falls_back_to_the_bundled_scenario_file(tmp_path, monkeypatch, capsys):
+    # a relative path missing from the working folder is looked up in package data
+    monkeypatch.delenv("EDMKIT_DATA_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scenarios", "scenarios/table2.cfg", "--outdir", "r"]) == 0
+    manifest = json.loads((tmp_path / "r" / "mitigation_report.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["parameters"]["scenarios"] == str(bundled_path("scenarios/table2.cfg"))
+    assert (tmp_path / "r" / "mitigation_report.csv").stat().st_size > 0
+
+
+def test_data_dir_holds_a_replacement_record(data_csv, tmp_path, monkeypatch):
+    folder = tmp_path / "refreshed"
+    folder.mkdir()
+    replacement = folder / DEFAULT_DATASET
+    replacement.write_bytes(data_csv.read_bytes())
+    monkeypatch.setenv("EDMKIT_DATA_DIR", str(folder))
+    assert bundled_path(DEFAULT_DATASET) == replacement
+    assert load_bundled() == load_csv(data_csv)
+    # a file the folder does not hold still comes from the package
+    assert folder not in bundled_path("scenarios/table2.cfg").parents
+    out = tmp_path / "e.csv"
+    assert main(["embed-search", "--e", "1:3", "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(replacement): cli._sha256(data_csv)}
+
+
 def test_cli_byte_identical_reruns(data_csv, tmp_path):
     argv_sets = [
         ["embed-search", "--data", str(data_csv), "--e", "1:4", "--out", None],
@@ -367,6 +415,8 @@ CCM = ["ccm", "--a", "debris", "--b", "total"]
     (["embed-search", "--data", ""], 2, "Is a directory"),
     (["embed-search", "--out", ""], 2, "Is a directory"),
     (CCM + ["--out", ""], 2, "Is a directory"),
+    (["forecast", "--method", "smap", "--theta", "2", "--e", "2", "--to", BIG], 2,
+     "lies too far past the record"),
 ])
 def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, tmp_path,
                                                            monkeypatch, capsys):
@@ -381,9 +431,10 @@ def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, 
 #: Tokens no option accepts as meant: NaN, a colon pair, empty, negative and
 #: a 400-digit number (which fits no C integer or double).
 MALFORMED = ("nan", "NaN", "a:b", "", "-3", BIG)
-#: Options whose values size the work: only small values, and the 400-digit
-#: one that every command rejects before any work, are drawn, so that no
-#: example starts a huge sweep or horizon.
+#: Options whose values size the work draw only from these small values, so
+#: that no example starts a huge sweep or horizon.  The 400-digit value is
+#: among them, but the 40 derandomized examples never draw it for either
+#: option; the oversized list above runs it for --to.
 SMALL = {"--samples": ("1", "3", "0", "-3", "nan", "", BIG),
          "--sizes": ("6:30:3", "8,20", "a:b", ""),
          "--to": ("2021", "2030", "1990", "-3", "nan", "", BIG)}

@@ -145,3 +145,11 @@ def test_forecast_result_requires_a_coefficient_row_per_step(coefficients):
     with pytest.raises(ValueError, match="coefficients must be a 2-D array with one row per"):
         ForecastResult("x", [1, 2], [0.0, 1.0], None, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0],
                        coefficients=coefficients)
+
+
+def test_forecast_result_value_at_names_a_year_it_does_not_hold():
+    result = ForecastResult("x", [2021, 2022], [0.5, 1.5], None, 0.0, 0.0, [0.0, 0.0],
+                            [0.0, 0.0])
+    assert result.value_at(2022) == 1.5
+    with pytest.raises(ValueError, match="^no forecast step for year 2023$"):
+        result.value_at(2023)

@@ -66,6 +66,14 @@ PROTOCOL_ERRORS = {
                                   eval_start=2022),
         RuntimeError, "no theta produced a defined skill", None, None,
     ),
+    "no_dimensions": (
+        lambda data: embed_dimension_search(data, "debris", [], train_end=1990),
+        ValueError, "no embedding dimensions to search", ["embed-search", "--e", ","], 2,
+    ),
+    "empty_theta_grid": (
+        lambda data: theta_search(data, "debris", TWO_INPUT, [], train_end=1990),
+        ValueError, "theta grid is empty", None, None,
+    ),
     "no_defined_dimension": (
         lambda data: embed_dimension_search(data, "debris", [1], train_end=2020,
                                             eval_start=2022),

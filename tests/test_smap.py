@@ -11,6 +11,8 @@ from edmkit.embedding import (
     NeighborShortfallError,
     delay_embed,
 )
+from edmkit.forecast import iterative_forecast
+from edmkit.simplex import SimplexConfig
 from edmkit.smap import (
     DEFAULT_THETA_GRID,
     SMapConfig,
@@ -238,9 +240,14 @@ def test_iterative_steps_match_reference_two_series(self_condition):
             assert result.coefficients[s] == pytest.approx(coefficients, rel=1e-8, abs=1e-8)
 
 
-def test_iterative_non_finite_value_raises_at_next_step():
+COUPLED_SPEC = EmbeddingSpec((("x", 2), ("y", 2)))
+
+
+# simplex and the S-map share one iterative loop, so both honour ``adjust``
+@pytest.mark.parametrize("cfg", [SMapConfig(COUPLED_SPEC, 2.0), SimplexConfig(COUPLED_SPEC)],
+                         ids=["smap", "simplex"])
+def test_iterative_non_finite_value_raises_at_next_step(cfg):
     data = Dataset(coupled_logistic_pair(40))
-    cfg = SMapConfig(EmbeddingSpec((("x", 2), ("y", 2))), 2.0)
     seen = []
 
     def poison(series, year):
@@ -250,11 +257,11 @@ def test_iterative_non_finite_value_raises_at_next_step():
         return adjust
 
     with pytest.raises(ValueError, match=r"^series 'y' has a non-finite value inf in year 45$"):
-        smap_iterative_forecast(data, "x", cfg, 50, adjust=poison("y", 45))
+        iterative_forecast(data, "x", cfg, 50, adjust=poison("y", 45))
     assert seen[-1] == 45  # raised before the next step is predicted
 
     # in the final year nothing uses the value, so it is returned as is
-    result = smap_iterative_forecast(data, "x", cfg, 50, adjust=poison("x", 50))
+    result = iterative_forecast(data, "x", cfg, 50, adjust=poison("x", 50))
     assert math.isinf(result.predicted[-1])
     assert np.all(np.isfinite(result.predicted[:-1]))
 
