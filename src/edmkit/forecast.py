@@ -150,6 +150,30 @@ def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.n
     )
 
 
+def _one_step_queries(data: Dataset, target: str, spec: EmbeddingSpec, train_end: int,
+                      eval_start: int | None, eval_end: int | None):
+    """The one-step evaluation's queries: (library, years, query rows, prefix limits).
+
+    Checks the evaluation range, embeds the full library and finds the
+    library row of each query state and its admissible prefix.
+    """
+    start = train_end + 1 if eval_start is None else eval_start
+    end = data.end_year if eval_end is None else eval_end
+    if start <= train_end:
+        raise ValueError(f"evaluation must start after train_end={train_end}, got {start}")
+    if end < start:
+        raise ValueError(f"empty evaluation range {start}..{end}")
+    if start <= data.start_year or end > data.end_year:
+        raise ValueError(
+            f"evaluation range {start}..{end} outside data {data.start_year}..{data.end_year}"
+        )
+    full = multivariate_embed(data, spec, target, tp=1)
+    _check_state_time(data, spec, start - 1)
+    times = np.arange(start, end + 1)
+    rows = times - 1 - int(full.times[0])  # row of each query state
+    return full, times, rows, _prefix_limits(full.times, full.times[rows], spec.radius)
+
+
 def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
                eval_start: int | None = None, eval_end: int | None = None) -> ForecastResult:
     """Expanding-window one-step evaluation, scored with Pearson rho and RMSE.
@@ -165,21 +189,8 @@ def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, trai
     evaluation period as well.
     """
     spec = cfg.spec
-    start = train_end + 1 if eval_start is None else eval_start
-    end = data.end_year if eval_end is None else eval_end
-    if start <= train_end:
-        raise ValueError(f"evaluation must start after train_end={train_end}, got {start}")
-    if end < start:
-        raise ValueError(f"empty evaluation range {start}..{end}")
-    if start <= data.start_year or end > data.end_year:
-        raise ValueError(
-            f"evaluation range {start}..{end} outside data {data.start_year}..{data.end_year}"
-        )
-    full = multivariate_embed(data, spec, target, tp=1)
-    _check_state_time(data, spec, start - 1)
-    times = np.arange(start, end + 1)
-    rows = times - 1 - int(full.times[0])  # row of each query state
-    limits = _prefix_limits(full.times, full.times[rows], spec.radius)
+    full, times, rows, limits = _one_step_queries(data, target, spec, train_end,
+                                                  eval_start, eval_end)
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
     blocks = [cfg._predict(full.vectors, full.targets[:, None],
                            full.vectors[rows[lo:lo + step]], limits[lo:lo + step],

@@ -34,7 +34,9 @@ The bundled suite uses the paper's theta = 7, tuned on the original
 model-output series; a theta search on the bundled record itself selects
 theta = 0.  A disposal window at or beyond the current 25-year practice
 leaves the recorded history untouched, so such scenarios are defined to
-equal the baseline exactly.
+equal the baseline exactly; a launch-reduction or ADR scenario whose
+adjusted record equals the recorded one byte for byte (a 0 % reduction, say)
+reuses the baseline forecast, which it would repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -321,8 +323,15 @@ def baseline_forecast(data: Dataset, config: ScenarioModelConfig,
 
 
 def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-                     three_input: bool) -> ForecastResult:
-    """Adjust the observed window, re-forecast it and restart the band past the policy."""
+                     three_input: bool, baseline: ForecastResult | None = None) -> ForecastResult:
+    """Adjust the observed window, re-forecast it and restart the band past the policy.
+
+    A launch-reduction or ADR adjustment that leaves every series byte for
+    byte as recorded would repeat the baseline forecast exactly (its band
+    restarts at the first forecast year, where the baseline's starts), so
+    ``baseline``, when given, is returned instead.  A PMD forecast still
+    removes the cohorts falling due after the record, so it always runs.
+    """
     debris, launched, total = config.debris, config.launched, config.total
     adjust = _floor_counts
     if scenario.kind == "adr":
@@ -342,6 +351,10 @@ def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioMo
                 out[total] = max(0.0, out[total] - removal)
             return out
 
+    if baseline is not None and scenario.kind != "pmd" and all(
+            adjusted[name].to_array().tobytes() == data[name].to_array().tobytes()
+            for name in data.names):
+        return baseline
     trajectory = _forecast(adjusted, config, three_input, adjust)
     return _reset_band(trajectory, scenario.adjust_window_end(data.end_year) + 1)
 
@@ -372,7 +385,7 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
         # so the scenario is defined to equal the baseline.
         trajectory = reference
     else:
-        trajectory = _policy_forecast(data, scenario, config, three_input)
+        trajectory = _policy_forecast(data, scenario, config, three_input, reference)
 
     debris_final = trajectory.value_at(horizon)
     pct = 100.0 * (baseline_value - debris_final) / baseline_value

@@ -24,6 +24,15 @@ The one-step evaluation (``skill_eval``, also ``edmkit.smap_skill_eval``)
 and the iterative extrapolation (``smap_iterative_forecast``) are the shared
 protocol of ``edmkit.forecast``, re-exported here; ``SMapConfig._predict``
 is the predictor they call.
+
+Every S-map fit goes through one routine, ``_fit``, which has a theta axis:
+the protocol's predictor, ``smap_predict`` and ``theta_search`` all call it.
+Per query it computes the distances and their mean once, the weights of
+every theta in one exponential, and writes the weighted design and each
+series' right-hand side into buffers allocated once per call, so a theta
+search fits each query once for the whole grid.  Each (theta, series) pair
+still gets its own one-column least-squares solve, which keeps every output
+bit for bit what a separate fit per theta and series gives.
 """
 
 from __future__ import annotations
@@ -43,9 +52,10 @@ from .embedding import (
     _distance_rows,
     _floor,
 )
-from .forecast import ForecastResult, best_row, skill_eval, write_skill_table
+from .forecast import ForecastResult, _one_step_queries, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
-from .timeseries import Dataset, TimeSeries, _frozen, _require_finite, _write_csv
+from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _write_csv, pearson_rho,
+                         rmse)
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -83,17 +93,13 @@ class SMapConfig:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
     def _predict(self, vectors, forward, queries, limits, sizes, radius):
-        """The protocol's predictor (see ``edmkit.forecast``): one local fit per query."""
-        dim = self.spec.dimension
-        fits = []
-        for query, limit, size in zip(queries, limits, sizes):
-            if limit < dim + 2:
-                raise NeighborShortfallError(
-                    f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
-                    f"have {limit} (library size {size}, exclusion radius {radius})"
-                )
-            fits.append(_fit(vectors[:limit], forward[:limit], query, self))
-        return tuple(np.array(part) for part in zip(*fits))
+        """The protocol's predictor (see ``edmkit.forecast``): one local fit per query.
+
+        Every call returns new arrays, so callers may keep views into them.
+        """
+        predictions, variances, coefficients = _fit(
+            vectors, forward, queries, limits, sizes, radius, np.array([self.theta]), self.ridge)
+        return predictions[0], variances[0], coefficients[0]
 
 
 @dataclass(frozen=True)
@@ -114,41 +120,75 @@ class SMapStep:
         object.__setattr__(self, "coefficients", _frozen(self.coefficients))
 
 
-def smap_weights(distances: np.ndarray, theta: float) -> np.ndarray:
-    """Exponential localisation weights over all admissible distances."""
-    distances = np.asarray(distances, dtype=float)
-    mean_distance = float(distances.mean()) if distances.size else 0.0
-    if mean_distance == 0.0 or theta == 0.0:
-        return np.ones_like(distances)
-    return np.exp(-theta * distances / mean_distance)
+def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """Exponential localisation weights over all admissible distances.
 
-
-def _fit(vectors: np.ndarray, forward: np.ndarray, query: np.ndarray,
-         cfg: SMapConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S-map fits at one query state over every library row, one per forward column.
-
-    The distances, weights and square-root-weighted design are computed
-    once and shared; each column of ``forward`` (values aligned with the
-    library rows) gets its own least-squares solve.  Returns the
-    predictions, the variances and the (columns, dimension + 1) coefficients.
+    ``theta`` is one value, or a 1-D grid that gives one weight row per
+    theta.  Theta 0 and a mean distance of 0 give weights of exactly 1.0.
     """
-    count, dim = vectors.shape
-    distances = _distance_rows(vectors, query[None], "euclidean")[0]
-    weights = smap_weights(distances, cfg.theta)
-    sqrt_w = np.sqrt(weights)[:, None]
-    design = np.concatenate([np.ones((count, 1)), vectors], axis=1) * sqrt_w
-    if cfg.ridge > 0.0:
+    distances = np.asarray(distances, dtype=float)
+    thetas = np.asarray(theta, dtype=float)
+    mean_distance = distances.sum() / distances.size if distances.size else 0.0
+    if mean_distance == 0.0:
+        return np.ones(thetas.shape + distances.shape)
+    weights = np.exp(-thetas[..., None] * distances / mean_distance)
+    weights[thetas == 0.0] = 1.0  # even where a distance overflowed
+    return weights
+
+
+def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits, sizes,
+         radius: int, thetas: np.ndarray,
+         ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S-map fits at each query state for every theta, one per forward column.
+
+    Query ``q`` fits over the first ``limits[q]`` rows of ``vectors`` and
+    ``forward`` (values aligned with those rows); ``sizes`` and ``radius``
+    only name a shortfall.  The design's intercept column is ``sqrt(w)`` and
+    its ridge penalty rows come last.  Returns (thetas, queries, columns)
+    predictions and variances and (thetas, queries, columns, dimension + 1)
+    coefficients, all new arrays.
+    """
+    dim = vectors.shape[1]
+    counts = np.asarray(limits).tolist()
+    if min(counts) < dim + 2:
+        q = next(q for q, count in enumerate(counts) if count < dim + 2)
+        raise NeighborShortfallError(
+            f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
+            f"have {counts[q]} (library size {sizes[q]}, exclusion radius {radius})"
+        )
+    n_thetas, columns = thetas.shape[0], forward.shape[1]
+    extra = dim if ridge > 0.0 else 0  # the ridge rows take target 0
+    design = np.empty((n_thetas, max(counts) + extra, dim + 1))
+    rhs = np.empty((n_thetas, columns, max(counts) + extra))
+    predictions = np.empty((n_thetas, len(counts), columns))
+    variances = np.empty_like(predictions)
+    coefficients = np.empty((*predictions.shape, dim + 1))
+    if extra:
         penalty = np.zeros((dim, dim + 1))
-        penalty[:, 1:] = math.sqrt(cfg.ridge) * np.eye(dim)
-        design = np.concatenate([design, penalty], axis=0)
-    fits = []
-    for targets in forward.T:  # the ridge rows, if any, take target 0
-        rhs = np.concatenate([targets * sqrt_w[:, 0], np.zeros(design.shape[0] - count)])
-        coefficients, *_ = np.linalg.lstsq(design, rhs, rcond=_SV_CUTOFF)
-        residuals = targets - (coefficients[0] + vectors @ coefficients[1:])
-        fits.append((coefficients[0] + query @ coefficients[1:],
-                     (weights * residuals**2).sum() / weights.sum(), coefficients))
-    return tuple(np.array(part) for part in zip(*fits))
+        penalty[:, 1:] = math.sqrt(ridge) * np.eye(dim)
+    for q, (query, count) in enumerate(zip(queries, counts)):
+        library, targets = vectors[:count], forward[:count].T
+        weights = smap_weights(_distance_rows(library, query[None], "euclidean")[0], thetas)
+        sqrt_w = np.sqrt(weights)
+        a = design[:, :count + extra]
+        a[:, :count, 0] = sqrt_w
+        np.multiply(library, sqrt_w[:, :, None], out=a[:, :count, 1:])
+        b = rhs[:, :, :count + extra]
+        np.multiply(targets, sqrt_w[:, None], out=b[:, :, :count])
+        if extra:
+            a[:, count:] = penalty
+            b[:, :, count:] = 0.0
+        for t in range(n_thetas):
+            w, a_t, b_t = weights[t], a[t], b[t]
+            total = w.sum()
+            for c in range(columns):
+                coef = np.linalg.lstsq(a_t, b_t[c], rcond=_SV_CUTOFF)[0]
+                intercept, slopes = coef[0], coef[1:]
+                residuals = targets[c] - (intercept + library @ slopes)
+                predictions[t, q, c] = intercept + query @ slopes
+                variances[t, q, c] = (w * residuals**2).sum() / total
+                coefficients[t, q, c] = coef
+    return predictions, variances, coefficients
 
 
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
@@ -195,18 +235,25 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
                  ridge: float = 0.0, threads: int = 1) -> ThetaSearchResult:
     """Grid-search theta by expanding-window skill; ties go to the smaller theta.
 
-    Thetas are evaluated in turn; ``threads`` is accepted and ignored.
+    Every theta (and the ridge) is checked as ``SMapConfig`` checks it before
+    any fit.  The one-step queries of ``skill_eval`` are built once, and each
+    query's fit serves the whole grid: its distances, weights and design are
+    shared by every theta.  Each theta's predictions are scored as
+    ``skill_eval`` scores them.  ``threads`` is accepted and ignored.
     """
-    grid = sorted(set(float(t) for t in theta_grid))
+    thetas = [float(t) for t in theta_grid]
+    for theta in thetas:
+        SMapConfig(spec, theta, ridge=ridge)
+    grid = sorted(set(thetas))
     if not grid:
         raise ValueError("theta grid is empty")
-
-    def evaluate(theta: float) -> tuple[float, float, float]:
-        cfg = SMapConfig(spec, theta, ridge=ridge)
-        result = skill_eval(data, target, cfg, train_end, eval_start, eval_end)
-        return theta, result.rho, result.rmse
-
-    rows = tuple(evaluate(t) for t in grid)
+    full, _, queries, limits = _one_step_queries(data, target, spec, train_end,
+                                                 eval_start, eval_end)
+    predicted, _, _ = _fit(full.vectors, full.targets[:, None], full.vectors[queries], limits,
+                           queries, spec.radius, np.array(grid), ridge)
+    observed = full.targets[queries]
+    rows = tuple((theta, pearson_rho(observed, values[:, 0]), rmse(observed, values[:, 0]))
+                 for theta, values in zip(grid, predicted))
     best_theta, best_rho, _ = best_row(rows, "theta")
     verdict = "nonlinear" if best_theta > 0 else "linear"
     return ThetaSearchResult(rows=rows, best_theta=best_theta, best_rho=best_rho, verdict=verdict)

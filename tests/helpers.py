@@ -97,6 +97,40 @@ def oracle_wls(vectors, targets, weights, query_vector, ridge=0.0):
     return float(coef[0] + np.asarray(query_vector, float) @ coef[1:]), coef
 
 
+def reference_smap_fit(vectors, forward, query, theta, ridge=0.0):
+    """The S-map fit at one query, written out step by step for bit-level pins.
+
+    Unlike ``oracle_wls`` this follows the package's arithmetic exactly:
+    Euclidean distances through the same einsum, weights
+    exp(-theta * d / d_mean) (all 1.0 when theta or d_mean is 0), one
+    concatenated square-root-weighted design with the ridge rows appended,
+    and one ``lstsq`` per forward column.  Returns one (prediction,
+    variance, coefficients) triple per column of ``forward``.
+    """
+    count, dim = vectors.shape
+    diffs = vectors - query[None, None]
+    distances = np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))[0]
+    mean_distance = float(distances.mean())
+    if mean_distance == 0.0 or theta == 0.0:
+        weights = np.ones_like(distances)
+    else:
+        weights = np.exp(-theta * distances / mean_distance)
+    sqrt_w = np.sqrt(weights)[:, None]
+    design = np.concatenate([np.ones((count, 1)), vectors], axis=1) * sqrt_w
+    if ridge > 0.0:
+        penalty = np.zeros((dim, dim + 1))
+        penalty[:, 1:] = math.sqrt(ridge) * np.eye(dim)
+        design = np.concatenate([design, penalty], axis=0)
+    fits = []
+    for targets in forward.T:
+        rhs = np.concatenate([targets * sqrt_w[:, 0], np.zeros(design.shape[0] - count)])
+        coefficients = np.linalg.lstsq(design, rhs, rcond=1e-10)[0]
+        residuals = targets - (coefficients[0] + vectors @ coefficients[1:])
+        fits.append((coefficients[0] + query @ coefficients[1:],
+                     (weights * residuals**2).sum() / weights.sum(), coefficients))
+    return fits
+
+
 def oracle_iterative_step(series, columns, tau, n_obs, self_condition, method,
                           theta=0.0, ridge=0.0, normalize=False):
     """Reference next step of an iterative forecast for every extended series.

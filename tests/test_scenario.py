@@ -398,3 +398,32 @@ def test_every_kind_runs_one_pipeline_on_the_bundled_record():
         assert np.array_equal(report.trajectory.band_halfwidth, 1.96 * np.sqrt(expected)), name
         assert report.trajectory.band_halfwidth[split] == 1.96 * np.sqrt(variance[split])
     assert batch["pmd_25yr"].pct_mitigated == 0.0
+
+
+def test_unchanged_record_reuses_the_baseline_bit_for_bit(monkeypatch):
+    import edmkit.scenario
+
+    data = load_bundled()
+    config, _ = load_scenario_file(bundled_path("scenarios/table2.cfg"))
+    baselines = {three: edmkit.scenario.baseline_forecast(data, config, three_input=three)
+                 for three in (False, True)}
+    scenarios = (PolicyScenario("launch_reduction", reduction_fraction=0.0),
+                 PolicyScenario("adr", adr_per_year=0))
+    shortcut = [simulate(data, s, config, baselines[False], baselines[True]) for s in scenarios]
+    for scenario, report in zip(scenarios, shortcut):
+        assert report.trajectory is baselines[scenario.kind == "launch_reduction"]
+    assert simulate(data, PolicyScenario("adr", adr_per_year=100), config,
+                    baselines[False]).trajectory is not baselines[False]
+    # its record is untouched, but cohorts fall due from 2025, inside the forecast
+    pmd = PolicyScenario("pmd", pmd_years=15)
+    assert pmd_adjust(data, pmd) == data
+    assert simulate(data, pmd, config, baselines[False]).trajectory is not baselines[False]
+
+    original = edmkit.scenario._policy_forecast
+    monkeypatch.setattr(edmkit.scenario, "_policy_forecast",
+                        lambda data, scenario, config, three_input, baseline=None:
+                        original(data, scenario, config, three_input))
+    for scenario, report in zip(scenarios, shortcut):
+        forced = simulate(data, scenario, config, baselines[False], baselines[True])
+        assert forced.trajectory is not report.trajectory
+        assert _bits(forced) == _bits(report)

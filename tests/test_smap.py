@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from edmkit.smap import (
     smap_weights,
     theta_search,
 )
+from edmkit.smap import _fit
 from edmkit.smap import skill_eval as smap_skill_eval
 from edmkit.timeseries import Dataset, TimeSeries
 
-from helpers import coupled_logistic_pair, oracle_iterative_step, oracle_wls
+from helpers import coupled_logistic_pair, oracle_iterative_step, oracle_wls, reference_smap_fit
 
 
 def random_library(rng, n=20, dim=3, radius=0):
@@ -193,6 +195,90 @@ def test_theta_search_threads_deterministic():
     single = theta_search(data, "x", spec, train_end=40, threads=1)
     multi = theta_search(data, "x", spec, train_end=40, threads=4)
     assert single.rows == multi.rows
+
+
+def _tie_heavy_record():
+    # small integers repeat states exactly: tied and zero distances abound
+    values = np.random.default_rng(5).integers(0, 4, 70).astype(float).tolist()
+    return Dataset.from_columns(0, {"x": values, "y": values[1:] + [2.0]})
+
+
+def _coupled_record():
+    return Dataset(coupled_logistic_pair(70))
+
+
+def _same_skill(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("record", [_coupled_record, _tie_heavy_record],
+                         ids=["coupled", "tie_heavy"])
+@pytest.mark.parametrize("window", [(None, None), (48, 62)], ids=["default", "window"])
+@pytest.mark.parametrize("radius", [0, 3])
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge):
+    data = record()
+    spec = EmbeddingSpec((("x", 2), ("y", 1)), exclusion_radius=radius)
+    grid = (3.0, 0.0, 0.5, 9.0, 3.0, 0.0, 0.1)
+    result = theta_search(data, "x", spec, grid, train_end=40, eval_start=window[0],
+                          eval_end=window[1], ridge=ridge)
+    thetas = sorted(set(grid))
+    assert [row[0] for row in result.rows] == thetas
+    for (theta, rho, error), expected_theta in zip(result.rows, thetas):
+        expected = smap_skill_eval(data, "x", SMapConfig(spec, expected_theta, ridge=ridge), 40,
+                                   window[0], window[1])
+        assert _same_skill(rho, expected.rho) and _same_skill(error, expected.rmse), theta
+
+
+@pytest.mark.parametrize("bad, message", [(-1, "theta must be >= 0, got -1.0"),
+                                          (math.nan, "theta must be finite, got nan"),
+                                          (math.inf, "theta must be finite, got inf")])
+@pytest.mark.parametrize("where", [0, 2, 5])
+def test_invalid_theta_is_named_before_any_fit(monkeypatch, bad, message, where):
+    import edmkit.smap
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the grid was checked")
+
+    monkeypatch.setattr(edmkit.smap, "_fit", no_fit)
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+    grid.insert(where, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        theta_search(_coupled_record(), "x", EmbeddingSpec.univariate("x", 2), grid,
+                     train_end=40)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_fit_is_bit_equal_to_the_reference_recipe(columns, ridge):
+    rng = np.random.default_rng(columns)
+    thetas = np.array([0.0, 2.0, 7.0])
+    query = rng.normal(size=3)
+    cases = [  # (library states, query states, prefix limits)
+        (rng.normal(size=(40, 3)), rng.normal(size=(3, 3)), np.array([10, 25, 40])),
+        (np.tile(query, (12, 1)), query[None], np.array([12])),  # mean distance 0
+    ]
+    for vectors, queries, limits in cases:
+        forward = rng.normal(size=(vectors.shape[0], columns))
+        predictions, variances, coefficients = _fit(vectors, forward, queries, limits, limits,
+                                                    0, thetas, ridge)
+        for t, theta in enumerate(thetas):
+            for q, limit in enumerate(limits):
+                expected = reference_smap_fit(vectors[:limit], forward[:limit], queries[q],
+                                              theta, ridge)
+                for c, (prediction, variance, coef) in enumerate(expected):
+                    assert predictions[t, q, c] == prediction
+                    assert variances[t, q, c] == variance
+                    assert coefficients[t, q, c].tolist() == coef.tolist()
+
+
+def test_iterative_steps_keep_their_own_coefficient_rows():
+    data = Dataset(coupled_logistic_pair(40))
+    cfg = SMapConfig(EmbeddingSpec((("x", 2), ("y", 2))), 2.0)
+    result = smap_iterative_forecast(data, "x", cfg, data.end_year + 2)
+    first = smap_iterative_forecast(data, "x", cfg, data.end_year + 1)
+    assert result.coefficients[0].tolist() == first.coefficients[0].tolist()
+    assert result.coefficients[0].tolist() != result.coefficients[1].tolist()
 
 
 def test_iterative_constant_series():
