@@ -16,8 +16,9 @@ difference rows.  A point is a candidate for a query when their time gap
 exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``, which
 suppresses autocorrelation shortcuts; for radius 0, -1 (every point, an
 exact self-match included) or 0 under cross mapping's leave-one-out.
-``_candidates`` applies the rule as a mask, ``_prefix_limits`` as a prefix
-length for a library of earlier times only, and ``_exclude_band`` as inf
+``_candidates`` applies the rule as a mask, ``_candidate_rows`` as one
+query's candidate rows in ascending time (the one road of ``knn``,
+``simplex_predict`` and ``smap_predict``), and ``_exclude_band`` as inf
 written in place into a block of distances among consecutive times.
 ``_nearest`` has one input, distances in which every non-candidate already
 holds inf, and keeps the ``k`` nearest by (distance, column), exactly as a
@@ -145,7 +146,7 @@ class EmbeddingLibrary:
     ``vectors[i]`` is the state at ``times[i]`` and ``targets[i]`` is the
     value of the target series at ``times[i] + tp``.  Every embedding builds
     its library in ascending time order, which the forecasting protocol
-    relies on; ``knn`` accepts any order.  ``norms`` records any per-series
+    relies on; single queries take any order.  ``norms`` records any per-series
     (mean, std) applied to the coordinates so queries can be transformed
     identically.
     """
@@ -393,15 +394,19 @@ def _exclude_band(block: np.ndarray, first: int, floor: int) -> None:
         row[max(i - floor, 0):i + floor + 1] = np.inf
 
 
-def _prefix_limits(times: np.ndarray, query_times: np.ndarray, radius: int) -> np.ndarray:
-    """How many leading rows of ascending ``times`` lie more than ``radius`` before each query.
-
-    Query times ascend too.  No row lies further back than the last query's
-    offset from ``times[0]``; capped there, a radius beyond int64 subtracts
-    without overflow.
-    """
-    reach = min(radius, int(query_times[-1]) - int(times[0]))
-    return np.searchsorted(times, query_times - reach)
+def _candidate_rows(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
+                    exclusion_radius: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """One query's checked vector, its candidate rows in ascending time, and the radius used."""
+    radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
+    vector = np.asarray(query[1], dtype=float)
+    if vector.shape != (library.spec.dimension,):
+        raise ValueError(f"query vector has shape {vector.shape}, the library's states have "
+                         f"{library.spec.dimension} coordinates")
+    times = library.times
+    rows = np.flatnonzero(_candidates(times, query[0], _floor(radius)))
+    if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time
+        rows = rows[np.argsort(times[rows], kind="stable")]
+    return vector, rows, radius
 
 
 def _nearest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -436,16 +441,10 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_time, query_vector = query
-    radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
-    dists = _distance_rows(library.vectors, np.asarray(query_vector, dtype=float)[None], metric)[0]
-    candidates = np.flatnonzero(_candidates(library.times, query_time, _floor(radius)))
-    if candidates.shape[0] < k:
-        raise _shortfall(k, candidates.shape[0], len(library), radius)
-    times = library.times
-    if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time
-        candidates = candidates[np.argsort(times[candidates], kind="stable")]
-    # in time order, the stable selection breaks distance ties toward the earlier time;
-    # only candidates are selected from, so no excluded column can win a tie at inf
-    columns, nearest = _nearest(dists[candidates][None], k)
-    return NeighborSet(indices=candidates[columns[0]], distances=nearest[0])
+    vector, rows, radius = _candidate_rows(library, query, exclusion_radius)
+    distances = _distance_rows(library.vectors[rows], vector[None], metric)
+    if rows.size < k:
+        raise _shortfall(k, rows.size, len(library), radius)
+    # rows ascend in time, so the stable selection breaks distance ties toward the earlier time
+    columns, nearest = _nearest(distances, k)
+    return NeighborSet(indices=rows[columns[0]], distances=nearest[0])

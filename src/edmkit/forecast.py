@@ -15,12 +15,12 @@ Each config supplies its predictor, ``cfg._predict(vectors, forward,
 queries, limits, sizes, radius)``, and both loops call it the same way.
 ``vectors`` holds library states in ascending time and ``forward`` the next
 value of each predicted series after each state.  Query ``q`` may use only
-the first ``limits[q]`` rows, ``searchsorted(times, query_time - radius)``,
-which is exactly its admissible library because every library time precedes
-the query's.  ``sizes[q]`` (its library size before the exclusion window)
-and ``radius`` only name a shortfall.  It returns (queries, columns)
-predictions and variances, and None or (queries, columns, dimension + 1)
-coefficients.
+the first ``limits[q]`` rows: its library holds consecutive years before
+the query's, so for the query state at row ``r`` that is the row offset
+``max(r - radius, 0)``, capped at the library's size.  ``sizes[q]`` (its
+library size before the exclusion window) and ``radius`` only name a
+shortfall.  It returns (queries, columns) predictions and variances, and
+None or (queries, columns, dimension + 1) coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather, _layout,
-                        _prefix_limits, multivariate_embed)
+                        multivariate_embed)
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _write_csv,
                          _write_json, pearson_rho, rmse)
 
@@ -171,7 +171,8 @@ def _one_step_queries(data: Dataset, target: str, spec: EmbeddingSpec, train_end
     _check_state_time(data, spec, start - 1)
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
-    return full, times, rows, _prefix_limits(full.times, full.times[rows], spec.radius)
+    # a radius past the library's length admits nothing; capped there, it fits int64
+    return full, times, rows, np.maximum(rows - min(spec.radius, len(full)), 0)
 
 
 def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
@@ -263,7 +264,6 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
                          f"({data.end_year}) to fit in memory") from None
     values[:n_obs] = np.column_stack([data[name].to_array() for name in names])
     layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
-    times = data.start_year + np.arange(first, n_obs + steps)
     states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
 
@@ -272,10 +272,10 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     for i, year in enumerate(forecast_years):
         query = n_obs + i - 1 - first  # state row of the latest known year
         size = query if self_condition else n_obs - 1 - first  # library rows
-        limits = _prefix_limits(times[:size], times[query:query + 1], radius)
+        limit = min(size, max(query - radius, 0))  # rows more than radius years back
         step_values, step_vars, step_coefs = cfg._predict(
             states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
-            limits, (size,), radius)
+            np.array([limit]), (size,), radius)
         step_values = step_values[0].tolist()
         if adjust is not None:
             adjusted = adjust(int(year), dict(zip(names, step_values)))

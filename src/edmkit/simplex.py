@@ -12,7 +12,8 @@ sits at distance 0 the weights are uniform.
 
 The one-step evaluation (``skill_eval``) and the iterative extrapolation
 (``iterative_forecast``) are the shared protocol of ``edmkit.forecast``,
-re-exported here; ``SimplexConfig._predict`` is the predictor they call.
+re-exported here; ``SimplexConfig._predict`` is the predictor they call,
+and ``simplex_predict`` calls it on one query's candidate rows.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _distance_rows, _nearest, _shortfall,
-                        knn)
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows, _nearest,
+                        _shortfall)
 # ForecastResult and the two forecasting entry points are re-exported for existing callers
 from .forecast import ForecastResult, best_row, iterative_forecast, skill_eval, write_skill_table
 from .timeseries import Dataset, _row_dot, _whole_number
@@ -96,12 +97,11 @@ def simplex_weights(distances: np.ndarray) -> np.ndarray:
 def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
                     cfg: SimplexConfig) -> tuple[float, float]:
     """One simplex forecast: returns (prediction, weighted target variance)."""
-    neighbours = knn(library, query, cfg.effective_k)
-    weights = simplex_weights(neighbours.distances)
-    targets = library.targets[neighbours.indices]
-    prediction = float(weights @ targets)
-    variance = float(weights @ (targets - prediction) ** 2)
-    return prediction, variance
+    vector, rows, radius = _candidate_rows(library, query)
+    predictions, variances, _ = cfg._predict(
+        library.vectors[rows], library.targets[rows, None], vector[None], np.array([rows.size]),
+        [len(library)], radius)
+    return float(predictions[0, 0]), float(variances[0, 0])
 
 
 @dataclass(frozen=True)

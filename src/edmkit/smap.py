@@ -26,7 +26,8 @@ protocol of ``edmkit.forecast``, re-exported here; ``SMapConfig._predict``
 is the predictor they call.
 
 Every S-map fit goes through one routine, ``_fit``, which has a theta axis:
-the protocol's predictor, ``smap_predict`` and ``theta_search`` all call it.
+the protocol's predictor, ``smap_predict`` (through it, on one query's
+candidate rows in ascending time) and ``theta_search`` all call it.
 Per query it computes the distances and their mean once, the weights of
 every theta in one exponential, and writes the weighted design and each
 series' right-hand side into buffers allocated once per call, so a theta
@@ -47,10 +48,8 @@ from .embedding import (
     EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
-    _candidates,
-    _check_radius,
+    _candidate_rows,
     _distance_rows,
-    _floor,
 )
 from .forecast import ForecastResult, _one_step_queries, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
@@ -195,17 +194,16 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
                  cfg: SMapConfig, exclusion_radius: int | None = None) -> SMapStep:
     """One S-map step at the query state.
 
-    All library points surviving the exclusion window join the fit; at least
-    ``dimension + 2`` of them are required for the regression to be posed.
+    All library points outside the exclusion window join the fit, in time
+    order; the regression needs at least ``dimension + 2`` of them.
     ``exclusion_radius`` overrides the library spec's window per call.
     The fit solves weighted least squares through the square-root-weight
     design matrix.
     """
-    radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
-    keep = _candidates(library.times, query[0], _floor(radius))
+    vector, rows, radius = _candidate_rows(library, query, exclusion_radius)
     predictions, variances, coefficients = cfg._predict(
-        library.vectors[keep], library.targets[keep, None], np.asarray(query[1], dtype=float)[None],
-        [int(keep.sum())], [len(library)], radius)
+        library.vectors[rows], library.targets[rows, None], vector[None], [rows.size],
+        [len(library)], radius)
     return SMapStep(time=int(query[0]), prediction=float(predictions[0, 0]),
                     coefficients=coefficients[0, 0], variance=float(variances[0, 0]))
 

@@ -295,6 +295,25 @@ def test_negative_exclusion_radius_is_rejected_by_name(entry):
         NEGATIVE_RADIUS_CALLS[entry](data, library, query)
 
 
+# a radius past int64 used to reach the protocol's prefix search; it admits no row
+BEYOND_INT64_RADIUS_CALLS = {
+    "iterative_forecast-2**63": lambda data: iterative_forecast(
+        data, "x", SimplexConfig(COUPLED), data.end_year + 5, exclusion_radius=2 ** 63),
+    "iterative_forecast-400-digits": lambda data: iterative_forecast(
+        data, "x", SimplexConfig(COUPLED), data.end_year + 5, exclusion_radius=10 ** 400),
+    "skill_eval-2**63": lambda data: skill_eval(
+        data, "x", SimplexConfig(replace(COUPLED, exclusion_radius=2 ** 63)), 40),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BEYOND_INT64_RADIUS_CALLS))
+def test_radius_beyond_int64_leaves_no_admissible_rows(entry):
+    data = Dataset(coupled_logistic_pair(60))
+    with pytest.raises(NeighborShortfallError, match="need k=5 neighbours but only 0 admissible "
+                                                     "points remain"):
+        BEYOND_INT64_RADIUS_CALLS[entry](data)
+
+
 @pytest.mark.parametrize("horizon", [pytest.param(10 ** 400, id="400-digits"), 10 ** 15])
 @pytest.mark.parametrize("method", ["simplex", "smap"])
 def test_too_long_horizon_is_named(method, horizon):

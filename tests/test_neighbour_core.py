@@ -7,8 +7,10 @@ replaced, so every caller keeps the bits it had.
 import numpy as np
 import pytest
 
-from edmkit.embedding import (_PARTITION_WIDTH, _candidates, _distance_rows, _exclude_band, _floor,
-                              _nearest, _prefix_limits)
+from edmkit.embedding import (_PARTITION_WIDTH, EmbeddingLibrary, EmbeddingSpec, _candidates,
+                              _distance_rows, _exclude_band, _floor, _nearest, knn)
+from edmkit.simplex import SimplexConfig, simplex_predict
+from edmkit.smap import SMapConfig, smap_predict
 from edmkit.timeseries import _row_dot
 
 
@@ -112,20 +114,6 @@ def test_floor_states_the_candidacy_rule():
         assert np.array_equal(row, np.abs(times - query) > 1)
 
 
-@pytest.mark.parametrize("radius", [0, 1, 3, 5, 6, 9, 10, 11, pytest.param(2 ** 63, id="2**63"),
-                                    pytest.param(10 ** 400, id="400-digits")])
-def test_prefix_limits_count_the_rows_outside_the_window(radius):
-    times = np.arange(2000, 2010)
-    queries = times[[3, 6, 9]]
-    expected = [int(np.count_nonzero(times < q - min(radius, 10 ** 6))) for q in queries]
-    assert _prefix_limits(times, queries, radius).tolist() == expected
-    # a prefix of a longer buffer: the query lies past the prefix's last row,
-    # so a cap at the prefix length (4) would still admit row 2003 at radius 6
-    prefix = times[:4]
-    limit = _prefix_limits(prefix, times[9:10], radius)
-    assert limit.tolist() == [int(np.count_nonzero(prefix < 2009 - min(radius, 10 ** 6)))]
-
-
 @pytest.mark.parametrize("width", [40, _PARTITION_WIDTH + 24])
 def test_nearest_is_the_masked_stable_sort(width):
     rng = np.random.default_rng(width)
@@ -137,3 +125,62 @@ def test_nearest_is_the_masked_stable_sort(width):
     reference = np.argsort(masked, axis=1, kind="stable")[:, :5]
     assert np.array_equal(columns, reference)
     assert np.array_equal(nearest, np.take_along_axis(distances, reference, axis=1))
+
+
+def _library(times, vectors, targets, radius):
+    spec = EmbeddingSpec((("s", vectors.shape[1]),), exclusion_radius=radius)
+    return EmbeddingLibrary(spec, "s", 1, times, vectors, targets)
+
+
+# the single-query entry points, each called on a library and a query
+SINGLE_QUERY = {
+    "knn-euclidean": lambda library, query: knn(library, query, 4),
+    "knn-manhattan": lambda library, query: knn(library, query, 4, "manhattan"),
+    "simplex_predict": lambda library, query: simplex_predict(
+        library, query, SimplexConfig(library.spec)),
+    "smap_predict": lambda library, query: smap_predict(
+        library, query, SMapConfig(library.spec, 2.0)),
+}
+
+
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("entry", sorted(SINGLE_QUERY))
+def test_query_of_the_wrong_length_is_named(entry, length):
+    # a 1-coordinate query used to broadcast in Euclidean knn and simplex,
+    # and Manhattan knn ignored a 4th coordinate
+    rng = np.random.default_rng(length)
+    library = _library(np.arange(30), rng.normal(size=(30, 3)), rng.normal(size=30), 0)
+    message = rf"^query vector has shape \({length},\), the library's states have 3 coordinates$"
+    with pytest.raises(ValueError, match=message):
+        SINGLE_QUERY[entry](library, (40, np.ones(length)))
+
+
+@pytest.mark.parametrize("radius", [0, 2, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_single_queries_on_a_library_out_of_time_order(seed, radius):
+    # integer coordinates, so many distances tie; the fit and the selection
+    # take the candidate rows in ascending time, whatever the storage order
+    rng = np.random.default_rng(seed)
+    times = np.arange(1960, 2000)
+    vectors = rng.integers(0, 3, size=(40, 2)).astype(float)
+    targets = rng.normal(size=40)
+    ordered = _library(times, vectors, targets, radius)
+    order = rng.permutation(40)
+    shuffled = _library(times[order], vectors[order], targets[order], radius)
+    for query in [(1975, vectors[15]), (2003, np.array([1.0, 2.0]))]:
+        for method in ("simplex_predict", "smap_predict"):
+            expected = SINGLE_QUERY[method](ordered, query)
+            found = SINGLE_QUERY[method](shuffled, query)
+            if method == "smap_predict":
+                assert found.coefficients.tobytes() == expected.coefficients.tobytes()
+                expected = (expected.prediction, expected.variance)
+                found = (found.prediction, found.variance)
+            assert np.array(found).tobytes() == np.array(expected).tobytes(), (method, query)
+
+
+def test_simplex_distance_ties_go_to_the_earlier_time():
+    # four states at distance 1 from the query, stored out of time order;
+    # k = 2 keeps the two earliest (1962 and 1965), whose weights are equal
+    times = np.array([1965, 1962, 1969, 1967])
+    library = _library(times, np.ones((4, 1)), np.array([10.0, 20.0, 40.0, 80.0]), 0)
+    assert simplex_predict(library, (2000, [0.0]), SimplexConfig(library.spec, k=2)) == (15.0, 25.0)
