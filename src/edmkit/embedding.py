@@ -20,6 +20,7 @@ exact self-match included) or 0 under cross mapping's leave-one-out.
 query's candidate rows in ascending time (the one road of ``knn``,
 ``simplex_predict`` and ``smap_predict``), and ``_exclude_band`` as inf
 written in place into a block of distances among consecutive times.
+``_check_admissible`` names a shortfall wherever a forecast library is cut.
 ``_nearest`` has one input, distances in which every non-candidate already
 holds inf, and keeps the ``k`` nearest by (distance, column), exactly as a
 stable sort of the row orders them; cross mapping ranks each row once in
@@ -32,7 +33,7 @@ only ``k`` survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -172,17 +173,10 @@ class EmbeddingLibrary:
         return self.times.shape[0]
 
     def targets_through(self, last_target_year: int) -> "EmbeddingLibrary":
-        """The sub-library whose targets fall at or before the given year."""
-        count = int(np.searchsorted(self.times, last_target_year - self.tp, side="right"))
-        return EmbeddingLibrary(
-            spec=self.spec,
-            target_name=self.target_name,
-            tp=self.tp,
-            times=self.times[:count],
-            vectors=self.vectors[:count],
-            targets=self.targets[:count],
-            norms=self.norms,
-        )
+        """The sub-library whose targets fall at or before the given year, in storage order."""
+        keep = self.times <= last_target_year - self.tp
+        return replace(self, times=self.times[keep], vectors=self.vectors[keep],
+                       targets=self.targets[keep])
 
 
 @dataclass(frozen=True)
@@ -311,6 +305,7 @@ def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.
     From E = 8 on numpy sums pairwise, which the planes would round
     differently, so each difference row is summed whole.
     """
+    _check_metric(metric)
     if metric == "manhattan" and vectors.shape[1] < 8:
         out = np.subtract(vectors[:, 0], queries[:, :1])
         np.abs(out, out=out)
@@ -321,9 +316,12 @@ def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.
     diffs = vectors - queries[:, None]
     if metric == "euclidean":
         return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
-    if metric == "manhattan":
-        return np.abs(diffs).sum(axis=-1)
-    raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
+    return np.abs(diffs).sum(axis=-1)
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in ("euclidean", "manhattan"):
+        raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
 #: Row width from which ``_smallest_k`` partitions instead of sorting the
@@ -394,9 +392,17 @@ def _exclude_band(block: np.ndarray, first: int, floor: int) -> None:
         row[max(i - floor, 0):i + floor + 1] = np.inf
 
 
+def _check_admissible(need: tuple[int, str], admissible: int, size: int, radius: int) -> None:
+    """Raise if fewer than ``need[0]`` rows are admissible; ``need[1]`` words the need."""
+    if admissible < need[0]:
+        raise NeighborShortfallError(f"need {need[1]} but only {admissible} admissible points "
+                                     f"remain (library size {size}, exclusion radius {radius})")
+
+
 def _candidate_rows(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
-                    exclusion_radius: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """One query's checked vector, its candidate rows in ascending time, and the radius used."""
+                    need: tuple[int, str], exclusion_radius: int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """One query's checked vector and its candidate rows in ascending time, at least ``need[0]``."""
     radius = library.spec.radius if exclusion_radius is None else _check_radius(exclusion_radius)
     vector = np.asarray(query[1], dtype=float)
     if vector.shape != (library.spec.dimension,):
@@ -406,7 +412,8 @@ def _candidate_rows(library: EmbeddingLibrary, query: tuple[int, Sequence[float]
     rows = np.flatnonzero(_candidates(times, query[0], _floor(radius)))
     if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time
         rows = rows[np.argsort(times[rows], kind="stable")]
-    return vector, rows, radius
+    _check_admissible(need, rows.size, len(library), radius)
+    return vector, rows
 
 
 def _nearest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,13 +423,6 @@ def _nearest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     chosen = _smallest_k(distances, k)
     return chosen, np.take_along_axis(distances, chosen, axis=1)
-
-
-def _shortfall(k: int, admissible: int, size: int, radius: int) -> NeighborShortfallError:
-    return NeighborShortfallError(
-        f"need k={k} neighbours but only {admissible} admissible "
-        f"points remain (library size {size}, exclusion radius {radius})"
-    )
 
 
 def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
@@ -441,10 +441,9 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    vector, rows, radius = _candidate_rows(library, query, exclusion_radius)
+    _check_metric(metric)
+    vector, rows = _candidate_rows(library, query, (k, f"k={k} neighbours"), exclusion_radius)
     distances = _distance_rows(library.vectors[rows], vector[None], metric)
-    if rows.size < k:
-        raise _shortfall(k, rows.size, len(library), radius)
     # rows ascend in time, so the stable selection breaks distance ties toward the earlier time
     columns, nearest = _nearest(distances, k)
     return NeighborSet(indices=rows[columns[0]], distances=nearest[0])

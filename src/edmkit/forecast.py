@@ -12,15 +12,16 @@ predictions to the library ("self conditioning") so the reconstruction can
 extend past the observed record.
 
 Each config supplies its predictor, ``cfg._predict(vectors, forward,
-queries, limits, sizes, radius)``, and both loops call it the same way.
-``vectors`` holds library states in ascending time and ``forward`` the next
-value of each predicted series after each state.  Query ``q`` may use only
-the first ``limits[q]`` rows: its library holds consecutive years before
-the query's, so for the query state at row ``r`` that is the row offset
-``max(r - radius, 0)``, capped at the library's size.  ``sizes[q]`` (its
-library size before the exclusion window) and ``radius`` only name a
-shortfall.  It returns (queries, columns) predictions and variances, and
-None or (queries, columns, dimension + 1) coefficients.
+queries, limits)``, and both loops call it the same way.  ``vectors`` holds
+library states in ascending time and ``forward`` the next value of each
+predicted series after each state.  Query ``q`` may use only the first
+``limits[q]`` rows, where ``limits`` is any sequence of ints: its library
+holds consecutive years before the query's, so for the query state at row
+``r`` that is the row offset ``max(r - radius, 0)``, capped at the
+library's size.  It returns (queries, columns) predictions and variances,
+and None or (queries, columns, dimension + 1) coefficients.  It only
+predicts: ``cfg._needs`` states the rows it needs and how a shortfall words
+them, and each loop checks its first query, which has the fewest rows.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingSpec, _check_radius, _check_state_time, _gather, _layout,
-                        multivariate_embed)
+from .embedding import (EmbeddingSpec, _check_admissible, _check_radius, _check_state_time,
+                        _gather, _layout, multivariate_embed)
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _write_csv,
                          _write_json, pearson_rho, rmse)
 
@@ -150,13 +151,15 @@ def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.n
     )
 
 
-def _one_step_queries(data: Dataset, target: str, spec: EmbeddingSpec, train_end: int,
-                      eval_start: int | None, eval_end: int | None):
+def _one_step_queries(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig,
+                      train_end: int, eval_start: int | None, eval_end: int | None):
     """The one-step evaluation's queries: (library, years, query rows, prefix limits).
 
-    Checks the evaluation range, embeds the full library and finds the
-    library row of each query state and its admissible prefix.
+    Checks the evaluation range, embeds the full library and finds the library
+    row of each query state and its admissible prefix, of which the first,
+    the shortest, is checked against ``cfg._needs``.
     """
+    spec = cfg.spec
     start = train_end + 1 if eval_start is None else eval_start
     end = data.end_year if eval_end is None else eval_end
     if start <= train_end:
@@ -172,7 +175,9 @@ def _one_step_queries(data: Dataset, target: str, spec: EmbeddingSpec, train_end
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
     # a radius past the library's length admits nothing; capped there, it fits int64
-    return full, times, rows, np.maximum(rows - min(spec.radius, len(full)), 0)
+    limits = np.maximum(rows - min(spec.radius, len(full)), 0)
+    _check_admissible(cfg._needs, int(limits[0]), int(rows[0]), spec.radius)
+    return full, times, rows, limits
 
 
 def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
@@ -190,12 +195,11 @@ def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, trai
     evaluation period as well.
     """
     spec = cfg.spec
-    full, times, rows, limits = _one_step_queries(data, target, spec, train_end,
+    full, times, rows, limits = _one_step_queries(data, target, cfg, train_end,
                                                   eval_start, eval_end)
     step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
     blocks = [cfg._predict(full.vectors, full.targets[:, None],
-                           full.vectors[rows[lo:lo + step]], limits[lo:lo + step],
-                           rows[lo:lo + step], spec.radius)
+                           full.vectors[rows[lo:lo + step]], limits[lo:lo + step])
               for lo in range(0, rows.shape[0], step)]
     predicted, variance, coefficients = (
         None if parts[0] is None else np.concatenate(parts)[:, 0] for parts in zip(*blocks))
@@ -266,16 +270,17 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
     states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
+    observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
+    _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
     coefficients: list = []
     for i, year in enumerate(forecast_years):
-        query = n_obs + i - 1 - first  # state row of the latest known year
-        size = query if self_condition else n_obs - 1 - first  # library rows
+        query = observed + i  # state row of the latest known year
+        size = query if self_condition else observed  # library rows
         limit = min(size, max(query - radius, 0))  # rows more than radius years back
         step_values, step_vars, step_coefs = cfg._predict(
-            states[:size], values[first + 1:first + 1 + size], states[query:query + 1],
-            np.array([limit]), (size,), radius)
+            states[:size], values[first + 1:first + 1 + size], states[query:query + 1], [limit])
         step_values = step_values[0].tolist()
         if adjust is not None:
             adjusted = adjust(int(year), dict(zip(names, step_values)))

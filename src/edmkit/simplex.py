@@ -23,8 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows, _nearest,
-                        _shortfall)
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows, _nearest
 # ForecastResult and the two forecasting entry points are re-exported for existing callers
 from .forecast import ForecastResult, best_row, iterative_forecast, skill_eval, write_skill_table
 from .timeseries import Dataset, _row_dot, _whole_number
@@ -62,16 +61,16 @@ class SimplexConfig:
     def effective_k(self) -> int:
         return self.spec.dimension + 1 if self.k is None else self.k
 
-    def _predict(self, vectors, forward, queries, limits, sizes, radius):
+    @property
+    def _needs(self) -> tuple[int, str]:
+        return self.effective_k, f"k={self.effective_k} neighbours"
+
+    def _predict(self, vectors, forward, queries, limits):
         """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest."""
-        k = self.effective_k
-        short = np.flatnonzero(limits < k)
-        if short.size:
-            raise _shortfall(k, int(limits[short[0]]), int(sizes[short[0]]), radius)
-        distances = _distance_rows(vectors[:int(limits.max())], queries, "euclidean")
+        distances = _distance_rows(vectors[:max(limits)], queries, "euclidean")
         for row, limit in zip(distances, limits):
             row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
-        indices, distances = _nearest(distances, k)
+        indices, distances = _nearest(distances, self.effective_k)
         weights = simplex_weights(distances)
         # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
         targets = np.take(forward.T, indices, axis=1)
@@ -97,10 +96,9 @@ def simplex_weights(distances: np.ndarray) -> np.ndarray:
 def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
                     cfg: SimplexConfig) -> tuple[float, float]:
     """One simplex forecast: returns (prediction, weighted target variance)."""
-    vector, rows, radius = _candidate_rows(library, query)
+    vector, rows = _candidate_rows(library, query, cfg._needs)
     predictions, variances, _ = cfg._predict(
-        library.vectors[rows], library.targets[rows, None], vector[None], np.array([rows.size]),
-        [len(library)], radius)
+        library.vectors[rows], library.targets[rows, None], vector[None], [rows.size])
     return float(predictions[0, 0]), float(variances[0, 0])
 
 

@@ -44,13 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import (
-    EmbeddingLibrary,
-    EmbeddingSpec,
-    NeighborShortfallError,
-    _candidate_rows,
-    _distance_rows,
-)
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows
 from .forecast import ForecastResult, _one_step_queries, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
 from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _write_csv, pearson_rho,
@@ -91,13 +85,17 @@ class SMapConfig:
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
-    def _predict(self, vectors, forward, queries, limits, sizes, radius):
+    @property
+    def _needs(self) -> tuple[int, str]:
+        return self.spec.dimension + 2, f"dimension+2 = {self.spec.dimension + 2} points"
+
+    def _predict(self, vectors, forward, queries, limits):
         """The protocol's predictor (see ``edmkit.forecast``): one local fit per query.
 
         Every call returns new arrays, so callers may keep views into them.
         """
         predictions, variances, coefficients = _fit(
-            vectors, forward, queries, limits, sizes, radius, np.array([self.theta]), self.ridge)
+            vectors, forward, queries, limits, np.array([self.theta]), self.ridge)
         return predictions[0], variances[0], coefficients[0]
 
 
@@ -135,26 +133,20 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
     return weights
 
 
-def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits, sizes,
-         radius: int, thetas: np.ndarray,
-         ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
+         thetas: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S-map fits at each query state for every theta, one per forward column.
 
     Query ``q`` fits over the first ``limits[q]`` rows of ``vectors`` and
-    ``forward`` (values aligned with those rows); ``sizes`` and ``radius``
-    only name a shortfall.  The design's intercept column is ``sqrt(w)`` and
+    ``forward`` (values aligned with those rows); ``limits`` is any sequence
+    of ints, each at least ``dimension + 2``, which the callers check where
+    they cut the library.  The design's intercept column is ``sqrt(w)`` and
     its ridge penalty rows come last.  Returns (thetas, queries, columns)
     predictions and variances and (thetas, queries, columns, dimension + 1)
     coefficients, all new arrays.
     """
     dim = vectors.shape[1]
     counts = np.asarray(limits).tolist()
-    if min(counts) < dim + 2:
-        q = next(q for q, count in enumerate(counts) if count < dim + 2)
-        raise NeighborShortfallError(
-            f"S-map needs at least dimension+2 = {dim + 2} admissible points, "
-            f"have {counts[q]} (library size {sizes[q]}, exclusion radius {radius})"
-        )
     n_thetas, columns = thetas.shape[0], forward.shape[1]
     extra = dim if ridge > 0.0 else 0  # the ridge rows take target 0
     design = np.empty((n_thetas, max(counts) + extra, dim + 1))
@@ -200,10 +192,9 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     The fit solves weighted least squares through the square-root-weight
     design matrix.
     """
-    vector, rows, radius = _candidate_rows(library, query, exclusion_radius)
+    vector, rows = _candidate_rows(library, query, cfg._needs, exclusion_radius)
     predictions, variances, coefficients = cfg._predict(
-        library.vectors[rows], library.targets[rows, None], vector[None], [rows.size],
-        [len(library)], radius)
+        library.vectors[rows], library.targets[rows, None], vector[None], [rows.size])
     return SMapStep(time=int(query[0]), prediction=float(predictions[0, 0]),
                     coefficients=coefficients[0, 0], variance=float(variances[0, 0]))
 
@@ -240,15 +231,14 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
     ``skill_eval`` scores them.  ``threads`` is accepted and ignored.
     """
     thetas = [float(t) for t in theta_grid]
-    for theta in thetas:
-        SMapConfig(spec, theta, ridge=ridge)
+    configs = [SMapConfig(spec, theta, ridge=ridge) for theta in thetas]
     grid = sorted(set(thetas))
     if not grid:
         raise ValueError("theta grid is empty")
-    full, _, queries, limits = _one_step_queries(data, target, spec, train_end,
+    full, _, queries, limits = _one_step_queries(data, target, configs[0], train_end,
                                                  eval_start, eval_end)
     predicted, _, _ = _fit(full.vectors, full.targets[:, None], full.vectors[queries], limits,
-                           queries, spec.radius, np.array(grid), ridge)
+                           np.array(grid), ridge)
     observed = full.targets[queries]
     rows = tuple((theta, pearson_rho(observed, values[:, 0]), rmse(observed, values[:, 0]))
                  for theta, values in zip(grid, predicted))

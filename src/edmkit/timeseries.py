@@ -175,8 +175,9 @@ class Dataset:
 
     def with_values(self, replacements: Mapping[str, Sequence[float]]) -> "Dataset":
         """A copy where the named series carry new values on the same year range."""
-        return Dataset(tuple(TimeSeries(s.name, s.start_year, replacements[s.name])
-                             if s.name in replacements else s for s in self.series))
+        new = {name: TimeSeries(name, self[name].start_year, values)
+               for name, values in replacements.items()}
+        return Dataset(tuple(new.get(s.name, s) for s in self.series))
 
     def restrict(self, first_year: int, last_year: int) -> "Dataset":
         return Dataset(tuple(s.window(first_year, last_year) for s in self.series))

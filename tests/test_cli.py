@@ -417,6 +417,8 @@ CCM = ["ccm", "--a", "debris", "--b", "total"]
     (CCM + ["--out", ""], 2, "Is a directory"),
     (["forecast", "--method", "smap", "--theta", "2", "--e", "2", "--to", BIG], 2,
      "lies too far past the record"),
+    (["forecast", "--method", "smap", "--theta", "2", "--e", "2", "--to", "2030",
+      "--exclusion-radius", BIG], 1, "need dimension+2 = 4 points but only 0 admissible points"),
 ])
 def test_oversized_and_empty_values_end_with_a_named_error(argv, code, message, tmp_path,
                                                            monkeypatch, capsys):

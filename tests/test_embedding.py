@@ -207,3 +207,16 @@ def test_normalize_flag_affects_distances():
     stds = norm.vectors.std(axis=0)
     assert 0.2 < stds[0] / stds[1] < 5.0
     assert raw.vectors.std(axis=0)[0] / raw.vectors.std(axis=0)[1] > 100.0
+
+
+def test_targets_through_a_library_out_of_time_order():
+    # the cut used to search times that need not ascend, keeping [5, 1, 3, 0, 2]
+    times = np.array([5, 1, 3, 0, 2, 4])
+    spec = EmbeddingSpec.univariate("x", 1)
+    library = EmbeddingLibrary(spec, "x", 1, times, times[:, None] * 10.0, times + 100.0)
+    cut = library.targets_through(3)
+    assert cut.times.tolist() == [1, 0, 2]
+    assert cut.vectors[:, 0].tolist() == [10.0, 0.0, 20.0]
+    assert cut.targets.tolist() == [101.0, 100.0, 102.0]
+    ordered = EmbeddingLibrary(spec, "x", 1, np.sort(times), np.sort(times)[:, None], np.sort(times))
+    assert ordered.targets_through(3).times.tolist() == [0, 1, 2]

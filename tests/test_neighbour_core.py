@@ -184,3 +184,23 @@ def test_simplex_distance_ties_go_to_the_earlier_time():
     times = np.array([1965, 1962, 1969, 1967])
     library = _library(times, np.ones((4, 1)), np.array([10.0, 20.0, 40.0, 80.0]), 0)
     assert simplex_predict(library, (2000, [0.0]), SimplexConfig(library.spec, k=2)) == (15.0, 25.0)
+
+
+@pytest.mark.parametrize("config", [SimplexConfig(EmbeddingSpec.univariate("s", 2)),
+                                    SMapConfig(EmbeddingSpec.univariate("s", 2), 2.0)],
+                         ids=["simplex", "smap"])
+def test_predictors_take_limits_as_any_int_sequence(config):
+    # the simplex predictor used to compare a list of limits with k and fail
+    rng = np.random.default_rng(4)
+    vectors, forward = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+    queries = rng.normal(size=(3, 2))
+    from_list = config._predict(vectors, forward, queries, [9, 20, 30])
+    from_array = config._predict(vectors, forward, queries, np.array([9, 20, 30]))
+    for listed, arrayed in zip(from_list, from_array):
+        assert (listed is None and arrayed is None) or listed.tobytes() == arrayed.tobytes()
+
+
+def test_knn_names_an_unknown_metric_before_a_shortfall():
+    library = _library(np.arange(3), np.zeros((3, 2)), np.zeros(3), 0)
+    with pytest.raises(ValueError, match="unknown metric 'chebyshev'"):
+        knn(library, (10, [0.0, 0.0]), 5, "chebyshev")

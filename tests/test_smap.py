@@ -11,6 +11,7 @@ from edmkit.embedding import (
     EmbeddingSpec,
     NeighborShortfallError,
     delay_embed,
+    multivariate_embed,
 )
 from edmkit.forecast import iterative_forecast
 from edmkit.simplex import SimplexConfig
@@ -260,8 +261,8 @@ def test_fit_is_bit_equal_to_the_reference_recipe(columns, ridge):
     ]
     for vectors, queries, limits in cases:
         forward = rng.normal(size=(vectors.shape[0], columns))
-        predictions, variances, coefficients = _fit(vectors, forward, queries, limits, limits,
-                                                    0, thetas, ridge)
+        predictions, variances, coefficients = _fit(vectors, forward, queries, limits, thetas,
+                                                    ridge)
         for t, theta in enumerate(thetas):
             for q, limit in enumerate(limits):
                 expected = reference_smap_fit(vectors[:limit], forward[:limit], queries[q],
@@ -419,3 +420,30 @@ def test_coefficient_labels_come_after_the_embedding_check(monkeypatch):
         smap_skill_eval(data, "debris", cfg, train_end=1990)
     with pytest.raises(EmbeddingError, match=message):
         smap_iterative_forecast(data, "debris", cfg, 2050)
+
+
+BUNDLED_SPEC = EmbeddingSpec((("debris", 2), ("total", 2)), exclusion_radius=26)
+
+# each entry point that cuts an S-map library, with its (admissible rows,
+# library size, exclusion radius) on the bundled record
+SMAP_SHORTFALLS = {
+    "skill_eval": (lambda data, cfg: smap_skill_eval(data, "debris", cfg, 1990), 3, 29, 26),
+    "theta_search": (lambda data, cfg: theta_search(data, "debris", cfg.spec, train_end=1990),
+                     3, 29, 26),
+    "smap_predict": (lambda data, cfg: smap_predict(
+        multivariate_embed(data, cfg.spec, "debris"), (1990, [1.0, 2.0, 3.0, 4.0]), cfg,
+        exclusion_radius=28), 4, 61, 28),
+    "iterative_forecast-growing": (lambda data, cfg: smap_iterative_forecast(
+        data, "debris", cfg, 2030, exclusion_radius=58), 3, 61, 58),
+    "iterative_forecast-fixed": (lambda data, cfg: smap_iterative_forecast(
+        data, "debris", cfg, 2030, self_condition=False, exclusion_radius=58), 3, 61, 58),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SMAP_SHORTFALLS))
+def test_smap_shortfall_is_named_where_the_library_is_cut(entry):
+    call, admissible, size, radius = SMAP_SHORTFALLS[entry]
+    message = (f"need dimension+2 = 6 points but only {admissible} admissible points remain "
+               f"(library size {size}, exclusion radius {radius})")
+    with pytest.raises(NeighborShortfallError, match=f"^{re.escape(message)}$"):
+        call(load_bundled(), SMapConfig(BUNDLED_SPEC, 2.0))

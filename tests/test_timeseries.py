@@ -187,3 +187,11 @@ def test_bundled_dataset_shape():
     assert set(data.names) == {"debris", "launched", "total"}
     # totals include debris plus intact bodies
     assert all(t >= d for d, t in zip(data["debris"].values, data["total"].values))
+
+
+def test_with_values_names_a_series_it_does_not_hold():
+    # an unknown name used to be dropped and the data returned unchanged
+    data = Dataset((TimeSeries("a", 2000, (1.0, 2.0)),))
+    with pytest.raises(KeyError, match=r"unknown series 'b'; have \['a'\]"):
+        data.with_values({"b": [3.0, 4.0]})
+    assert data.with_values({"a": [3.0, 4.0]})["a"].values == (3.0, 4.0)
