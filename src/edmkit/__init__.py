@@ -60,4 +60,4 @@ from .timeseries import (
     skill_defined,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

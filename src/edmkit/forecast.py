@@ -14,7 +14,9 @@ extend past the observed record.
 Each config supplies its predictor, ``cfg._predict(vectors, forward,
 queries, limits)``, and both loops call it the same way.  ``vectors`` holds
 library states in ascending time and ``forward`` the next value of each
-predicted series after each state.  Query ``q`` may use only the first
+predicted series after each state; both may carry a leading query axis,
+(queries, rows, dimension) and (queries, rows, series), which gives each
+query its own library.  Query ``q`` may use only the first
 ``limits[q]`` rows, where ``limits`` is any sequence of ints: its library
 holds consecutive years before the query's, so for the query state at row
 ``r`` that is the row offset ``max(r - radius, 0)``, capped at the
@@ -240,7 +242,7 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     value that a later step would use raises ValueError naming its series
     and year.  The band accumulates the target's step variance along the
     horizon, so it can only widen; an S-map result keeps the target's
-    coefficient row per step.
+    coefficient row per step.  This is ``_lockstep`` for one record.
 
     Inside the generative loop the temporal exclusion window defaults to 0:
     the freshest states (including values the forecast itself appended) are
@@ -248,58 +250,83 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     blocking autocorrelation shortcuts when scoring against held-out
     observations, does not apply to open-ended continuation.
     """
+    return _lockstep([data], target, cfg, horizon_end, [adjust], self_condition,
+                     exclusion_radius)[0]
+
+
+def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMapConfig,
+              horizon_end: int,
+              adjusts: Sequence[Callable[[int, dict[str, float]], dict[str, float]] | None],
+              self_condition: bool = True, exclusion_radius: int = 0,
+              labels: Sequence[str] | None = None) -> list[ForecastResult]:
+    """``iterative_forecast`` of several records, one ``cfg._predict`` call per year.
+
+    The records span the same years.  Each keeps its own norms, buffers and
+    ``adjust``, and gives ``cfg._predict`` its own library along a leading
+    query axis, so each year's call predicts every record at once.  A
+    non-finite value names its record's label (``labels``), series and year.
+    """
     spec = cfg.spec
+    data = records[0]
     if horizon_end <= data.end_year:
         raise ValueError(
             f"horizon {horizon_end} must lie beyond the observed record ({data.end_year})"
         )
     radius = _check_radius(exclusion_radius)
     names = extension_names(spec, target)
-    n_obs = data.n_years
+    batch, n_obs = len(records), data.n_years
     steps = horizon_end - data.end_year
-    norms = multivariate_embed(data, spec, target, tp=1).norms  # frozen from observed data
+    # norms frozen from each record's observed data; the spec's series lead ``names``
+    layouts = [_layout(spec, multivariate_embed(record, spec, target, tp=1).norms)
+               for record in records]
     first = spec.max_offset
     try:  # every array that grows with the horizon, so one too long for memory is named
-        values = np.empty((n_obs + steps, len(names)), dtype=float)
-        states = np.empty((n_obs + steps - first, spec.dimension), dtype=float)
-        variances = np.empty(steps, dtype=float)
+        values = np.empty((batch, n_obs + steps, len(names)), dtype=float)
+        states = np.empty((batch, n_obs + steps - first, spec.dimension), dtype=float)
+        variances = np.empty((batch, steps), dtype=float)
     except (MemoryError, ValueError):
         raise ValueError(f"horizon {horizon_end} lies too far past the record "
                          f"({data.end_year}) to fit in memory") from None
-    values[:n_obs] = np.column_stack([data[name].to_array() for name in names])
-    layout = _layout(spec, norms)  # the spec's series lead ``names``, in spec order
-    states[:n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
+    for record, layout, buffer, vectors in zip(records, layouts, values, states):
+        buffer[:n_obs] = np.column_stack([record[name].to_array() for name in names])
+        vectors[:n_obs - first] = _gather(buffer, np.arange(first, n_obs), layout)
     target_col = names.index(target)
     observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
     _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
     coefficients: list = []
+    lead = 0 if batch == 1 else slice(None)  # one record's library costs less as 2-D arrays
     for i, year in enumerate(forecast_years):
         query = observed + i  # state row of the latest known year
         size = query if self_condition else observed  # library rows
         limit = min(size, max(query - radius, 0))  # rows more than radius years back
         step_values, step_vars, step_coefs = cfg._predict(
-            states[:size], values[first + 1:first + 1 + size], states[query:query + 1], [limit])
-        step_values = step_values[0].tolist()
-        if adjust is not None:
-            adjusted = adjust(int(year), dict(zip(names, step_values)))
-            step_values = [adjusted[name] for name in names]
+            states[lead, :size], values[lead, first + 1:first + 1 + size], states[:, query],
+            [limit] * batch)
         row = first + query + 1
-        values[row] = step_values
-        variances[i] = step_vars[0, target_col]
+        values[:, row] = step_values
+        for b, adjust in enumerate(adjusts):
+            if adjust is not None:
+                adjusted = adjust(int(year), dict(zip(names, step_values[b].tolist())))
+                values[b, row] = [adjusted[name] for name in names]
+        variances[:, i] = step_vars[:, target_col]
         if step_coefs is not None:
-            coefficients.append(step_coefs[0, target_col])
+            coefficients.append(step_coefs[:, target_col])
         if i + 1 < steps:
-            bad = np.flatnonzero(~np.isfinite(values[row]))
+            bad = np.flatnonzero(~np.isfinite(values[:, row]))
             if bad.size:
+                b, col = divmod(int(bad[0]), len(names))
+                where = "" if labels is None else f"{labels[b]}: "
                 raise ValueError(
-                    f"series {names[bad[0]]!r} has a non-finite value "
-                    f"{float(values[row, bad[0]])!r} in year {int(year)}"
+                    f"{where}series {names[col]!r} has a non-finite value "
+                    f"{float(values[b, row, col])!r} in year {int(year)}"
                 )
-            states[row - first] = _gather(values, row, layout)
-    return _result(target, spec, forecast_years, values[n_obs:, target_col], variances,
-                   np.cumsum(variances), np.vstack(coefficients) if coefficients else None)
+            for vectors, buffer, layout in zip(states, values, layouts):
+                vectors[row - first] = _gather(buffer, row, layout)
+    tracks = np.stack(coefficients, axis=1) if coefficients else [None] * batch
+    return [_result(target, spec, forecast_years, values[b, n_obs:, target_col], variances[b],
+                    np.cumsum(variances[b]), tracks[b]) for b in range(batch)]
 
 
 def best_row(rows: Sequence[tuple[float, float, float]], what: str) -> tuple[float, float, float]:

@@ -22,7 +22,10 @@ Every kind runs through one pipeline:
 2. re-forecast the adjusted history with the S-map at the scenario file's
    theta, flooring each year at 0 and, for PMD, removing the cohorts whose
    disposal falls due that year before the value joins the library, so
-   later steps learn the policy dynamic;
+   later steps learn the policy dynamic; ``run_scenarios`` re-forecasts
+   the scenarios that share an embedding (PMD and ADR on two inputs,
+   launch reduction on three) in lockstep, one fit per year for the
+   group, each trajectory from its own record and adjuster;
 3. restart the confidence band the year after ``adjust_window_end``: the
    first forecast year for launch reduction and ADR, so their band runs over
    the whole horizon; for PMD the year after the last cohort deorbits, since
@@ -48,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .embedding import EmbeddingSpec
-from .forecast import ForecastResult, iterative_forecast
+from .forecast import ForecastResult, _lockstep, iterative_forecast
 from .smap import SMapConfig
 from .timeseries import Dataset, _require_finite, _whole_number
 
@@ -310,28 +313,32 @@ def _floor_counts(_year: int, values: dict[str, float]) -> dict[str, float]:
     return {name: max(0.0, value) for name, value in values.items()}
 
 
-def _forecast(data: Dataset, config: ScenarioModelConfig, three_input: bool,
-              adjust) -> ForecastResult:
-    cfg = config.three_input_config() if three_input else config.two_input_config()
-    return iterative_forecast(data, config.debris, cfg, config.horizon_end, adjust=adjust)
+def _model(config: ScenarioModelConfig, three_input: bool) -> SMapConfig:
+    return config.three_input_config() if three_input else config.two_input_config()
 
 
 def baseline_forecast(data: Dataset, config: ScenarioModelConfig,
                       three_input: bool = False) -> ForecastResult:
     """The no-intervention trajectory a scenario is scored against."""
-    return _forecast(data, config, three_input, _floor_counts)
+    return iterative_forecast(data, config.debris, _model(config, three_input),
+                              config.horizon_end, adjust=_floor_counts)
 
 
-def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-                     three_input: bool, baseline: ForecastResult | None = None) -> ForecastResult:
-    """Adjust the observed window, re-forecast it and restart the band past the policy.
+def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
+                   baseline: ForecastResult | None = None):
+    """The adjusted record and per-year adjuster of a policy forecast.
 
-    A launch-reduction or ADR adjustment that leaves every series byte for
-    byte as recorded would repeat the baseline forecast exactly (its band
-    restarts at the first forecast year, where the baseline's starts), so
-    ``baseline``, when given, is returned instead.  A PMD forecast still
-    removes the cohorts falling due after the record, so it always runs.
+    With ``baseline`` given, None where the trajectory is that baseline: a
+    PMD window at or beyond current practice, which the recorded history
+    already embeds, is defined to equal it, and a launch-reduction or ADR
+    adjustment that leaves every series byte for byte as recorded would
+    repeat it exactly (its band restarts at the first forecast year, where
+    the baseline's starts).  A shorter PMD window still removes the cohorts
+    falling due after the record, so it always runs.
     """
+    if baseline is not None and scenario.kind == "pmd" and (
+            scenario.pmd_years >= CURRENT_PMD_YEARS):
+        return None
     debris, launched, total = config.debris, config.launched, config.total
     adjust = _floor_counts
     if scenario.kind == "adr":
@@ -354,9 +361,60 @@ def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioMo
     if baseline is not None and scenario.kind != "pmd" and all(
             adjusted[name].to_array().tobytes() == data[name].to_array().tobytes()
             for name in data.names):
+        return None
+    return adjusted, adjust
+
+
+def _policy_forecasts(data: Dataset, scenarios: list[PolicyScenario], inputs: list,
+                      config: ScenarioModelConfig, three_input: bool) -> list[ForecastResult]:
+    """Re-forecast each scenario's adjusted record in lockstep, one year per fit.
+
+    ``inputs`` holds each scenario's ``_policy_inputs``.  Each band restarts
+    the year after the scenario's ``adjust_window_end``.
+    """
+    trajectories = _lockstep([adjusted for adjusted, _ in inputs], config.debris,
+                             _model(config, three_input), config.horizon_end,
+                             [adjust for _, adjust in inputs],
+                             labels=[f"scenario {scenario.name!r}" for scenario in scenarios])
+    return [_reset_band(trajectory, scenario.adjust_window_end(data.end_year) + 1)
+            for scenario, trajectory in zip(scenarios, trajectories)]
+
+
+def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
+                     three_input: bool, baseline: ForecastResult | None = None) -> ForecastResult:
+    """Adjust the observed window, re-forecast it and restart the band past the policy.
+
+    Where the adjusted record would repeat ``baseline`` (``_policy_inputs``),
+    ``baseline`` itself is returned.
+    """
+    inputs = _policy_inputs(data, scenario, config, baseline)
+    if inputs is None:
         return baseline
-    trajectory = _forecast(adjusted, config, three_input, adjust)
-    return _reset_band(trajectory, scenario.adjust_window_end(data.end_year) + 1)
+    return _policy_forecasts(data, [scenario], [inputs], config, three_input)[0]
+
+
+def _baseline_value(scenario: PolicyScenario, reference: ForecastResult, horizon: int) -> float:
+    """The reference's final-year debris, which must not be 0."""
+    value = reference.value_at(horizon)
+    if value == 0.0:
+        raise ValueError(
+            f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
+            f"so the mitigated share is undefined"
+        )
+    return value
+
+
+def _report(scenario: PolicyScenario, baseline_value: float, trajectory: ForecastResult,
+            horizon: int) -> MitigationReport:
+    debris_final = trajectory.value_at(horizon)
+    return MitigationReport(
+        scenario=scenario,
+        debris_2050=debris_final,
+        baseline_2050=baseline_value,
+        pct_mitigated=100.0 * (baseline_value - debris_final) / baseline_value,
+        margin_of_error=float(trajectory.band_halfwidth[-1]),
+        trajectory=trajectory,
+    )
 
 
 def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
@@ -374,43 +432,43 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
     reference = baseline_three_input if three_input else baseline
     if reference is None:
         reference = baseline_forecast(data, config, three_input=three_input)
-    baseline_value = reference.value_at(horizon)
-    if baseline_value == 0.0:
-        raise ValueError(
-            f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
-            f"so the mitigated share is undefined"
-        )
-    if scenario.kind == "pmd" and scenario.pmd_years >= CURRENT_PMD_YEARS:
-        # Already current practice: the recorded history embeds this policy,
-        # so the scenario is defined to equal the baseline.
-        trajectory = reference
-    else:
-        trajectory = _policy_forecast(data, scenario, config, three_input, reference)
-
-    debris_final = trajectory.value_at(horizon)
-    pct = 100.0 * (baseline_value - debris_final) / baseline_value
-    return MitigationReport(
-        scenario=scenario,
-        debris_2050=debris_final,
-        baseline_2050=baseline_value,
-        pct_mitigated=pct,
-        margin_of_error=float(trajectory.band_halfwidth[-1]),
-        trajectory=trajectory,
-    )
+    baseline_value = _baseline_value(scenario, reference, horizon)
+    return _report(scenario, baseline_value,
+                   _policy_forecast(data, scenario, config, three_input, reference), horizon)
 
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
                   config: ScenarioModelConfig, threads: int = 1) -> list[MitigationReport]:
     """Run a batch of scenarios against shared baselines, in input order.
 
-    Scenarios run in turn; ``threads`` is accepted and ignored.
+    The policy trajectories run in lockstep, one group per spec: PMD and ADR
+    on the two-input spec, launch reduction on the three-input one, each
+    group moving forward one year per fit.  Every report equals
+    ``simulate``'s for the same scenario and baselines, bit for bit.
+    ``threads`` is accepted and ignored.
     """
     todo = list(scenarios)
-    baseline = baseline_forecast(data, config)
-    baseline3 = None
+    horizon = config.horizon_end
+    references = {False: baseline_forecast(data, config)}
     if any(s.kind == "launch_reduction" for s in todo):
-        baseline3 = baseline_forecast(data, config, three_input=True)
-    return [simulate(data, s, config, baseline, baseline3) for s in todo]
+        references[True] = baseline_forecast(data, config, three_input=True)
+    values, trajectories = [], []
+    groups: dict[bool, list] = {False: [], True: []}  # (index, scenario, inputs)
+    for i, scenario in enumerate(todo):
+        three_input = scenario.kind == "launch_reduction"
+        values.append(_baseline_value(scenario, references[three_input], horizon))
+        inputs = _policy_inputs(data, scenario, config, references[three_input])
+        trajectories.append(references[three_input])  # unless its group's forecast replaces it
+        if inputs is not None:
+            groups[three_input].append((i, scenario, inputs))
+    for three_input, group in groups.items():
+        if group:
+            indices, members, inputs = zip(*group)
+            forecasts = _policy_forecasts(data, list(members), list(inputs), config, three_input)
+            for i, trajectory in zip(indices, forecasts):
+                trajectories[i] = trajectory
+    return [_report(scenario, value, trajectory, horizon)
+            for scenario, value, trajectory in zip(todo, values, trajectories)]
 
 
 _MODEL_KEYS = {

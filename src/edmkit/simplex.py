@@ -66,12 +66,18 @@ class SimplexConfig:
         return self.effective_k, f"k={self.effective_k} neighbours"
 
     def _predict(self, vectors, forward, queries, limits):
-        """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest."""
-        distances = _distance_rows(vectors[:max(limits)], queries, "euclidean")
+        """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest.
+
+        ``vectors`` and ``forward`` may carry a leading query axis.
+        """
+        distances = _distance_rows(vectors[..., :max(limits), :], queries, "euclidean")
         for row, limit in zip(distances, limits):
             row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
         indices, distances = _nearest(distances, self.effective_k)
         weights = simplex_weights(distances)
+        if forward.ndim == 3:  # one library per query: index the (query, row) pairs
+            indices = indices + forward.shape[1] * np.arange(len(indices))[:, None]
+            forward = forward.reshape(-1, forward.shape[-1])
         # (columns, queries, k), each neighbour set contiguous for ``_row_dot``
         targets = np.take(forward.T, indices, axis=1)
         predictions = _row_dot(weights, targets)

@@ -14,11 +14,11 @@ each embedding coordinate estimates the partial derivative of the target
 with respect to that coordinate at the query state, so coefficient tracks
 expose how strongly (and with what sign) the inputs interact over time.
 
-The least-squares core uses singular-value semantics: singular values below
-1e-10 of the largest are treated as zero and the minimum-norm solution is
-returned, so near-duplicate library rows (common in short yearly records)
-degrade gracefully instead of crashing.  An optional ridge term penalises
-the slopes (never the intercept).
+The least-squares core uses singular-value semantics: singular values at
+most 1e-10 of the largest are treated as zero and the minimum-norm solution
+is returned, so near-duplicate library rows (common in short yearly
+records) degrade gracefully instead of crashing.  An optional ridge term
+penalises the slopes (never the intercept).
 
 The one-step evaluation (``skill_eval``, also ``edmkit.smap_skill_eval``)
 and the iterative extrapolation (``smap_iterative_forecast``) are the shared
@@ -28,16 +28,20 @@ is the predictor they call.
 Every S-map fit goes through one routine, ``_fit``, which has a theta axis:
 the protocol's predictor, ``smap_predict`` (through it, on one query's
 candidate rows in ascending time) and ``theta_search`` all call it.
-Per query it computes the distances and their mean once, the weights of
-every theta in one exponential, and writes the weighted design and each
-series' right-hand side into buffers allocated once per call, so a theta
-search fits each query once for the whole grid.  Each (theta, series) pair
-still gets its own one-column least-squares solve, which keeps every output
-bit for bit what a separate fit per theta and series gives.
+Per query it computes the distances and their mean once and the weights of
+every theta in one exponential.  Each (theta, query, series) triple gets
+its own square-root-weighted system ``[A | b]``; the systems of the
+queries that share a library size are factored by one stacked Householder
+QR (``numpy.linalg.qr``), and one stacked SVD (``numpy.linalg.svd``) per
+call solves every triangle.  A theta search thus makes one QR per query
+for the whole grid, and a batch of scenarios one QR and one SVD per year.
+A fit has the same bits whatever shares its stacks, and agrees with one
+``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Sequence
@@ -47,8 +51,8 @@ import numpy as np
 from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows
 from .forecast import ForecastResult, _one_step_queries, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
-from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _write_csv, pearson_rho,
-                         rmse)
+from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _row_dot, _write_csv,
+                         pearson_rho, rmse)
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -92,7 +96,8 @@ class SMapConfig:
     def _predict(self, vectors, forward, queries, limits):
         """The protocol's predictor (see ``edmkit.forecast``): one local fit per query.
 
-        Every call returns new arrays, so callers may keep views into them.
+        ``vectors`` and ``forward`` may carry a leading query axis.  Every
+        call returns new arrays, so callers may keep views into them.
         """
         predictions, variances, coefficients = _fit(
             vectors, forward, queries, limits, np.array([self.theta]), self.ridge)
@@ -120,66 +125,119 @@ class SMapStep:
 def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     """Exponential localisation weights over all admissible distances.
 
-    ``theta`` is one value, or a 1-D grid that gives one weight row per
-    theta.  Theta 0 and a mean distance of 0 give weights of exactly 1.0.
+    ``distances`` holds one query's distances, or one row per query, each
+    row scaled by its own mean.  ``theta`` is one value, or a 1-D grid that
+    gives one weight array per theta (a leading axis).  Theta 0 and a mean
+    distance of 0 give weights of exactly 1.0.
     """
     distances = np.asarray(distances, dtype=float)
     thetas = np.asarray(theta, dtype=float)
-    mean_distance = distances.sum() / distances.size if distances.size else 0.0
-    if mean_distance == 0.0:
+    if not distances.shape[-1]:
         return np.ones(thetas.shape + distances.shape)
-    weights = np.exp(-thetas[..., None] * distances / mean_distance)
-    weights[thetas == 0.0] = 1.0  # even where a distance overflowed
-    return weights
+    thetas = thetas.reshape(thetas.shape + (1,) * distances.ndim)
+    means = distances.sum(axis=-1, keepdims=True) / distances.shape[-1]
+    if means.all() and thetas.all():
+        return np.exp(-thetas * distances / means)
+    flat = (means == 0.0) | (thetas == 0.0)
+    weights = np.exp(-thetas * distances / np.where(flat, 1.0, means))
+    return np.where(flat, 1.0, weights)  # even where a distance overflowed
 
 
 def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
          thetas: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S-map fits at each query state for every theta, one per forward column.
 
-    Query ``q`` fits over the first ``limits[q]`` rows of ``vectors`` and
-    ``forward`` (values aligned with those rows); ``limits`` is any sequence
-    of ints, each at least ``dimension + 2``, which the callers check where
-    they cut the library.  The design's intercept column is ``sqrt(w)`` and
-    its ridge penalty rows come last.  Returns (thetas, queries, columns)
-    predictions and variances and (thetas, queries, columns, dimension + 1)
-    coefficients, all new arrays.
+    ``vectors`` and ``forward`` (values aligned with its rows) hold one
+    library for every query, or one per query along a leading query axis.
+    Query ``q`` fits over the first ``limits[q]`` rows; ``limits`` is any
+    sequence of ints, each at least ``dimension + 2``, which the callers
+    check where they cut the library.  The queries of each limit share one
+    stacked QR (``_systems``), and one stacked SVD solves the
+    (dimension + 1) triangle of every system of the call: singular values
+    at most ``_SV_CUTOFF`` times the largest count as 0, which gives
+    ``lstsq``'s minimum-norm answer.  Every system is solved on its own, so
+    a fit has the same bits whatever else shares its stacks.  Returns
+    (thetas, queries, columns) predictions and variances and (thetas,
+    queries, columns, dimension + 1) coefficients, all new arrays.
     """
-    dim = vectors.shape[1]
-    counts = np.asarray(limits).tolist()
-    n_thetas, columns = thetas.shape[0], forward.shape[1]
-    extra = dim if ridge > 0.0 else 0  # the ridge rows take target 0
-    design = np.empty((n_thetas, max(counts) + extra, dim + 1))
-    rhs = np.empty((n_thetas, columns, max(counts) + extra))
-    predictions = np.empty((n_thetas, len(counts), columns))
-    variances = np.empty_like(predictions)
-    coefficients = np.empty((*predictions.shape, dim + 1))
+    dim = vectors.shape[-1]
+    groups: dict[int, list[int] | slice] = {}
+    for q, count in enumerate(np.asarray(limits).tolist()):
+        groups.setdefault(count, []).append(q)
+    if len(groups) == 1:  # every query, in order
+        groups = dict.fromkeys(groups, slice(None))
+    parts = []  # (library, targets, queries, weights, heads) per limit
+    for count, members in groups.items():
+        if vectors.ndim == 2:
+            library, targets = vectors[:count], forward[:count]
+        else:
+            library, targets = vectors[members, :count], forward[members, :count]
+        states = queries[members]
+        parts.append((library, targets, states,
+                      *_systems(library, targets, states, thetas, ridge)))
+    heads = np.concatenate([head for *_, head in parts])
+    v, s, ut = np.linalg.svd(np.where(_lower(dim + 1), heads[:, :-1, :-1], 0.0))
+    kept = np.where(s > _SV_CUTOFF * s[:, :1], s, np.inf)  # a dropped value divides to 0
+    solved = (v @ ((ut @ heads[:, -1, :-1, None])[..., 0] / kept)[..., None])[..., 0]
+    fits, start = [], 0
+    for library, targets, states, weights, head in parts:
+        stop = start + len(head)
+        coefficients = solved[start:stop].reshape(*weights.shape[:2], targets.shape[-1], dim + 1)
+        start = stop
+        intercepts, slopes = coefficients[..., :1], coefficients[..., 1:]
+        fitted = intercepts + (library[..., None, :, :] @ slopes[..., None])[..., 0]
+        residuals = targets.swapaxes(-1, -2) - fitted
+        variances = ((weights[:, :, None] * residuals**2).sum(axis=-1)
+                     / weights.sum(axis=-1)[..., None])
+        fits.append((intercepts[..., 0] + _row_dot(slopes, states[:, None]), variances,
+                     coefficients))
+    if len(fits) == 1:
+        return fits[0]
+    merged = tuple(np.concatenate(part, axis=1) for part in zip(*fits))
+    order = [q for members in groups.values() for q in members]
+    if order == sorted(order):
+        return merged
+    return tuple(part[:, np.argsort(order)] for part in merged)
+
+
+@functools.cache
+def _lower(size: int) -> np.ndarray:
+    """The (size x size) lower-triangle mask; read-only, since every fit shares it."""
+    mask = np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _systems(library: np.ndarray, targets: np.ndarray, queries: np.ndarray,
+             thetas: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and the factored systems of queries that share one library size.
+
+    ``library`` (rows x dimension) and ``targets`` (rows x columns) serve
+    every query, or carry a leading query axis.  Each (theta, query, column)
+    gets its own square-root-weighted system ``[A | b]``, stored contiguous
+    as (dimension + 2) x rows: the intercept column ``sqrt(w)``, the
+    coordinates and the column's targets, with the ridge penalty rows last
+    (target 0).  One stacked Householder QR factors them all.  Returns the
+    (thetas, queries, rows) weights and the leading (dimension + 2) square
+    of every factored system, one per (theta, query, column) in that order:
+    ``mode="raw"`` leaves each system transposed, so the fit's triangle
+    ``R^T`` is that square's lower left corner and ``Q^T b`` leads its last
+    row.
+    """
+    count, dim = library.shape[-2:]
+    extra = dim if ridge > 0.0 else 0  # the ridge rows
+    weights = smap_weights(_distance_rows(library, queries, "euclidean"), thetas)
+    sqrt_w = np.sqrt(weights)[..., None, None, :]  # (thetas, queries, 1, 1, rows)
+    system = np.empty((*weights.shape[:2], targets.shape[-1], dim + 2, count + extra))
+    system[..., 0, :count] = sqrt_w[..., 0, :]
+    np.multiply(library.swapaxes(-1, -2)[..., None, :, :], sqrt_w, out=system[..., 1:-1, :count])
+    np.multiply(targets.swapaxes(-1, -2), sqrt_w[..., 0, :], out=system[..., -1, :count])
     if extra:
-        penalty = np.zeros((dim, dim + 1))
-        penalty[:, 1:] = math.sqrt(ridge) * np.eye(dim)
-    for q, (query, count) in enumerate(zip(queries, counts)):
-        library, targets = vectors[:count], forward[:count].T
-        weights = smap_weights(_distance_rows(library, query[None], "euclidean")[0], thetas)
-        sqrt_w = np.sqrt(weights)
-        a = design[:, :count + extra]
-        a[:, :count, 0] = sqrt_w
-        np.multiply(library, sqrt_w[:, :, None], out=a[:, :count, 1:])
-        b = rhs[:, :, :count + extra]
-        np.multiply(targets, sqrt_w[:, None], out=b[:, :, :count])
-        if extra:
-            a[:, count:] = penalty
-            b[:, :, count:] = 0.0
-        for t in range(n_thetas):
-            w, a_t, b_t = weights[t], a[t], b[t]
-            total = w.sum()
-            for c in range(columns):
-                coef = np.linalg.lstsq(a_t, b_t[c], rcond=_SV_CUTOFF)[0]
-                intercept, slopes = coef[0], coef[1:]
-                residuals = targets[c] - (intercept + library @ slopes)
-                predictions[t, q, c] = intercept + query @ slopes
-                variances[t, q, c] = (w * residuals**2).sum() / total
-                coefficients[t, q, c] = coef
-    return predictions, variances, coefficients
+        system[..., count:] = 0.0
+        system[..., 1:-1, count:] = math.sqrt(ridge) * np.eye(dim)
+    factors = np.linalg.qr(system.swapaxes(-1, -2), mode="raw")[0]
+    # a copy, so the factors of every row are freed here
+    return weights, np.ascontiguousarray(factors[..., :dim + 2]).reshape(-1, dim + 2, dim + 2)
 
 
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],

@@ -177,6 +177,10 @@ class Dataset:
         """A copy where the named series carry new values on the same year range."""
         new = {name: TimeSeries(name, self[name].start_year, values)
                for name, values in replacements.items()}
+        for name, series in new.items():
+            if len(series) != self.n_years:
+                raise ValueError(f"replacement for {name!r} has {len(series)} values, the dataset "
+                                 f"covers {self.n_years} years ({self.start_year}..{self.end_year})")
         return Dataset(tuple(new.get(s.name, s) for s in self.series))
 
     def restrict(self, first_year: int, last_year: int) -> "Dataset":

@@ -204,3 +204,22 @@ def test_knn_names_an_unknown_metric_before_a_shortfall():
     library = _library(np.arange(3), np.zeros((3, 2)), np.zeros(3), 0)
     with pytest.raises(ValueError, match="unknown metric 'chebyshev'"):
         knn(library, (10, [0.0, 0.0]), 5, "chebyshev")
+
+
+@pytest.mark.parametrize("config", [SimplexConfig(EmbeddingSpec.univariate("s", 3)),
+                                    SimplexConfig(EmbeddingSpec.univariate("s", 3), k=2),
+                                    SMapConfig(EmbeddingSpec.univariate("s", 3), 2.0)],
+                         ids=["simplex", "simplex_k2", "smap"])
+def test_a_stack_of_libraries_predicts_as_one_call_per_query(config):
+    # vectors and forward values with a leading query axis: one library per
+    # query, each prediction bit for bit that query's own call
+    rng = np.random.default_rng(9)
+    vectors = rng.normal(size=(5, 40, 3))
+    vectors[1, 7] = vectors[1, 3]  # a distance tie inside one library
+    forward, queries = rng.normal(size=(5, 40, 2)), rng.normal(size=(5, 3))
+    limits = [30, 25, 40, 30, 12]
+    stacked = config._predict(vectors, forward, queries, limits)
+    for q, limit in enumerate(limits):
+        alone = config._predict(vectors[q], forward[q], queries[q:q + 1], [limit])
+        for part, whole in zip(alone, stacked):
+            assert (part is None and whole is None) or part.tobytes() == whole[q:q + 1].tobytes()

@@ -427,3 +427,34 @@ def test_unchanged_record_reuses_the_baseline_bit_for_bit(monkeypatch):
         forced = simulate(data, scenario, config, baselines[False], baselines[True])
         assert forced.trajectory is not report.trajectory
         assert _bits(forced) == _bits(report)
+
+
+def test_a_failing_lockstep_trajectory_names_its_scenario(monkeypatch):
+    # one trajectory of the two-input group turns non-finite in 2031; the
+    # error names it, not the group's first member or the baseline
+    import edmkit.scenario
+
+    data = load_bundled()
+    config, scenarios = load_scenario_file(bundled_path("scenarios/table2.cfg"))
+    original = edmkit.scenario._policy_inputs
+
+    def poisoned(data, scenario, config, baseline=None):
+        inputs = original(data, scenario, config, baseline)
+        if scenario.name != "adr_300":
+            return inputs
+        adjusted, adjust = inputs
+
+        def bad(year, values):
+            out = adjust(year, values)
+            if year == 2031:
+                out[config.total] = float("nan")
+            return out
+        return adjusted, bad
+
+    monkeypatch.setattr(edmkit.scenario, "_policy_inputs", poisoned)
+    message = "scenario 'adr_300': series 'total' has a non-finite value nan in year 2031"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenarios(data, scenarios, config)
+    adr_300 = next(s for s in scenarios if s.name == "adr_300")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate(data, adr_300, config)

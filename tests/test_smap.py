@@ -249,9 +249,26 @@ def test_invalid_theta_is_named_before_any_fit(monkeypatch, bad, message, where)
                      train_end=40)
 
 
+#: How far a stacked QR + SVD fit may sit from ``lstsq`` on the same system,
+#: relative, and absolute near zero (the tolerance README states).
+FIT_RTOL, FIT_ATOL = 1e-9, 1e-12
+
+
+def _close_to_reference(fits, vectors, forward, queries, limits, thetas, ridge):
+    predictions, variances, coefficients = fits
+    for t, theta in enumerate(thetas):
+        for q, limit in enumerate(limits):
+            expected = reference_smap_fit(vectors[:limit], forward[:limit], queries[q], theta,
+                                          ridge)
+            for c, (prediction, variance, coef) in enumerate(expected):
+                np.testing.assert_allclose(predictions[t, q, c], prediction, FIT_RTOL, FIT_ATOL)
+                np.testing.assert_allclose(variances[t, q, c], variance, FIT_RTOL, FIT_ATOL)
+                np.testing.assert_allclose(coefficients[t, q, c], coef, FIT_RTOL, FIT_ATOL)
+
+
 @pytest.mark.parametrize("columns", [1, 2, 3])
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
-def test_fit_is_bit_equal_to_the_reference_recipe(columns, ridge):
+def test_fit_matches_the_reference_recipe(columns, ridge):
     rng = np.random.default_rng(columns)
     thetas = np.array([0.0, 2.0, 7.0])
     query = rng.normal(size=3)
@@ -261,16 +278,62 @@ def test_fit_is_bit_equal_to_the_reference_recipe(columns, ridge):
     ]
     for vectors, queries, limits in cases:
         forward = rng.normal(size=(vectors.shape[0], columns))
-        predictions, variances, coefficients = _fit(vectors, forward, queries, limits, thetas,
-                                                    ridge)
+        fits = _fit(vectors, forward, queries, limits, thetas, ridge)
+        _close_to_reference(fits, vectors, forward, queries, limits, thetas, ridge)
+
+
+def _same_fit(one, other):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(one, other))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_a_fit_has_the_same_bits_whatever_shares_its_stack(ridge):
+    rng = np.random.default_rng(11)
+    thetas = np.array([0.0, 0.5, 2.0, 7.0])
+    vectors = rng.normal(size=(4, 30, 3))  # one library per query, all of 30 rows
+    forward = rng.normal(size=(4, 30, 3))
+    queries = rng.normal(size=(4, 3))
+    stacked = _fit(vectors, forward, queries, [24] * 4, thetas, ridge)
+    for q in range(4):
         for t, theta in enumerate(thetas):
-            for q, limit in enumerate(limits):
-                expected = reference_smap_fit(vectors[:limit], forward[:limit], queries[q],
-                                              theta, ridge)
-                for c, (prediction, variance, coef) in enumerate(expected):
-                    assert predictions[t, q, c] == prediction
-                    assert variances[t, q, c] == variance
-                    assert coefficients[t, q, c].tolist() == coef.tolist()
+            for c in range(3):
+                alone = _fit(vectors[q], forward[q, :, c:c + 1], queries[q:q + 1], [24],
+                             np.array([theta]), ridge)
+                assert _same_fit(alone, [part[t:t + 1, q:q + 1, c:c + 1] for part in stacked])
+        # in the theta grid, beside the other series, on a 2-D library
+        grid = _fit(vectors[q], forward[q], queries[q:q + 1], [24], thetas, ridge)
+        assert _same_fit(grid, [part[:, q:q + 1] for part in stacked])
+    # a shared library cut at limits that repeat out of order
+    limits = [24, 12, 30, 24]
+    mixed = _fit(vectors[0], forward[0], queries, limits, thetas, ridge)
+    for q, limit in enumerate(limits):
+        alone = _fit(vectors[0], forward[0], queries[q:q + 1], [limit], thetas, ridge)
+        assert _same_fit(alone, [part[:, q:q + 1] for part in mixed])
+
+
+RANK_DEFICIENT = {
+    # every state equals the query: only the intercept is determined
+    "all_at_the_query": lambda rng: np.tile(rng.normal(size=3), (12, 1)),
+    # floored states repeat rows, and one coordinate is zero throughout
+    "repeated_floored_rows": lambda rng: np.repeat(
+        np.column_stack([np.maximum(rng.normal(size=(5, 2)), 0.0), np.zeros(5)]), 4, axis=0),
+    # two coordinates on one line
+    "collinear_coordinates": lambda rng: (lambda x: np.column_stack([x, 2.0 * x, x + 1.0]))(
+        rng.normal(size=20)),
+}
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_fits_match_the_minimum_norm_answer(name, ridge):
+    rng = np.random.default_rng(5)
+    vectors = RANK_DEFICIENT[name](rng)
+    forward = rng.normal(size=(vectors.shape[0], 2))
+    queries = np.vstack([vectors[-1], rng.normal(size=3)])
+    thetas = np.array([0.0, 2.0, 7.0])
+    limits = np.array([vectors.shape[0], vectors.shape[0] - 2])
+    fits = _fit(vectors, forward, queries, limits, thetas, ridge)
+    _close_to_reference(fits, vectors, forward, queries, limits, thetas, ridge)
 
 
 def test_iterative_steps_keep_their_own_coefficient_rows():

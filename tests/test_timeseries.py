@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,13 @@ def test_with_values_names_a_series_it_does_not_hold():
     with pytest.raises(KeyError, match=r"unknown series 'b'; have \['a'\]"):
         data.with_values({"b": [3.0, 4.0]})
     assert data.with_values({"a": [3.0, 4.0]})["a"].values == (3.0, 4.0)
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [1.0]])
+def test_with_values_names_a_replacement_of_the_wrong_length(values):
+    # the untouched 'b' used to be blamed as misaligned with the new 'a'
+    data = Dataset((TimeSeries("a", 2000, (1.0, 2.0)), TimeSeries("b", 2000, (5.0, 6.0))))
+    message = (f"replacement for 'a' has {len(values)} values, the dataset covers 2 years "
+               f"(2000..2001)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        data.with_values({"a": values})
