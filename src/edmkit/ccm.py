@@ -19,6 +19,11 @@ still available by disabling leave-one-out.
 
 Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
+A sweep writes the words ``SeedSequence`` makes of each such tuple into one
+uint32 entropy array and seeds each cell's PCG64 generator from its row:
+the same stream as ``default_rng((seed, size, j))``, without converting a
+tuple per cell.  Both directions share the draws and the library times, so
+a sweep checks admissibility once.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances serve every cell.  A block is
 one (rows x n) array of Manhattan distances (see
@@ -31,7 +36,9 @@ for a row are the columns of the k smallest ranks among its library, found
 by sorting those ranks, so they come in the order a stable sort of the
 cell's own distances gives them, and a column drawn twice stays beside its
 twin.  The samples of one library size are ranked together, in batches
-that gather no more ranks than the block holds distances.  A cell that
+that gather no more ranks than the block holds distances; a batch reads
+its neighbours' distances and values by flat offset (its selected places
+plus each row's start), one ``np.take`` each.  A cell that
 holds each column exactly once (the whole library, or the one cell of a
 subsampled cross map) reads the first k of the order directly, and when
 every cell is like that each row's order stops at k columns.  One
@@ -97,6 +104,8 @@ class CcmConfig:
             )
         if self.samples_per_size < 1:
             raise ValueError("samples_per_size must be >= 1")
+        if self.seed < 0:  # numpy seeds with the seed's unsigned 32-bit words
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "exclusion_radius", _check_radius(self.exclusion_radius))
         if self.method not in ("random", "contiguous"):
             raise ValueError(f"unknown subsampling method {self.method!r}")
@@ -179,8 +188,8 @@ def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: i
 
 
 def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclusion_radius: int,
-                     leave_one_out: bool = True, estimates: np.ndarray | None = None
-                     ) -> np.ndarray:
+                     leave_one_out: bool = True, estimates: np.ndarray | None = None,
+                     check: bool = True) -> np.ndarray:
     """Cross-map skill of each cell, a sorted row of library indices.
 
     ``groups`` holds one (cells x size) array per library size; the result
@@ -188,15 +197,16 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     query, estimated from the ``dimension + 1`` nearest admissible points of
     the cell's library in the row blocks and size batches of the module
     docstring; the estimates fill ``estimates`` when given, else a new
-    (cells x n) array.  Admissibility is checked for every cell before any
-    distance is computed; a shortfall names the first failing cell's first
-    failing query.
+    (cells x n) array.  Unless ``check`` is off (the caller checked these
+    cells against the same times), admissibility is checked for every cell
+    before any distance is computed; a shortfall names the first failing
+    cell's first failing query.
     """
     times, vectors, targets = library.times, library.vectors, library.targets
     n, dimension = vectors.shape
     k = dimension + 1
     floor = min(_floor(exclusion_radius, leave_one_out), n)  # no gap reaches n; int64 holds n
-    if floor >= 0:
+    if check and floor >= 0:
         for libraries in groups:
             _check_admissible(libraries, times, floor, k)
 
@@ -244,10 +254,13 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
         rank = np.empty(block.shape, dtype=np.int32)  # each column's place in its row's order
         rank[rows, order] = np.arange(used.size, dtype=np.int32)
         near, picked = np.take_along_axis(block, order, axis=1), values[order]
+        # each row's start in the flat near and picked; int32 like the ranks, since a
+        # block holds fewer than max(n, _BLOCK_ELEMENTS) distances
+        offsets = np.arange(0, block.size, used.size, dtype=np.int32)[:, None, None]
         for cells, batch in batches:
-            top = (rows[:, None], _select(rank, batch, k))
+            flat = _select(rank, batch, k) + offsets
             estimates[cells, start:stop] = _estimates(
-                near[top].reshape(-1, k), picked[top].reshape(-1, k)
+                np.take(near, flat).reshape(-1, k), np.take(picked, flat).reshape(-1, k)
             ).reshape(stop - start, -1).T
     return _rho_rows(targets, estimates)
 
@@ -381,6 +394,22 @@ def _draw_indices(rng: np.random.Generator, n: int, size: int, cfg: CcmConfig) -
     return rng.choice(n, size=size, replace=cfg.replacement)
 
 
+def _entropy_rows(seed: int, sizes: tuple[int, ...], samples: int) -> np.ndarray:
+    """The entropy of every cell's stream, (sizes x samples x words) uint32.
+
+    Each row holds the words ``SeedSequence`` makes of ``(seed, size, j)``:
+    the seed's little-endian 32-bit words (seed 0 gives the one word 0), then
+    ``size``, then ``j``; so a row seeds the stream of ``default_rng((seed,
+    size, j))`` without converting the tuple.
+    """
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    rows = np.empty((len(sizes), samples, len(words) + 2), dtype=np.uint32)
+    rows[..., :-2] = words
+    rows[..., -2] = np.asarray(sizes)[:, None]
+    rows[..., -1] = np.arange(samples)
+    return rows
+
+
 def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
                       threads: int = 1) -> CcmResult:
     """Sweep cross-map skill over library sizes in both directions.
@@ -404,15 +433,16 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     except (MemoryError, ValueError):
         raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
                          f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
-    groups = [np.sort([_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg)
-                       for j in range(cfg.samples_per_size)], axis=1)
-              for size in sizes]
+    groups = []
+    for size, rows in zip(sizes, _entropy_rows(cfg.seed, sizes, cfg.samples_per_size)):
+        rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for row in rows)
+        groups.append(np.sort([_draw_indices(rng, n, size, cfg) for rng in rngs], axis=1))
 
-    def direction(cause: TimeSeries, effect: TimeSeries) -> CcmDirection:
+    def direction(cause: TimeSeries, effect: TimeSeries, check: bool) -> CcmDirection:
         library = _embed(cause, effect, cfg.dimension, cfg.tau)
         try:
-            samples = _cross_map_cells(library, groups, cfg.exclusion_radius,
-                                       estimates=estimates).reshape(len(sizes), -1)
+            samples = _cross_map_cells(library, groups, cfg.exclusion_radius, estimates=estimates,
+                                       check=check).reshape(len(sizes), -1)
         except ValueError as error:  # the admissibility pre-check
             if not cfg.replacement:
                 raise
@@ -430,8 +460,9 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
         )
 
     return CcmResult(
-        a_from_b=direction(a, b),
-        b_from_a=direction(b, a),
+        # both directions share the draws and the library times: one check serves both
+        a_from_b=direction(a, b, check=True),
+        b_from_a=direction(b, a, check=False),
         insufficient_grid=len(sizes) < 2,
         seed=cfg.seed,
     )

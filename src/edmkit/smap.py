@@ -187,8 +187,12 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
         intercepts, slopes = coefficients[..., :1], coefficients[..., 1:]
         fitted = intercepts + (library[..., None, :, :] @ slopes[..., None])[..., 0]
         residuals = targets.swapaxes(-1, -2) - fitted
-        variances = ((weights[:, :, None] * residuals**2).sum(axis=-1)
-                     / weights.sum(axis=-1)[..., None])
+        totals = weights.sum(axis=-1)
+        if not totals.all():  # past theta ~745 every exp(-theta d / mean) can underflow
+            theta = float(thetas[np.flatnonzero((totals == 0.0).any(axis=1))[0]])
+            raise RuntimeError(f"every S-map weight of a query underflows to 0 at theta={theta:g}; "
+                               f"choose a smaller theta")
+        variances = (weights[:, :, None] * residuals**2).sum(axis=-1) / totals[..., None]
         fits.append((intercepts[..., 0] + _row_dot(slopes, states[:, None]), variances,
                      coefficients))
     if len(fits) == 1:

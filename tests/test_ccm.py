@@ -538,3 +538,73 @@ def test_replacement_shortfall_names_the_option(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"{shortfall}$"):
         convergence_sweep(data["debris"], data["total"],
                           CcmConfig(4, sizes, seed=0, exclusion_radius=30))
+
+
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    # numpy seeds a stream with the seed's unsigned 32-bit words; a negative
+    # seed used to end the sweep with numpy's "expected non-negative integer"
+    message = "seed must be >= 0, got -1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CcmConfig(2, (10, 20), seed=-1)
+    out = tmp_path / "ccm"
+    code = main(["ccm", "--a", "debris", "--b", "total", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def _record_groups(monkeypatch):
+    """Spy on `convergence_sweep`: the library groups of every `_cross_map_cells` call."""
+    calls = []
+    cross_map_cells = ccm._cross_map_cells
+
+    def spy(library, groups, *args, **kwargs):
+        calls.append(groups)
+        return cross_map_cells(library, groups, *args, **kwargs)
+
+    monkeypatch.setattr(ccm, "_cross_map_cells", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("method, replacement", [("random", False), ("random", True),
+                                                 ("contiguous", False)])
+def test_sweep_draws_are_the_seeded_streams(seed, method, replacement, monkeypatch):
+    # each cell's generator is seeded from one row of words per (seed, size, j),
+    # which must give the stream of default_rng((seed, size, j)), also for a
+    # seed of two or three 32-bit words
+    x, y = coupled_logistic_pair(61)
+    n = len(x) - 1
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=seed,
+                    method=method, replacement=replacement)
+    calls = _record_groups(monkeypatch)
+    convergence_sweep(x, y, cfg)
+    expected = [np.sort([ccm._draw_indices(np.random.default_rng((seed, size, j)), n, size, cfg)
+                         for j in range(cfg.samples_per_size)], axis=1)
+                for size in cfg.library_sizes]
+    assert len(calls) == 2  # both directions share the draws
+    for groups in calls:
+        assert len(groups) == len(expected)
+        for drawn, redrawn in zip(groups, expected):
+            assert drawn.dtype == redrawn.dtype and np.array_equal(drawn, redrawn)
+
+
+def test_admissibility_is_checked_once_per_sweep(monkeypatch):
+    # both directions share the draws, times, floor and k, so one check serves both
+    checks = []
+    check_admissible = ccm._check_admissible
+
+    def spy(libraries, times, floor, k):
+        checks.append(libraries.shape)
+        return check_admissible(libraries, times, floor, k)
+
+    monkeypatch.setattr(ccm, "_check_admissible", spy)
+    x, y = coupled_logistic_pair(61)
+    n = len(x) - 1
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=3,
+                    exclusion_radius=2)
+    convergence_sweep(x, y, cfg)
+    assert checks == [(4, size) for size in cfg.library_sizes]
+    checks.clear()
+    cross_map(x, y, 2, library_indices=np.arange(0, n, 2))
+    assert checks == [(1, -(-n // 2))]

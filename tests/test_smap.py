@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from edmkit.bundled import load_bundled
+from edmkit.cli import main as cli_main
 from edmkit.embedding import (
     EmbeddingError,
     EmbeddingLibrary,
@@ -510,3 +511,18 @@ def test_smap_shortfall_is_named_where_the_library_is_cut(entry):
                f"(library size {size}, exclusion radius {radius})")
     with pytest.raises(NeighborShortfallError, match=f"^{re.escape(message)}$"):
         call(load_bundled(), SMapConfig(BUNDLED_SPEC, 2.0))
+
+
+def test_underflowing_weights_are_named_by_theta(tmp_path, capsys, monkeypatch):
+    # past theta ~745 every weight exp(-theta d / mean) of a query can
+    # underflow to 0; the fit used to forecast 0.0 for every year
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(["forecast", "--method", "smap", "--columns", "debris,total", "--e", "4",
+                     "--theta", "1e6", "--to", "2030"])
+    assert code == 1
+    message = "every S-map weight of a query underflows to 0 at theta=1e+06; choose a smaller theta"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        theta_search(load_bundled(), "debris", EmbeddingSpec((("debris", 2), ("total", 2))),
+                     (0.0, 2.0, 1e6), train_end=1990)
