@@ -7,8 +7,9 @@ tool version, so identical manifests imply bit-identical outputs.  Every
 command runs single-threaded: ``--threads`` is accepted and ignored, so it
 changes neither results nor wall time, and is excluded from the manifest.
 
-Exit codes: 0 success, 1 computation error (for example an infeasible
-neighbour search), 2 usage or input error.
+Exit codes: 0 success; 1 computation error, for example a forecast library
+with too few neighbours; 2 usage or input error, which includes a cross-map
+grid with too few neighbours.
 """
 
 from __future__ import annotations
@@ -63,13 +64,18 @@ def _write_outputs(writers: list[tuple[Path, Callable[[Path], None]]], command: 
                    parameters: dict, inputs: list[Path], seed: int | None) -> None:
     """Write each output with its writer, then the manifest beside the first output.
 
-    Every output path and the manifest's pass ``_file`` and get their folders
-    before the first write, so a bad output path leaves no file behind.
+    Before the first write every output path and the manifest's passes
+    ``_file``, resolves to a file no other one names, and gets its folder,
+    so a bad or shared output path leaves no file behind.
     """
     outputs = [path for path, _ in writers]
     manifest_path = outputs[0].with_suffix(".manifest.json")
+    resolved: set[Path] = set()
     for path in (*outputs, manifest_path):
-        _file(path)
+        where = _file(path).resolve()
+        if where in resolved:
+            raise ValueError(f"two outputs of {command} share the path {path}")
+        resolved.add(where)
     for path in outputs:
         path.parent.mkdir(parents=True, exist_ok=True)
     for path, write in writers:

@@ -25,7 +25,8 @@ Every kind runs through one pipeline:
    later steps learn the policy dynamic; ``run_scenarios`` re-forecasts
    the scenarios that share an embedding (PMD and ADR on two inputs,
    launch reduction on three) in lockstep, one fit per year for the
-   group, each trajectory from its own record and adjuster;
+   group, each trajectory from its own record and adjuster, and
+   ``simulate`` is the one-scenario call of the same driver;
 3. restart the confidence band the year after ``adjust_window_end``: the
    first forecast year for launch reduction and ADR, so their band runs over
    the whole horizon; for PMD the year after the last cohort deorbits, since
@@ -365,56 +366,48 @@ def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioMode
     return adjusted, adjust
 
 
-def _policy_forecasts(data: Dataset, scenarios: list[PolicyScenario], inputs: list,
-                      config: ScenarioModelConfig, three_input: bool) -> list[ForecastResult]:
-    """Re-forecast each scenario's adjusted record in lockstep, one year per fit.
+def _reports(data: Dataset, scenarios: list[PolicyScenario], config: ScenarioModelConfig,
+             references: dict[bool, ForecastResult]) -> list[MitigationReport]:
+    """Score each scenario against its baseline, ``references[three_input]``, in input order.
 
-    ``inputs`` holds each scenario's ``_policy_inputs``.  Each band restarts
-    the year after the scenario's ``adjust_window_end``.
+    A baseline whose final-year debris is 0 raises ValueError.  The scenarios
+    that ``_policy_inputs`` re-forecasts run in lockstep, one group per spec,
+    each band restarting the year after the scenario's ``adjust_window_end``;
+    the others take their baseline as their trajectory.
     """
-    trajectories = _lockstep([adjusted for adjusted, _ in inputs], config.debris,
-                             _model(config, three_input), config.horizon_end,
-                             [adjust for _, adjust in inputs],
-                             labels=[f"scenario {scenario.name!r}" for scenario in scenarios])
-    return [_reset_band(trajectory, scenario.adjust_window_end(data.end_year) + 1)
-            for scenario, trajectory in zip(scenarios, trajectories)]
-
-
-def _policy_forecast(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-                     three_input: bool, baseline: ForecastResult | None = None) -> ForecastResult:
-    """Adjust the observed window, re-forecast it and restart the band past the policy.
-
-    Where the adjusted record would repeat ``baseline`` (``_policy_inputs``),
-    ``baseline`` itself is returned.
-    """
-    inputs = _policy_inputs(data, scenario, config, baseline)
-    if inputs is None:
-        return baseline
-    return _policy_forecasts(data, [scenario], [inputs], config, three_input)[0]
-
-
-def _baseline_value(scenario: PolicyScenario, reference: ForecastResult, horizon: int) -> float:
-    """The reference's final-year debris, which must not be 0."""
-    value = reference.value_at(horizon)
-    if value == 0.0:
-        raise ValueError(
-            f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
-            f"so the mitigated share is undefined"
-        )
-    return value
-
-
-def _report(scenario: PolicyScenario, baseline_value: float, trajectory: ForecastResult,
-            horizon: int) -> MitigationReport:
-    debris_final = trajectory.value_at(horizon)
-    return MitigationReport(
-        scenario=scenario,
-        debris_2050=debris_final,
-        baseline_2050=baseline_value,
-        pct_mitigated=100.0 * (baseline_value - debris_final) / baseline_value,
-        margin_of_error=float(trajectory.band_halfwidth[-1]),
-        trajectory=trajectory,
-    )
+    horizon = config.horizon_end
+    values, trajectories = [], []
+    groups: dict[bool, list] = {False: [], True: []}  # (index, inputs)
+    for i, scenario in enumerate(scenarios):
+        three_input = scenario.kind == "launch_reduction"
+        reference = references[three_input]
+        value = reference.value_at(horizon)
+        if value == 0.0:
+            raise ValueError(
+                f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
+                f"so the mitigated share is undefined"
+            )
+        values.append(value)
+        inputs = _policy_inputs(data, scenario, config, reference)
+        trajectories.append(reference)  # unless its group's forecast replaces it
+        if inputs is not None:
+            groups[three_input].append((i, inputs))
+    for three_input, group in groups.items():
+        if group:
+            indices, inputs = zip(*group)
+            forecasts = _lockstep([adjusted for adjusted, _ in inputs], config.debris,
+                                  _model(config, three_input), horizon,
+                                  [adjust for _, adjust in inputs],
+                                  labels=[f"scenario {scenarios[i].name!r}" for i in indices])
+            for i, trajectory in zip(indices, forecasts):
+                reset_year = scenarios[i].adjust_window_end(data.end_year) + 1
+                trajectories[i] = _reset_band(trajectory, reset_year)
+    reports = []
+    for scenario, value, trajectory in zip(scenarios, values, trajectories):
+        final = trajectory.value_at(horizon)
+        reports.append(MitigationReport(scenario, final, value, 100.0 * (value - final) / value,
+                                        float(trajectory.band_halfwidth[-1]), trajectory))
+    return reports
 
 
 def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
@@ -425,16 +418,14 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
     Runs the module's pipeline and compares the final-year debris prediction
     against the three-input baseline (launch reduction) or the two-input one
     (everything else); a baseline not passed in is forecast here.  Raises
-    ValueError when that baseline's final-year value is 0.
+    ValueError when that baseline's final-year value is 0.  This is
+    ``run_scenarios``' driver called with one scenario.
     """
-    horizon = config.horizon_end
     three_input = scenario.kind == "launch_reduction"
     reference = baseline_three_input if three_input else baseline
     if reference is None:
         reference = baseline_forecast(data, config, three_input=three_input)
-    baseline_value = _baseline_value(scenario, reference, horizon)
-    return _report(scenario, baseline_value,
-                   _policy_forecast(data, scenario, config, three_input, reference), horizon)
+    return _reports(data, [scenario], config, {three_input: reference})[0]
 
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
@@ -448,27 +439,10 @@ def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
     ``threads`` is accepted and ignored.
     """
     todo = list(scenarios)
-    horizon = config.horizon_end
     references = {False: baseline_forecast(data, config)}
     if any(s.kind == "launch_reduction" for s in todo):
         references[True] = baseline_forecast(data, config, three_input=True)
-    values, trajectories = [], []
-    groups: dict[bool, list] = {False: [], True: []}  # (index, scenario, inputs)
-    for i, scenario in enumerate(todo):
-        three_input = scenario.kind == "launch_reduction"
-        values.append(_baseline_value(scenario, references[three_input], horizon))
-        inputs = _policy_inputs(data, scenario, config, references[three_input])
-        trajectories.append(references[three_input])  # unless its group's forecast replaces it
-        if inputs is not None:
-            groups[three_input].append((i, scenario, inputs))
-    for three_input, group in groups.items():
-        if group:
-            indices, members, inputs = zip(*group)
-            forecasts = _policy_forecasts(data, list(members), list(inputs), config, three_input)
-            for i, trajectory in zip(indices, forecasts):
-                trajectories[i] = trajectory
-    return [_report(scenario, value, trajectory, horizon)
-            for scenario, value, trajectory in zip(todo, values, trajectories)]
+    return _reports(data, todo, config, references)
 
 
 _MODEL_KEYS = {
@@ -510,7 +484,8 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
 
     Format: ``key = value`` lines; keys before the first ``[section]`` set
     the shared model (theta, lags, tau, ridge, horizon, series names),
-    each ``[name]`` section defines one scenario.  ``#`` lines are comments.
+    each ``[name]`` section defines one scenario, and its name, which names
+    output files, holds no ``/`` or ``\\``.  ``#`` lines are comments.
     Malformed or unknown keys raise ValueError naming the offending line.
     """
     path = Path(path)
@@ -528,6 +503,9 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
                 name = line[1:-1].strip()
                 if not name:
                     raise ValueError(f"{path}: line {line_no}: empty section name")
+                if "/" in name or "\\" in name:  # it names a file under --outdir
+                    raise ValueError(f"{path}: line {line_no}: section name {name!r} "
+                                     f"must not contain '/' or '\\'")
                 if any(name == seen for seen, _ in sections):
                     raise ValueError(f"{path}: line {line_no}: repeated section [{name}]")
                 current = {"name": name}

@@ -217,6 +217,37 @@ def test_an_output_path_that_is_a_folder_stops_before_any_write(argv, folder, tm
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv, shared", [
+    (["forecast", "--method", "simplex", "--columns", "debris", "--e", "3", "--to", "2030",
+      "--out", "f.json"], "f.json"),  # the CSV, then the JSON
+    (FORECAST[:-1] + ["g.csv", "--svg", "g.manifest.json"], "g.manifest.json"),
+])
+def test_two_outputs_sharing_a_path_stop_before_any_write(argv, shared, tmp_path,
+                                                          monkeypatch, capsys):
+    # the later write replaced the earlier one, and the manifest listed the path twice
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2  # on the bundled record
+    assert capsys.readouterr().err == f"error: two outputs of forecast share the path {shared}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["x/../../escaped", "x\\..\\..\\escaped", "/tmp/abs"])
+def test_a_scenario_name_holding_a_path_separator_exits_two(name, data_csv, tmp_path,
+                                                            monkeypatch, capsys):
+    # the name reached trajectory_<name>.csv, so [x/../../escaped] with
+    # --outdir out/inner wrote out/escaped.csv
+    cfg = tmp_path / "escape.cfg"
+    cfg.write_text(f"# one scenario\n[{name}]\nkind = adr\nadr_per_year = 100\n",
+                   encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--data", str(data_csv), "--scenarios", str(cfg),
+                 "--outdir", "out/inner"]) == 2
+    message = f"{cfg}: line 2: section name {name!r} must not contain '/' or '\\'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_ccm_outputs_and_determinism(data_csv, tmp_path):
     out_a = tmp_path / "ccm_a"
     out_b = tmp_path / "ccm_b"

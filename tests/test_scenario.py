@@ -419,10 +419,10 @@ def test_unchanged_record_reuses_the_baseline_bit_for_bit(monkeypatch):
     assert pmd_adjust(data, pmd) == data
     assert simulate(data, pmd, config, baselines[False]).trajectory is not baselines[False]
 
-    original = edmkit.scenario._policy_forecast
-    monkeypatch.setattr(edmkit.scenario, "_policy_forecast",
-                        lambda data, scenario, config, three_input, baseline=None:
-                        original(data, scenario, config, three_input))
+    original = edmkit.scenario._policy_inputs
+    monkeypatch.setattr(edmkit.scenario, "_policy_inputs",
+                        lambda data, scenario, config, baseline=None:
+                        original(data, scenario, config))
     for scenario, report in zip(scenarios, shortcut):
         forced = simulate(data, scenario, config, baselines[False], baselines[True])
         assert forced.trajectory is not report.trajectory
@@ -458,3 +458,25 @@ def test_a_failing_lockstep_trajectory_names_its_scenario(monkeypatch):
     adr_300 = next(s for s in scenarios if s.name == "adr_300")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate(data, adr_300, config)
+
+
+def test_one_lockstep_call_per_spec_group_for_both_entry_points(monkeypatch):
+    import edmkit.scenario
+
+    data = load_bundled()
+    config, scenarios = load_scenario_file(bundled_path("scenarios/table2.cfg"))
+    calls = []
+    original = edmkit.scenario._lockstep
+
+    def spy(records, *args, **kwargs):
+        calls.append(len(records))
+        return original(records, *args, **kwargs)
+
+    monkeypatch.setattr(edmkit.scenario, "_lockstep", spy)
+    run_scenarios(data, scenarios, config)
+    assert calls == [8, 4]  # PMD and ADR on two inputs, then launch reduction
+    by_name = {s.name: s for s in scenarios}
+    for name, expected in (("adr_100", [1]), ("launch_minus_0pct", [])):
+        calls.clear()
+        simulate(data, by_name[name], config)
+        assert calls == expected, name
