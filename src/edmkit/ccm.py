@@ -36,12 +36,13 @@ for a row are the columns of the k smallest ranks among its library, found
 by sorting those ranks, so they come in the order a stable sort of the
 cell's own distances gives them, and a column drawn twice stays beside its
 twin.  The samples of one library size are ranked together, in batches
-that gather no more ranks than the block holds distances; a batch reads
-its neighbours' distances and values by flat offset (its selected places
-plus each row's start), one ``np.take`` each.  A cell that
+that gather no more ranks than the block holds distances.  A cell that
 holds each column exactly once (the whole library, or the one cell of a
-subsampled cross map) reads the first k of the order directly, and when
-every cell is like that each row's order stops at k columns.  One
+subsampled cross map) needs no ranks: its neighbours are the first k
+places of the order, and when every cell is like that each row's order
+stops at k columns and no ranks are built.  Every cell is read through
+one gather: a batch reads its neighbours' distances and values by flat
+offset (its places plus each row's start), one ``np.take`` each.  One
 row-wise Pearson correlation then scores every cell.  Memory is
 O(block x n + cells x n), never n x n.
 CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
@@ -196,7 +197,10 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     has one skill per cell, in group order.  Every embeddable state is a
     query, estimated from the ``dimension + 1`` nearest admissible points of
     the cell's library in the row blocks and size batches of the module
-    docstring; the estimates fill ``estimates`` when given, else a new
+    docstring.  Every cell is read through one flat-offset gather and one
+    ``_estimates`` call: a cell holding each used column once takes the
+    first k places of the order, any other the k smallest ranks of
+    ``_select``.  The estimates fill ``estimates`` when given, else a new
     (cells x n) array.  Unless ``check`` is off (the caller checked these
     cells against the same times), admissibility is checked for every cell
     before any distance is computed; a shortfall names the first failing
@@ -217,26 +221,31 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
         present[libraries] = True
     used = np.flatnonzero(present)
     column = np.cumsum(present) - 1  # each library index's column among the used ones
-    whole = []  # cells holding every used column exactly once
-    batches = []  # (estimate rows, library columns) of the other cells
+    # (estimate rows, library columns); None for cells holding each used column
+    # exactly once, whose neighbours are the first k places of the order
+    batches = []
     first = 0
     for libraries in groups:
         count, size = libraries.shape
         cells = np.arange(first, first + count)
         first += count
-        complete = ((libraries == used).all(axis=1) if size == used.size
-                    else np.zeros(count, dtype=bool))
-        whole.append(cells[complete])
-        cells, libraries = cells[~complete], column[libraries[~complete]]
+        whole = (libraries == used).all(axis=1) if size == used.size else np.zeros(count, bool)
+        if whole.any():
+            batches.append((cells[whole], None))
+        cells, libraries = cells[~whole], column[libraries[~whole]]
         per_batch = max(1, budget // (min(step, n) * size))
         for lo in range(0, cells.size, per_batch):
             batches.append((cells[lo:lo + per_batch], libraries[lo:lo + per_batch]))
-    whole = np.concatenate(whole)
-    prefix = used.size if batches else k  # ranks need every column's place
+    ranked = any(batch is not None for _, batch in batches)
+    prefix = used.size if ranked else k  # ranks need every column's place
 
     if estimates is None:
         estimates = np.empty((first, n), dtype=float)
     values = targets[used]
+    # each row's start in the flat near and picked; int32 like the ranks, since a
+    # block holds fewer than max(n, _BLOCK_ELEMENTS) distances
+    offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.int32)[:, None, None]
+    leading = offsets + np.arange(k, dtype=np.int32)  # the first k places of each row
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = _distance_rows(vectors, vectors[start:stop], "manhattan")
@@ -244,21 +253,13 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
         if used.size < n:
             block = np.take(block, used, axis=1)
         order = _smallest_k(block, prefix)
-        if whole.size:
-            nearest = order[:, :k]
-            estimates[whole, start:stop] = _estimates(np.take_along_axis(block, nearest, axis=1),
-                                                      values[nearest])
-        if not batches:
-            continue
-        rows = np.arange(stop - start)[:, None]
-        rank = np.empty(block.shape, dtype=np.int32)  # each column's place in its row's order
-        rank[rows, order] = np.arange(used.size, dtype=np.int32)
+        if ranked:
+            rank = np.empty(block.shape, dtype=np.int32)  # each column's place in its row's order
+            rank[np.arange(stop - start)[:, None], order] = np.arange(used.size, dtype=np.int32)
         near, picked = np.take_along_axis(block, order, axis=1), values[order]
-        # each row's start in the flat near and picked; int32 like the ranks, since a
-        # block holds fewer than max(n, _BLOCK_ELEMENTS) distances
-        offsets = np.arange(0, block.size, used.size, dtype=np.int32)[:, None, None]
+        starts, first_k = offsets[:stop - start], leading[:stop - start]
         for cells, batch in batches:
-            flat = _select(rank, batch, k) + offsets
+            flat = first_k if batch is None else _select(rank, batch, k) + starts
             estimates[cells, start:stop] = _estimates(
                 np.take(near, flat).reshape(-1, k), np.take(picked, flat).reshape(-1, k)
             ).reshape(stop - start, -1).T

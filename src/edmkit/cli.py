@@ -60,40 +60,38 @@ def _file(path) -> Path:
     return path
 
 
-def _write_outputs(writers: list[tuple[Path, Callable[[Path], None]]], command: str,
-                   parameters: dict, inputs: list[Path], seed: int | None) -> None:
+def _write_outputs(args: argparse.Namespace, writers: list[tuple[Path, Callable[[Path], None]]],
+                   inputs: list[Path], **resolved) -> None:
     """Write each output with its writer, then the manifest beside the first output.
 
-    Before the first write every output path and the manifest's passes
-    ``_file``, resolves to a file no other one names, and gets its folder,
-    so a bad or shared output path leaves no file behind.
+    The manifest records every parsed option outside ``_UNRECORDED``, the
+    first input as ``data``, the values the command ``resolved``, each
+    input's digest and the seed of a command that takes one.  Before the
+    first write every output path and the manifest's passes ``_file``,
+    resolves to a file no other one names, and gets its folder, so a bad or
+    shared output path leaves no file behind.
     """
     outputs = [path for path, _ in writers]
     manifest_path = outputs[0].with_suffix(".manifest.json")
-    resolved: set[Path] = set()
+    seen: set[Path] = set()
     for path in (*outputs, manifest_path):
         where = _file(path).resolve()
-        if where in resolved:
-            raise ValueError(f"two outputs of {command} share the path {path}")
-        resolved.add(where)
+        if where in seen:
+            raise ValueError(f"two outputs of {args.command} share the path {path}")
+        seen.add(where)
     for path in outputs:
         path.parent.mkdir(parents=True, exist_ok=True)
     for path, write in writers:
         write(path)
+    recorded = {name: value for name, value in vars(args).items() if name not in _UNRECORDED}
     _write_json(manifest_path, {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {**recorded, "data": str(inputs[0]), **resolved},
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
     })
-
-
-def _parameters(args: argparse.Namespace, **resolved) -> dict:
-    """The manifest's parameters: every recorded option, then the values the command resolved."""
-    recorded = {name: value for name, value in vars(args).items() if name not in _UNRECORDED}
-    return {**recorded, **resolved}
 
 
 def _load(arg: str | None) -> tuple[Path, Dataset]:
@@ -163,9 +161,9 @@ def _cmd_embed_search(args) -> int:
     best_row = next(r for r in result.rows if r[0] == result.best_dimension)
     summary = {"best_E": result.best_dimension, "best_rho": _jsonable(best_row[1]),
                "best_rmse": _jsonable(best_row[2])}
-    _write_outputs([(out, result.to_csv),
-                    (out.with_suffix(".summary.json"), lambda path: _write_json(path, summary))],
-                   "embed-search", _parameters(args, data=str(data_path)), [data_path], None)
+    _write_outputs(args, [(out, result.to_csv), (out.with_suffix(".summary.json"),
+                                                 lambda path: _write_json(path, summary))],
+                   [data_path])
     print(f"best E = {result.best_dimension} (rho = {best_row[1]:.4f}); table: {out}")
     return 0
 
@@ -280,9 +278,7 @@ def _cmd_forecast(args) -> int:
     if args.svg:
         writers.append((Path(args.svg),
                         lambda path: _write_svg(path, combined, with_band=not args.no_band)))
-    _write_outputs(writers, "forecast",
-                   _parameters(args, data=str(data_path), band=not args.no_band),
-                   [data_path], None)
+    _write_outputs(args, writers, [data_path], band=not args.no_band)
     rho_text = "undefined" if math.isnan(combined.rho) else f"{combined.rho:.4f}"
     print(f"{args.method} forecast of {target!r} to {args.to}: rho = {rho_text}; wrote {out}")
     return 0
@@ -318,10 +314,9 @@ def _cmd_ccm(args) -> int:
     result = convergence_sweep(series_a, series_b, cfg)
     stem = _file(args.out)
     curves_path = stem.with_suffix(".csv") if stem.suffix == "" else stem
-    _write_outputs([(curves_path, result.to_csv),
-                    (curves_path.with_suffix(".summary.json"), result.to_json)],
-                   "ccm", _parameters(args, data=str(data_path), sizes=sizes),
-                   [data_path], args.seed)
+    _write_outputs(args, [(curves_path, result.to_csv),
+                          (curves_path.with_suffix(".summary.json"), result.to_json)],
+                   [data_path], sizes=sizes)
     for direction in result.directions:
         final = direction.final_mean_rho
         final_text = "undefined" if math.isnan(final) else f"{final:.4f}"
@@ -349,13 +344,13 @@ def _cmd_simulate(args) -> int:
     rows = [[r.scenario.name, r.scenario.kind, repr(r.debris_2050), repr(r.margin_of_error),
              repr(r.pct_mitigated)] for r in reports]
     header = ["scenario", "kind", "debris_2050", "margin_of_error", "pct_mitigated"]
-    _write_outputs([(outdir / "mitigation_report.csv", lambda path: _write_csv(path, header, rows)),
-                    (outdir / "mitigation_report.json",
-                     lambda path: _write_json(path, [r.as_dict() for r in reports])),
-                    *((outdir / f"trajectory_{r.scenario.name}.csv", r.trajectory.to_csv)
-                      for r in reports)],
-                   "simulate", _parameters(args, data=str(data_path), scenarios=str(scenario_path)),
-                   [data_path, scenario_path], None)
+    _write_outputs(args, [(outdir / "mitigation_report.csv",
+                           lambda path: _write_csv(path, header, rows)),
+                          (outdir / "mitigation_report.json",
+                           lambda path: _write_json(path, [r.as_dict() for r in reports])),
+                          *((outdir / f"trajectory_{r.scenario.name}.csv", r.trajectory.to_csv)
+                            for r in reports)],
+                   [data_path, scenario_path], scenarios=str(scenario_path))
     for report in reports:
         print(f"{report.scenario.name}: 2050 debris = {report.debris_2050:.0f}, "
               f"mitigated = {report.pct_mitigated:.2f}%")

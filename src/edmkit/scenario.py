@@ -367,20 +367,25 @@ def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioMode
 
 
 def _reports(data: Dataset, scenarios: list[PolicyScenario], config: ScenarioModelConfig,
-             references: dict[bool, ForecastResult]) -> list[MitigationReport]:
+             references: dict[bool, ForecastResult | None]) -> list[MitigationReport]:
     """Score each scenario against its baseline, ``references[three_input]``, in input order.
 
-    A baseline whose final-year debris is 0 raises ValueError.  The scenarios
-    that ``_policy_inputs`` re-forecasts run in lockstep, one group per spec,
-    each band restarting the year after the scenario's ``adjust_window_end``;
-    the others take their baseline as their trajectory.
+    A baseline that ``references`` lacks (absent or None) is forecast the
+    first time a scenario is scored against it and stored there, so each is
+    forecast at most once.  A baseline whose final-year debris is 0 raises
+    ValueError.  The scenarios that ``_policy_inputs`` re-forecasts run in
+    lockstep, one group per spec, each band restarting the year after the
+    scenario's ``adjust_window_end``; the others take their baseline as
+    their trajectory.
     """
     horizon = config.horizon_end
     values, trajectories = [], []
     groups: dict[bool, list] = {False: [], True: []}  # (index, inputs)
     for i, scenario in enumerate(scenarios):
         three_input = scenario.kind == "launch_reduction"
-        reference = references[three_input]
+        reference = references.get(three_input)
+        if reference is None:
+            reference = references[three_input] = baseline_forecast(data, config, three_input)
         value = reference.value_at(horizon)
         if value == 0.0:
             raise ValueError(
@@ -417,15 +422,11 @@ def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfi
 
     Runs the module's pipeline and compares the final-year debris prediction
     against the three-input baseline (launch reduction) or the two-input one
-    (everything else); a baseline not passed in is forecast here.  Raises
-    ValueError when that baseline's final-year value is 0.  This is
+    (everything else); that baseline, if not passed in, is forecast here.
+    Raises ValueError when its final-year value is 0.  This is
     ``run_scenarios``' driver called with one scenario.
     """
-    three_input = scenario.kind == "launch_reduction"
-    reference = baseline_three_input if three_input else baseline
-    if reference is None:
-        reference = baseline_forecast(data, config, three_input=three_input)
-    return _reports(data, [scenario], config, {three_input: reference})[0]
+    return _reports(data, [scenario], config, {False: baseline, True: baseline_three_input})[0]
 
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
@@ -434,15 +435,12 @@ def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
 
     The policy trajectories run in lockstep, one group per spec: PMD and ADR
     on the two-input spec, launch reduction on the three-input one, each
-    group moving forward one year per fit.  Every report equals
+    group moving forward one year per fit.  Each baseline the batch is scored
+    against is forecast once, when first needed.  Every report equals
     ``simulate``'s for the same scenario and baselines, bit for bit.
     ``threads`` is accepted and ignored.
     """
-    todo = list(scenarios)
-    references = {False: baseline_forecast(data, config)}
-    if any(s.kind == "launch_reduction" for s in todo):
-        references[True] = baseline_forecast(data, config, three_input=True)
-    return _reports(data, todo, config, references)
+    return _reports(data, list(scenarios), config, {})
 
 
 _MODEL_KEYS = {
@@ -486,7 +484,8 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
     the shared model (theta, lags, tau, ridge, horizon, series names),
     each ``[name]`` section defines one scenario, and its name, which names
     output files, holds no ``/`` or ``\\``.  ``#`` lines are comments.
-    Malformed or unknown keys raise ValueError naming the offending line.
+    Malformed, unknown or repeated keys (within the model block or one
+    section) and repeated sections raise ValueError naming the line.
     """
     path = Path(path)
     if not path.exists():
@@ -517,8 +516,11 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
             key = key.strip()
             value = value.strip()
             schema = _MODEL_KEYS if current is None else _SCENARIO_KEYS
+            settings = model_kwargs if current is None else current
             if key not in schema:
                 raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
+            if key in settings:
+                raise ValueError(f"{path}: line {line_no}: repeated key {key!r}")
             caster = schema[key]
             try:
                 parsed = _parse_bool(value) if caster is bool else caster(value)
@@ -526,10 +528,7 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
                 raise ValueError(
                     f"{path}: line {line_no}: bad value {value!r} for key {key!r}"
                 ) from None
-            if current is None:
-                model_kwargs[key] = parsed
-            else:
-                current[key] = parsed
+            settings[key] = parsed
 
     if "horizon" in model_kwargs:
         model_kwargs["horizon_end"] = model_kwargs.pop("horizon")

@@ -264,18 +264,18 @@ def load_csv(path, year_column: str = "year") -> Dataset:
     TimeSeries named after its header.
 
     Raises FileNotFoundError for a missing file and ValueError, naming the
-    offending row, for non-numeric or non-finite cells, duplicate years, or
-    year gaps.
+    offending row by its file line (blank lines counted), for non-numeric or
+    non-finite cells, duplicate years, or year gaps.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such data file: {path}")
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle)]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)  # line_num: the file line a row ends on
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if year_column not in header:
         raise ValueError(f"{path}: no {year_column!r} column in header {header}")
     if len(set(header)) != len(header):
@@ -287,7 +287,7 @@ def load_csv(path, year_column: str = "year") -> Dataset:
 
     years: list[int] = []
     columns: dict[str, list[float]] = {name: [] for name in value_names}
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
         cell = row[year_idx].strip()

@@ -248,6 +248,17 @@ def test_a_scenario_name_holding_a_path_separator_exits_two(name, data_csv, tmp_
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_repeated_scenario_key_exits_two(data_csv, tmp_path, capsys):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text("[adr]\nkind = adr\nadr_per_year = 100\nadr_per_year = 300\n",
+                   encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["simulate", "--data", str(data_csv), "--scenarios", str(cfg),
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 4: repeated key 'adr_per_year'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_ccm_outputs_and_determinism(data_csv, tmp_path):
     out_a = tmp_path / "ccm_a"
     out_b = tmp_path / "ccm_b"

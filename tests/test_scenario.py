@@ -257,6 +257,26 @@ def test_scenario_file_errors(tmp_path):
         load_scenario_file(repeated)
 
 
+@pytest.mark.parametrize("text, line, key", [
+    ("theta = 7\ntheta = 2\n[s]\nkind = adr\nadr_per_year = 100\n", 2, "theta"),
+    ("[s]\nkind = adr\nadr_per_year = 100\n# again\nadr_per_year = 300\n", 5, "adr_per_year"),
+    ("[s]\nkind = adr\nadr_per_year = 1\n[t]\nkind = adr\nkind = pmd\n", 6, "kind"),
+])
+def test_a_repeated_key_is_named_by_line(tmp_path, text, line, key):
+    # the second value silently replaced the first
+    path = tmp_path / "repeated.cfg"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: line {line}: repeated key {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_scenario_file(path)
+    # one key in two sections is no repeat
+    path.write_text("theta = 7\n[s]\nkind = adr\nadr_per_year = 100\n"
+                    "[t]\nkind = adr\nadr_per_year = 300\n", encoding="utf-8")
+    config, scenarios = load_scenario_file(path)
+    assert config.theta == 7.0
+    assert [s.adr_per_year for s in scenarios] == [100, 300]
+
+
 def test_zero_baseline_raises_named_error(monkeypatch):
     import edmkit.scenario
 
@@ -480,3 +500,31 @@ def test_one_lockstep_call_per_spec_group_for_both_entry_points(monkeypatch):
         calls.clear()
         simulate(data, by_name[name], config)
         assert calls == expected, name
+
+
+def test_each_baseline_is_forecast_once_when_first_needed(monkeypatch):
+    import edmkit.scenario
+
+    data = load_bundled()
+    config = ScenarioModelConfig()
+    forecasts = []
+    original = edmkit.scenario.baseline_forecast
+
+    def spy(data, config, three_input=False):
+        forecasts.append(three_input)
+        return original(data, config, three_input)
+
+    monkeypatch.setattr(edmkit.scenario, "baseline_forecast", spy)
+    launch = PolicyScenario("launch_reduction", reduction_fraction=0.2)
+    adr = PolicyScenario("adr", adr_per_year=100)
+    pmd = PolicyScenario("pmd", pmd_years=5)
+    for batch, expected in (([launch], [True]), ([adr], [False]),
+                            ([launch, adr, launch, pmd], [True, False]), ([], [])):
+        forecasts.clear()
+        run_scenarios(data, batch, config)
+        assert forecasts == expected, [s.name for s in batch]
+    baselines = {three: original(data, config, three) for three in (False, True)}
+    forecasts.clear()
+    for scenario in (launch, adr, pmd):
+        simulate(data, scenario, config, baselines[False], baselines[True])
+    assert forecasts == []

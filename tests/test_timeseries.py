@@ -97,6 +97,20 @@ def test_load_csv_errors(tmp_path):
         load_csv(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("year,a\n2000,1\n\n2001,x\n", "row 4: non-numeric value 'x' in column 'a'"),
+    ("\nyear,a\n2000,1\n2002,2\n", "year gap at row 4"),
+    ("year,a\n\n\n2000,1\n2000,2\n", "duplicate year at row 5"),
+    ("year,a\r\n2000,1\r\n\r\n2001\r\n", "row 4: expected 2 cells, got 1"),
+])
+def test_load_csv_names_the_file_line_after_blank_lines(tmp_path, text, message):
+    # a blank line is skipped but still counted, so "row N" is line N of the file
+    path = tmp_path / "blank.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_csv(path)
+
+
 def test_align_intersection():
     a = Dataset.from_columns(1960, {"a": range(63)})
     b = Dataset.from_columns(1957, {"b": range(67)})
