@@ -290,12 +290,15 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
     if library_indices is None:
         indices = np.arange(n)
     else:
-        indices = np.asarray(library_indices, dtype=int)
-        if indices.ndim != 1 or indices.size == 0:
+        values = np.asarray(library_indices, dtype=float)
+        if values.ndim != 1 or values.size == 0:
             raise ValueError("library_indices must be a non-empty 1-D index collection")
-        if indices.min() < 0 or indices.max() >= n:
+        fractions = values[np.modf(values)[0] != 0.0]  # also NaN; ±inf is out of range
+        if fractions.size:
+            raise ValueError(f"library indices must be whole numbers, got {fractions[0]}")
+        if values.min() < 0 or values.max() >= n:
             raise ValueError(f"library indices out of range 0..{n - 1}")
-        indices = np.sort(indices)
+        indices = np.sort(values.astype(int))
     if indices.size < dimension + 2:
         raise ValueError(
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "

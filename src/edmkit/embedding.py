@@ -439,6 +439,7 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     Raises NeighborShortfallError, naming the shortfall, when fewer than
     ``k`` admissible candidates remain.
     """
+    k = _whole_number("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_metric(metric)

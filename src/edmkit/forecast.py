@@ -36,8 +36,8 @@ import numpy as np
 
 from .embedding import (EmbeddingSpec, _check_admissible, _check_radius, _check_state_time,
                         _gather, _layout, multivariate_embed)
-from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _write_csv,
-                         _write_json, pearson_rho, rmse)
+from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _whole_number,
+                         _write_csv, _write_json, pearson_rho, rmse)
 
 if TYPE_CHECKING:
     from .simplex import SimplexConfig
@@ -162,6 +162,8 @@ def _one_step_queries(data: Dataset, target: str, cfg: SimplexConfig | SMapConfi
     the shortest, is checked against ``cfg._needs``.
     """
     spec = cfg.spec
+    train_end, eval_start, eval_end = (_whole_number(name, year) for name, year in (
+        ("train_end", train_end), ("eval_start", eval_start), ("eval_end", eval_end)))
     start = train_end + 1 if eval_start is None else eval_start
     end = data.end_year if eval_end is None else eval_end
     if start <= train_end:
@@ -268,6 +270,7 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
     """
     spec = cfg.spec
     data = records[0]
+    horizon_end = _whole_number("horizon_end", horizon_end)
     if horizon_end <= data.end_year:
         raise ValueError(
             f"horizon {horizon_end} must lie beyond the observed record ({data.end_year})"

@@ -22,11 +22,13 @@ Every kind runs through one pipeline:
 2. re-forecast the adjusted history with the S-map at the scenario file's
    theta, flooring each year at 0 and, for PMD, removing the cohorts whose
    disposal falls due that year before the value joins the library, so
-   later steps learn the policy dynamic; ``run_scenarios`` re-forecasts
-   the scenarios that share an embedding (PMD and ADR on two inputs,
-   launch reduction on three) in lockstep, one fit per year for the
-   group, each trajectory from its own record and adjuster, and
-   ``simulate`` is the one-scenario call of the same driver;
+   later steps learn the policy dynamic; ``run_scenarios`` runs one
+   lockstep per embedding the batch uses (PMD and ADR on two inputs,
+   launch reduction on three), one fit per year for the group, whose first
+   record is the recorded history under the same zero floor, the
+   baseline, and whose others are the scenarios, each trajectory from its
+   own record and adjuster; ``simulate`` is ``run_scenarios`` of one
+   scenario;
 3. restart the confidence band the year after ``adjust_window_end``: the
    first forecast year for launch reduction and ADR, so their band runs over
    the whole horizon; for PMD the year after the last cohort deorbits, since
@@ -40,7 +42,7 @@ theta = 0.  A disposal window at or beyond the current 25-year practice
 leaves the recorded history untouched, so such scenarios are defined to
 equal the baseline exactly; a launch-reduction or ADR scenario whose
 adjusted record equals the recorded one byte for byte (a 0 % reduction, say)
-reuses the baseline forecast, which it would repeat bit for bit.
+takes the baseline forecast, which it would repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Iterable
 import numpy as np
 
 from .embedding import EmbeddingSpec
-from .forecast import ForecastResult, _lockstep, iterative_forecast
+from .forecast import ForecastResult, _lockstep
 from .smap import SMapConfig
 from .timeseries import Dataset, _require_finite, _whole_number
 
@@ -100,7 +102,7 @@ class PolicyScenario:
         _require_finite(effective_year=self.effective_year,
                         operational_lifetime=self.operational_lifetime,
                         compliance=self.compliance, **values)
-        for name in ("effective_year", "operational_lifetime", "pmd_years"):
+        for name in ("effective_year", "operational_lifetime", "pmd_years", "adr_per_year"):
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         needed = _KIND_FIELDS[self.kind]
         if values[needed] is None:
@@ -248,7 +250,7 @@ def pmd_adjust(data: Dataset, scenario: PolicyScenario,
     """Subtract cumulative PMD deorbits from the recorded debris and totals.
 
     Only the observed window changes here; disposals falling due after the
-    record ends are applied during the forecast (see ``simulate``).
+    record ends are applied during the forecast (see ``run_scenarios``).
     """
     _require(data, scenario, "pmd", debris, launched, total)
     removed = _removed_through(data, scenario, launched, data.years)
@@ -314,31 +316,18 @@ def _floor_counts(_year: int, values: dict[str, float]) -> dict[str, float]:
     return {name: max(0.0, value) for name, value in values.items()}
 
 
-def _model(config: ScenarioModelConfig, three_input: bool) -> SMapConfig:
-    return config.three_input_config() if three_input else config.two_input_config()
-
-
-def baseline_forecast(data: Dataset, config: ScenarioModelConfig,
-                      three_input: bool = False) -> ForecastResult:
-    """The no-intervention trajectory a scenario is scored against."""
-    return iterative_forecast(data, config.debris, _model(config, three_input),
-                              config.horizon_end, adjust=_floor_counts)
-
-
-def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-                   baseline: ForecastResult | None = None):
+def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig):
     """The adjusted record and per-year adjuster of a policy forecast.
 
-    With ``baseline`` given, None where the trajectory is that baseline: a
-    PMD window at or beyond current practice, which the recorded history
-    already embeds, is defined to equal it, and a launch-reduction or ADR
-    adjustment that leaves every series byte for byte as recorded would
-    repeat it exactly (its band restarts at the first forecast year, where
-    the baseline's starts).  A shorter PMD window still removes the cohorts
-    falling due after the record, so it always runs.
+    None where the trajectory is its spec's baseline: a PMD window at or
+    beyond current practice, which the recorded history already embeds, is
+    defined to equal it, and a launch-reduction or ADR adjustment that leaves
+    every series byte for byte as recorded would repeat it exactly (its band
+    restarts at the first forecast year, where the baseline's starts).  A
+    shorter PMD window still removes the cohorts falling due after the
+    record, so it always runs.
     """
-    if baseline is not None and scenario.kind == "pmd" and (
-            scenario.pmd_years >= CURRENT_PMD_YEARS):
+    if scenario.kind == "pmd" and scenario.pmd_years >= CURRENT_PMD_YEARS:
         return None
     debris, launched, total = config.debris, config.launched, config.total
     adjust = _floor_counts
@@ -359,88 +348,71 @@ def _policy_inputs(data: Dataset, scenario: PolicyScenario, config: ScenarioMode
                 out[total] = max(0.0, out[total] - removal)
             return out
 
-    if baseline is not None and scenario.kind != "pmd" and all(
+    if scenario.kind != "pmd" and all(
             adjusted[name].to_array().tobytes() == data[name].to_array().tobytes()
             for name in data.names):
         return None
     return adjusted, adjust
 
 
-def _reports(data: Dataset, scenarios: list[PolicyScenario], config: ScenarioModelConfig,
-             references: dict[bool, ForecastResult | None]) -> list[MitigationReport]:
-    """Score each scenario against its baseline, ``references[three_input]``, in input order.
-
-    A baseline that ``references`` lacks (absent or None) is forecast the
-    first time a scenario is scored against it and stored there, so each is
-    forecast at most once.  A baseline whose final-year debris is 0 raises
-    ValueError.  The scenarios that ``_policy_inputs`` re-forecasts run in
-    lockstep, one group per spec, each band restarting the year after the
-    scenario's ``adjust_window_end``; the others take their baseline as
-    their trajectory.
-    """
-    horizon = config.horizon_end
-    values, trajectories = [], []
-    groups: dict[bool, list] = {False: [], True: []}  # (index, inputs)
-    for i, scenario in enumerate(scenarios):
-        three_input = scenario.kind == "launch_reduction"
-        reference = references.get(three_input)
-        if reference is None:
-            reference = references[three_input] = baseline_forecast(data, config, three_input)
-        value = reference.value_at(horizon)
-        if value == 0.0:
-            raise ValueError(
-                f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
-                f"so the mitigated share is undefined"
-            )
-        values.append(value)
-        inputs = _policy_inputs(data, scenario, config, reference)
-        trajectories.append(reference)  # unless its group's forecast replaces it
-        if inputs is not None:
-            groups[three_input].append((i, inputs))
-    for three_input, group in groups.items():
-        if group:
-            indices, inputs = zip(*group)
-            forecasts = _lockstep([adjusted for adjusted, _ in inputs], config.debris,
-                                  _model(config, three_input), horizon,
-                                  [adjust for _, adjust in inputs],
-                                  labels=[f"scenario {scenarios[i].name!r}" for i in indices])
-            for i, trajectory in zip(indices, forecasts):
-                reset_year = scenarios[i].adjust_window_end(data.end_year) + 1
-                trajectories[i] = _reset_band(trajectory, reset_year)
-    reports = []
-    for scenario, value, trajectory in zip(scenarios, values, trajectories):
-        final = trajectory.value_at(horizon)
-        reports.append(MitigationReport(scenario, final, value, 100.0 * (value - final) / value,
-                                        float(trajectory.band_halfwidth[-1]), trajectory))
-    return reports
-
-
-def simulate(data: Dataset, scenario: PolicyScenario, config: ScenarioModelConfig,
-             baseline: ForecastResult | None = None,
-             baseline_three_input: ForecastResult | None = None) -> MitigationReport:
+def simulate(data: Dataset, scenario: PolicyScenario,
+             config: ScenarioModelConfig) -> MitigationReport:
     """Run one policy scenario end to end and score it against its baseline.
 
-    Runs the module's pipeline and compares the final-year debris prediction
-    against the three-input baseline (launch reduction) or the two-input one
-    (everything else); that baseline, if not passed in, is forecast here.
-    Raises ValueError when its final-year value is 0.  This is
-    ``run_scenarios``' driver called with one scenario.
+    This is ``run_scenarios(data, [scenario], config)[0]``: the three-input
+    baseline for launch reduction, the two-input one for everything else.
     """
-    return _reports(data, [scenario], config, {False: baseline, True: baseline_three_input})[0]
+    return run_scenarios(data, [scenario], config)[0]
 
 
 def run_scenarios(data: Dataset, scenarios: Iterable[PolicyScenario],
                   config: ScenarioModelConfig, threads: int = 1) -> list[MitigationReport]:
     """Run a batch of scenarios against shared baselines, in input order.
 
-    The policy trajectories run in lockstep, one group per spec: PMD and ADR
-    on the two-input spec, launch reduction on the three-input one, each
-    group moving forward one year per fit.  Each baseline the batch is scored
-    against is forecast once, when first needed.  Every report equals
-    ``simulate``'s for the same scenario and baselines, bit for bit.
-    ``threads`` is accepted and ignored.
+    Each spec the batch uses (two inputs for PMD and ADR, three for launch
+    reduction) runs one lockstep, moving forward one year per fit.  Its
+    first record is the recorded data under the zero floor, the spec's
+    baseline, labelled ``two-input baseline`` or ``three-input baseline``;
+    the others are the scenarios that ``_policy_inputs`` re-forecasts, each
+    band restarting the year after the scenario's ``adjust_window_end``.
+    The rest take their baseline as their trajectory.  A baseline whose
+    final-year debris is 0 raises ValueError naming the first scenario
+    scored against it.  ``threads`` is accepted and ignored.
     """
-    return _reports(data, list(scenarios), config, {})
+    scenarios = list(scenarios)
+    horizon = config.horizon_end
+    groups: dict[bool, list] = {}  # three_input: [(index, record, adjust)], baseline first
+    for i, scenario in enumerate(scenarios):
+        group = groups.setdefault(scenario.kind == "launch_reduction",
+                                  [(None, data, _floor_counts)])
+        inputs = _policy_inputs(data, scenario, config)
+        if inputs is not None:
+            group.append((i, *inputs))
+    baselines, trajectories = {}, [None] * len(scenarios)
+    for three_input in sorted(groups):
+        indices, records, adjusts = zip(*groups[three_input])
+        labels = [f"{'three' if three_input else 'two'}-input baseline",
+                  *(f"scenario {scenarios[i].name!r}" for i in indices[1:])]
+        model = config.three_input_config() if three_input else config.two_input_config()
+        baselines[three_input], *forecasts = _lockstep(records, config.debris, model, horizon,
+                                                       adjusts, labels=labels)
+        for i, trajectory in zip(indices[1:], forecasts):
+            reset_year = scenarios[i].adjust_window_end(data.end_year) + 1
+            trajectories[i] = _reset_band(trajectory, reset_year)
+    reports = []
+    for scenario, trajectory in zip(scenarios, trajectories):
+        baseline = baselines[scenario.kind == "launch_reduction"]
+        value = baseline.value_at(horizon)
+        if value == 0.0:
+            raise ValueError(
+                f"scenario {scenario.name!r}: baseline debris forecast for {horizon} is 0, "
+                f"so the mitigated share is undefined"
+            )
+        trajectory = baseline if trajectory is None else trajectory
+        final = trajectory.value_at(horizon)
+        reports.append(MitigationReport(scenario, final, value, 100.0 * (value - final) / value,
+                                        float(trajectory.band_halfwidth[-1]), trajectory))
+    return reports
 
 
 _MODEL_KEYS = {

@@ -131,7 +131,7 @@ def embed_dimension_search(data: Dataset, target: str, dimensions: Iterable[int]
     is undefined never win.  Dimensions are evaluated in turn; ``threads``
     is accepted and ignored.
     """
-    dims = sorted(set(int(d) for d in dimensions))
+    dims = sorted(set(_whole_number("dimension", d) for d in dimensions))
     if not dims:
         raise ValueError("no embedding dimensions to search")
 

@@ -167,6 +167,10 @@ CCM_ERRORS = {
         lambda a, b: cross_map(a, b, 4, library_indices=[[0, 1], [2, 3]]),
         "library_indices must be a non-empty 1-D index collection", None,
     ),
+    "fractional_library_index": (
+        lambda a, b: cross_map(a, b, 4, library_indices=[0.5, *range(1, 10)]),
+        "library indices must be whole numbers, got 0.5", None,
+    ),
     "library_index_out_of_range": (
         lambda a, b: cross_map(a, b, 4, library_indices=[0, 60]),
         "library indices out of range 0..59", None,

@@ -423,19 +423,21 @@ def test_ccm_non_finite_data_exits_two(data_csv, tmp_path, capsys):
     assert not (tmp_path / "ccm.csv").exists()
 
 
-def test_simulate_zero_baseline_exits_two(data_csv, tmp_path, capsys, monkeypatch):
-    import edmkit.scenario
-
-    class ZeroForecast:
-        def value_at(self, year):
-            return 0.0
-
-    monkeypatch.setattr(edmkit.scenario, "baseline_forecast",
-                        lambda *args, **kwargs: ZeroForecast())
+def test_simulate_zero_baseline_exits_two(data_csv, tmp_path, capsys):
+    # with no debris on record, the baseline forecasts exactly 0 debris
+    lines = data_csv.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    column = header.index("debris")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[column] = "0"
+    zero = tmp_path / "zero.csv"
+    zero.write_text("\n".join([lines[0], *(",".join(row) for row in rows)]) + "\n",
+                    encoding="utf-8")
     cfg = tmp_path / "mini.cfg"
     cfg.write_text("horizon = 2035\n[adr_small]\nkind = adr\nadr_per_year = 100\n",
                    encoding="utf-8")
-    code = main(["simulate", "--data", str(data_csv), "--scenarios", str(cfg),
+    code = main(["simulate", "--data", str(zero), "--scenarios", str(cfg),
                  "--outdir", str(tmp_path / "reports")])
     assert code == 2
     assert "baseline debris forecast for 2035 is 0" in capsys.readouterr().err

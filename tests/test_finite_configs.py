@@ -9,12 +9,16 @@ import re
 
 import pytest
 
+import numpy as np
+
+from edmkit.bundled import load_bundled
 from edmkit.ccm import CcmConfig
 from edmkit.cli import main
-from edmkit.embedding import EmbeddingSpec
+from edmkit.embedding import EmbeddingLibrary, EmbeddingSpec, knn
+from edmkit.forecast import iterative_forecast, skill_eval
 from edmkit.scenario import PolicyScenario, ScenarioModelConfig
-from edmkit.simplex import SimplexConfig
-from edmkit.smap import SMapConfig
+from edmkit.simplex import SimplexConfig, embed_dimension_search
+from edmkit.smap import SMapConfig, theta_search
 
 NAN = float("nan")
 INF = float("inf")
@@ -104,6 +108,8 @@ WHOLE_CASES = {
     "PolicyScenario.effective_year": (
         lambda v: PolicyScenario("adr", adr_per_year=1, effective_year=v), 2000,
         lambda c: c.effective_year),
+    "PolicyScenario.adr_per_year": (lambda v: PolicyScenario("adr", adr_per_year=v), 100,
+                                    lambda c: c.adr_per_year),
     "SimplexConfig.k": (lambda v: SimplexConfig(SPEC, k=v), 2, lambda c: c.k),
     "CcmConfig.dimension": (lambda v: CcmConfig(v, (10, 20)), 3, lambda c: c.dimension),
     "CcmConfig.tau": (lambda v: CcmConfig(2, (10, 20), tau=v), 1, lambda c: c.tau),
@@ -135,6 +141,46 @@ def test_integer_field_rejects_a_fraction_and_stores_a_whole_float_as_int(case):
         build(whole + 0.5)
     stored = read(build(float(whole)))
     assert stored == whole and type(stored) is int
+
+
+DEBRIS = EmbeddingSpec.univariate("debris", 3)
+LIBRARY = EmbeddingLibrary(EmbeddingSpec.univariate("q", 2, exclusion_radius=0), "q", 0,
+                           np.arange(4), np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [5.0, 5.0]]),
+                           np.zeros(4))
+
+# argument -> (call with the argument on the bundled record, a whole value)
+WHOLE_ARGUMENTS = {
+    "embed_dimension_search.dimension": (
+        lambda data, v: embed_dimension_search(data, "debris", [v], train_end=1990), 2),
+    "embed_dimension_search.train_end": (
+        lambda data, v: embed_dimension_search(data, "debris", [2], train_end=v), 1990),
+    "knn.k": (lambda data, v: knn(LIBRARY, (10, [0.0, 0.0]), v), 2),
+    "skill_eval.train_end": (
+        lambda data, v: skill_eval(data, "debris", SimplexConfig(DEBRIS), v), 1990),
+    "skill_eval.eval_start": (
+        lambda data, v: skill_eval(data, "debris", SimplexConfig(DEBRIS), 1990, eval_start=v),
+        1995),
+    "skill_eval.eval_end": (
+        lambda data, v: skill_eval(data, "debris", SimplexConfig(DEBRIS), 1990, eval_end=v),
+        2010),
+    "theta_search.eval_start": (
+        lambda data, v: theta_search(data, "debris", DEBRIS, (0.0, 1.0), train_end=1990,
+                                     eval_start=v), 2000),
+    "iterative_forecast.horizon_end": (
+        lambda data, v: iterative_forecast(data, "debris", SimplexConfig(DEBRIS), v), 2030),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_ARGUMENTS))
+def test_integer_argument_rejects_a_fraction_and_accepts_a_whole_float(case):
+    # a fraction used to be truncated, or end in a numpy IndexError or TypeError
+    call, whole = WHOLE_ARGUMENTS[case]
+    data = load_bundled()
+    field = case.partition(".")[2]
+    message = f"{field} must be a whole number, got {whole + 0.5!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(data, whole + 0.5)
+    assert repr(call(data, float(whole))) == repr(call(data, whole))
 
 
 HUGE = 10**400  # beyond the float range, where math.isfinite raises OverflowError

@@ -277,19 +277,14 @@ def test_a_repeated_key_is_named_by_line(tmp_path, text, line, key):
     assert [s.adr_per_year for s in scenarios] == [100, 300]
 
 
-def test_zero_baseline_raises_named_error(monkeypatch):
-    import edmkit.scenario
-
-    class ZeroForecast:
-        def value_at(self, year):
-            return 0.0
-
-    monkeypatch.setattr(edmkit.scenario, "baseline_forecast",
-                        lambda *args, **kwargs: ZeroForecast())
+def test_zero_baseline_raises_named_error():
+    # with no debris on record, both baselines forecast exactly 0 debris
+    data = toy_data()
+    data = data.with_values({"debris": np.zeros(data.n_years)})
     for scenario in (PolicyScenario("adr", adr_per_year=100),
                      PolicyScenario("launch_reduction", reduction_fraction=0.1)):
         with pytest.raises(ValueError, match=f"{scenario.name}.*2050 is 0"):
-            simulate(toy_data(), scenario, ScenarioModelConfig())
+            simulate(data, scenario, ScenarioModelConfig())
 
 
 def test_reset_band_restarts_the_running_variance():
@@ -388,10 +383,13 @@ def test_adjusters_name_the_wrong_kind_and_the_missing_series():
             adjuster(no_total, scenario)
 
 
+def _track_bits(t):
+    return [np.asarray(a).tobytes() for a in (t.times, t.predicted, t.band_halfwidth,
+                                              t.step_variance, t.coefficients)]
+
+
 def _bits(report):
-    t = report.trajectory
-    return ([np.asarray(a).tobytes() for a in (t.times, t.predicted, t.band_halfwidth,
-                                               t.step_variance, t.coefficients)],
+    return (_track_bits(report.trajectory),
             repr((report.debris_2050, report.baseline_2050, report.pct_mitigated,
                   report.margin_of_error)))
 
@@ -420,33 +418,97 @@ def test_every_kind_runs_one_pipeline_on_the_bundled_record():
     assert batch["pmd_25yr"].pct_mitigated == 0.0
 
 
-def test_unchanged_record_reuses_the_baseline_bit_for_bit(monkeypatch):
+def _zero_floor_baselines(data, config):
+    from edmkit.forecast import iterative_forecast
+
+    def floor(year, values):
+        return {name: max(0.0, value) for name, value in values.items()}
+
+    return {three: iterative_forecast(data, config.debris, config.three_input_config() if three
+                                      else config.two_input_config(), config.horizon_end,
+                                      adjust=floor)
+            for three in (False, True)}
+
+
+def _lockstep_spy(monkeypatch):
     import edmkit.scenario
 
+    calls = []
+    original = edmkit.scenario._lockstep
+
+    def spy(records, target, cfg, *args, **kwargs):
+        forecasts = original(records, target, cfg, *args, **kwargs)
+        calls.append((list(records), len(cfg.spec.columns), forecasts))  # inputs: series
+        return forecasts
+
+    monkeypatch.setattr(edmkit.scenario, "_lockstep", spy)
+    return calls
+
+
+def test_unchanged_record_reuses_the_baseline_bit_for_bit():
     data = load_bundled()
     config, _ = load_scenario_file(bundled_path("scenarios/table2.cfg"))
-    baselines = {three: edmkit.scenario.baseline_forecast(data, config, three_input=three)
-                 for three in (False, True)}
-    scenarios = (PolicyScenario("launch_reduction", reduction_fraction=0.0),
-                 PolicyScenario("adr", adr_per_year=0))
-    shortcut = [simulate(data, s, config, baselines[False], baselines[True]) for s in scenarios]
-    for scenario, report in zip(scenarios, shortcut):
-        assert report.trajectory is baselines[scenario.kind == "launch_reduction"]
-    assert simulate(data, PolicyScenario("adr", adr_per_year=100), config,
-                    baselines[False]).trajectory is not baselines[False]
+    baselines = _zero_floor_baselines(data, config)
+    reused = (PolicyScenario("pmd", pmd_years=CURRENT_PMD_YEARS),
+              PolicyScenario("adr", adr_per_year=0),
+              PolicyScenario("launch_reduction", reduction_fraction=0.0))
     # its record is untouched, but cohorts fall due from 2025, inside the forecast
     pmd = PolicyScenario("pmd", pmd_years=15)
     assert pmd_adjust(data, pmd) == data
-    assert simulate(data, pmd, config, baselines[False]).trajectory is not baselines[False]
+    rerun = (PolicyScenario("adr", adr_per_year=100), pmd)
+    reports = run_scenarios(data, [*reused, *rerun], config)
+    assert reports[1].trajectory is reports[0].trajectory  # adr_0 is pmd_25yr
+    for scenario, report in zip(reused, reports):
+        expected = baselines[scenario.kind == "launch_reduction"]
+        assert _track_bits(report.trajectory) == _track_bits(expected), scenario.name
+        assert report.pct_mitigated == 0.0
+    # re-forecasting an unchanged record would repeat its baseline bit for bit
+    for scenario, adjuster in ((reused[1], adr_adjust), (reused[2], launch_reduction_adjust)):
+        three = scenario.kind == "launch_reduction"
+        again = _zero_floor_baselines(adjuster(data, scenario), config)[three]
+        assert _track_bits(again) == _track_bits(baselines[three]), scenario.name
+    for report in reports[len(reused):]:
+        assert report.trajectory is not reports[0].trajectory
+        assert report.debris_2050 != report.baseline_2050
+    for scenario, report in zip(reused, reports):
+        assert _bits(simulate(data, scenario, config)) == _bits(report)
 
-    original = edmkit.scenario._policy_inputs
-    monkeypatch.setattr(edmkit.scenario, "_policy_inputs",
-                        lambda data, scenario, config, baseline=None:
-                        original(data, scenario, config))
-    for scenario, report in zip(scenarios, shortcut):
-        forced = simulate(data, scenario, config, baselines[False], baselines[True])
-        assert forced.trajectory is not report.trajectory
-        assert _bits(forced) == _bits(report)
+
+def test_the_first_record_of_each_lockstep_is_its_baseline(monkeypatch):
+    data = load_bundled()
+    config = ScenarioModelConfig()
+    expected = _zero_floor_baselines(data, config)
+    calls = _lockstep_spy(monkeypatch)
+    batch = [PolicyScenario("adr", adr_per_year=100),
+             PolicyScenario("launch_reduction", reduction_fraction=0.2)]
+    reports = run_scenarios(data, batch, config)
+    assert [inputs for _, inputs, _ in calls] == [2, 3]
+    for (_, inputs, forecasts), report in zip(calls, reports):
+        got, want = forecasts[0], expected[inputs == 3]
+        assert _track_bits(got) == _track_bits(want), inputs
+        assert got.coefficient_labels == want.coefficient_labels
+        assert report.baseline_2050 == want.value_at(config.horizon_end)
+
+
+def test_a_failing_baseline_names_its_spec(monkeypatch):
+    import edmkit.scenario
+
+    data = load_bundled()
+    config = ScenarioModelConfig()
+    original = edmkit.scenario._floor_counts
+
+    def poisoned(year, values):
+        out = original(year, values)
+        if year == 2031:
+            out[config.total] = float("nan")
+        return out
+
+    monkeypatch.setattr(edmkit.scenario, "_floor_counts", poisoned)
+    for scenario, spec in ((PolicyScenario("adr", adr_per_year=100), "two"),
+                           (PolicyScenario("launch_reduction", reduction_fraction=0.2), "three")):
+        message = f"{spec}-input baseline: series 'total' has a non-finite value nan in year 2031"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(data, scenario, config)
 
 
 def test_a_failing_lockstep_trajectory_names_its_scenario(monkeypatch):
@@ -458,8 +520,8 @@ def test_a_failing_lockstep_trajectory_names_its_scenario(monkeypatch):
     config, scenarios = load_scenario_file(bundled_path("scenarios/table2.cfg"))
     original = edmkit.scenario._policy_inputs
 
-    def poisoned(data, scenario, config, baseline=None):
-        inputs = original(data, scenario, config, baseline)
+    def poisoned(data, scenario, config):
+        inputs = original(data, scenario, config)
         if scenario.name != "adr_300":
             return inputs
         adjusted, adjust = inputs
@@ -481,50 +543,31 @@ def test_a_failing_lockstep_trajectory_names_its_scenario(monkeypatch):
 
 
 def test_one_lockstep_call_per_spec_group_for_both_entry_points(monkeypatch):
-    import edmkit.scenario
-
     data = load_bundled()
     config, scenarios = load_scenario_file(bundled_path("scenarios/table2.cfg"))
-    calls = []
-    original = edmkit.scenario._lockstep
-
-    def spy(records, *args, **kwargs):
-        calls.append(len(records))
-        return original(records, *args, **kwargs)
-
-    monkeypatch.setattr(edmkit.scenario, "_lockstep", spy)
+    calls = _lockstep_spy(monkeypatch)
     run_scenarios(data, scenarios, config)
-    assert calls == [8, 4]  # PMD and ADR on two inputs, then launch reduction
+    # PMD and ADR on two inputs, then launch reduction, each after its baseline
+    assert [len(records) for records, _, _ in calls] == [9, 5]
     by_name = {s.name: s for s in scenarios}
-    for name, expected in (("adr_100", [1]), ("launch_minus_0pct", [])):
+    for name, expected in (("adr_100", [2]), ("launch_minus_0pct", [1])):
         calls.clear()
         simulate(data, by_name[name], config)
-        assert calls == expected, name
+        assert [len(records) for records, _, _ in calls] == expected, name
 
 
 def test_each_baseline_is_forecast_once_when_first_needed(monkeypatch):
-    import edmkit.scenario
-
     data = load_bundled()
     config = ScenarioModelConfig()
-    forecasts = []
-    original = edmkit.scenario.baseline_forecast
-
-    def spy(data, config, three_input=False):
-        forecasts.append(three_input)
-        return original(data, config, three_input)
-
-    monkeypatch.setattr(edmkit.scenario, "baseline_forecast", spy)
+    calls = _lockstep_spy(monkeypatch)
     launch = PolicyScenario("launch_reduction", reduction_fraction=0.2)
     adr = PolicyScenario("adr", adr_per_year=100)
     pmd = PolicyScenario("pmd", pmd_years=5)
-    for batch, expected in (([launch], [True]), ([adr], [False]),
-                            ([launch, adr, launch, pmd], [True, False]), ([], [])):
-        forecasts.clear()
+    for batch, specs in (([launch], [3]), ([adr], [2]), ([launch, adr, launch, pmd], [2, 3]),
+                         ([], [])):
+        calls.clear()
         run_scenarios(data, batch, config)
-        assert forecasts == expected, [s.name for s in batch]
-    baselines = {three: original(data, config, three) for three in (False, True)}
-    forecasts.clear()
-    for scenario in (launch, adr, pmd):
-        simulate(data, scenario, config, baselines[False], baselines[True])
-    assert forecasts == []
+        # one call per spec used, its first record the recorded data itself
+        assert [inputs for _, inputs, _ in calls] == specs, [s.name for s in batch]
+        assert all(records[0] is data and all(record is not data for record in records[1:])
+                   for records, _, _ in calls)
