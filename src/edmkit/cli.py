@@ -33,7 +33,7 @@ from .scenario import load_scenario_file, run_scenarios
 from .forecast import ForecastResult, iterative_forecast, skill_eval
 from .simplex import SimplexConfig, embed_dimension_search
 from .smap import SMapConfig, coefficients_to_csv
-from .timeseries import Dataset, _jsonable, _write_csv, _write_json, load_csv, pearson_rho, rmse
+from .timeseries import Dataset, _jsonable, _write_csv, _write_json, load_csv
 
 __all__ = ["main"]
 
@@ -169,24 +169,24 @@ def _cmd_embed_search(args) -> int:
 
 
 def _combine_results(parts: list[ForecastResult]) -> ForecastResult:
-    """The parts as one result in their order, scored over the observed steps.
+    """The parts as one result in their order, scored as the first part is.
 
-    A part without observations (an extrapolation) reads NaN there;
-    coefficients are kept only when every part has them.
+    The first part is the scored one-step evaluation, or else the unscored
+    extrapolation.  A part without observations (an extrapolation) reads NaN
+    there; coefficients are kept only when every part has them.
     """
     def joined(name: str) -> np.ndarray:
         return np.concatenate([np.full(p.times.shape, np.nan) if getattr(p, name) is None
                                else getattr(p, name) for p in parts])
 
-    observed, predicted = joined("observed"), joined("predicted")
     with_coefficients = all(p.coefficients is not None for p in parts)
     return ForecastResult(
         target=parts[0].target,
         times=joined("times"),
-        predicted=predicted,
-        observed=observed,
-        rho=pearson_rho(observed, predicted),
-        rmse=rmse(observed, predicted),
+        predicted=joined("predicted"),
+        observed=joined("observed"),
+        rho=parts[0].rho,
+        rmse=parts[0].rmse,
         band_halfwidth=joined("band_halfwidth"),
         step_variance=joined("step_variance"),
         coefficients=joined("coefficients") if with_coefficients else None,

@@ -408,6 +408,9 @@ def _candidate_rows(library: EmbeddingLibrary, query: tuple[int, Sequence[float]
     if vector.shape != (library.spec.dimension,):
         raise ValueError(f"query vector has shape {vector.shape}, the library's states have "
                          f"{library.spec.dimension} coordinates")
+    bad = vector[~np.isfinite(vector)]
+    if bad.size:
+        raise ValueError(f"query vector has a non-finite coordinate {float(bad[0])!r}")
     times = library.times
     rows = np.flatnonzero(_candidates(times, query[0], _floor(radius)))
     if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time

@@ -24,6 +24,10 @@ library's size.  It returns (queries, columns) predictions and variances,
 and None or (queries, columns, dimension + 1) coefficients.  It only
 predicts: ``cfg._needs`` states the rows it needs and how a shortfall words
 them, and each loop checks its first query, which has the fewest rows.
+
+A single one-step routine, ``_one_step``, serves ``skill_eval`` (with
+``cfg._predict``) and ``smap.theta_search`` (with the S-map fit over its
+theta grid), one block of queries at a time.
 """
 
 from __future__ import annotations
@@ -153,13 +157,15 @@ def _result(target: str, spec: EmbeddingSpec, times: np.ndarray, predicted: np.n
     )
 
 
-def _one_step_queries(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig,
-                      train_end: int, eval_start: int | None, eval_end: int | None):
-    """The one-step evaluation's queries: (library, years, query rows, prefix limits).
+def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
+              eval_start: int | None, eval_end: int | None, predict: Callable):
+    """Run the one-step evaluation: (library, years, query rows, ``predict``'s blocks).
 
     Checks the evaluation range, embeds the full library and finds the library
     row of each query state and its admissible prefix, of which the first,
-    the shortest, is checked against ``cfg._needs``.
+    the shortest, is checked against ``cfg._needs``.  ``predict(vectors,
+    forward, queries, limits)`` gets blocks of ascending rows whose rows times
+    library size times dimension stay within ``_BLOCK_ELEMENTS``.
     """
     spec = cfg.spec
     train_end, eval_start, eval_end = (_whole_number(name, year) for name, year in (
@@ -181,7 +187,10 @@ def _one_step_queries(data: Dataset, target: str, cfg: SimplexConfig | SMapConfi
     # a radius past the library's length admits nothing; capped there, it fits int64
     limits = np.maximum(rows - min(spec.radius, len(full)), 0)
     _check_admissible(cfg._needs, int(limits[0]), int(rows[0]), spec.radius)
-    return full, times, rows, limits
+    step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
+    blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
+                      limits[lo:lo + step]) for lo in range(0, rows.shape[0], step)]
+    return full, times, rows, blocks
 
 
 def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train_end: int,
@@ -193,21 +202,14 @@ def skill_eval(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, trai
     predicted from the state at t-1, row ``r`` of the full library, using the
     rows below ``r`` outside the spec's exclusion window, so the model never
     sees the value it is asked to predict.  Queries go to ``cfg._predict`` in
-    blocks of ascending rows whose rows times library size times dimension
-    stay within ``_BLOCK_ELEMENTS``.  An S-map result carries the per-step
-    coefficient rows, so interaction strengths can be read off the
-    evaluation period as well.
+    ``_one_step``'s blocks.  An S-map result carries the per-step coefficient
+    rows, so interaction strengths can be read off the evaluation period.
     """
-    spec = cfg.spec
-    full, times, rows, limits = _one_step_queries(data, target, cfg, train_end,
-                                                  eval_start, eval_end)
-    step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
-    blocks = [cfg._predict(full.vectors, full.targets[:, None],
-                           full.vectors[rows[lo:lo + step]], limits[lo:lo + step])
-              for lo in range(0, rows.shape[0], step)]
+    full, times, rows, blocks = _one_step(data, target, cfg, train_end, eval_start, eval_end,
+                                          cfg._predict)
     predicted, variance, coefficients = (
         None if parts[0] is None else np.concatenate(parts)[:, 0] for parts in zip(*blocks))
-    return _result(target, spec, times, predicted, variance, variance, coefficients,
+    return _result(target, cfg.spec, times, predicted, variance, variance, coefficients,
                    observed=full.targets[rows])
 
 

@@ -27,14 +27,14 @@ is the predictor they call.
 
 Every S-map fit goes through one routine, ``_fit``, which has a theta axis:
 the protocol's predictor, ``smap_predict`` (through it, on one query's
-candidate rows in ascending time) and ``theta_search`` all call it.
-Per query it computes the distances and their mean once and the weights of
-every theta in one exponential.  Each (theta, query, series) triple gets
-its own square-root-weighted system ``[A | b]``; the systems of the
-queries that share a library size are factored by one stacked Householder
-QR (``numpy.linalg.qr``), and one stacked SVD (``numpy.linalg.svd``) per
-call solves every triangle.  A theta search thus makes one QR per query
-for the whole grid, and a batch of scenarios one QR and one SVD per year.
+candidate rows in ascending time) and ``theta_search`` (on each block of
+``skill_eval``'s queries) all call it.  Per query it computes the distances
+and their mean once and the weights of every theta in one exponential.
+Each (theta, query, series) system ``[A | b]`` is square-root weighted;
+each run of consecutive queries with one library size is factored by one
+stacked Householder QR (``numpy.linalg.qr``), and one stacked SVD per call
+solves every triangle.  A theta search thus makes one QR per query for the
+whole grid, and a batch of scenarios one QR and one SVD per year.
 A fit has the same bits whatever shares its stacks, and agrees with one
 ``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).
 """
@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows
-from .forecast import ForecastResult, _one_step_queries, best_row, skill_eval, write_skill_table
+from .forecast import ForecastResult, _one_step, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
 from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _row_dot, _write_csv,
                          pearson_rho, rmse)
@@ -136,8 +136,6 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
         return np.ones(thetas.shape + distances.shape)
     thetas = thetas.reshape(thetas.shape + (1,) * distances.ndim)
     means = distances.sum(axis=-1, keepdims=True) / distances.shape[-1]
-    if means.all() and thetas.all():
-        return np.exp(-thetas * distances / means)
     flat = (means == 0.0) | (thetas == 0.0)
     weights = np.exp(-thetas * distances / np.where(flat, 1.0, means))
     return np.where(flat, 1.0, weights)  # even where a distance overflowed
@@ -151,28 +149,26 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     library for every query, or one per query along a leading query axis.
     Query ``q`` fits over the first ``limits[q]`` rows; ``limits`` is any
     sequence of ints, each at least ``dimension + 2``, which the callers
-    check where they cut the library.  The queries of each limit share one
-    stacked QR (``_systems``), and one stacked SVD solves the
-    (dimension + 1) triangle of every system of the call: singular values
-    at most ``_SV_CUTOFF`` times the largest count as 0, which gives
-    ``lstsq``'s minimum-norm answer.  Every system is solved on its own, so
-    a fit has the same bits whatever else shares its stacks.  Returns
-    (thetas, queries, columns) predictions and variances and (thetas,
-    queries, columns, dimension + 1) coefficients, all new arrays.
+    check where they cut the library.  Each run of consecutive queries with
+    one limit shares one stacked QR (``_systems``), and one stacked SVD
+    solves the (dimension + 1) triangle of every system of the call:
+    singular values at most ``_SV_CUTOFF`` times the largest count as 0,
+    which gives ``lstsq``'s minimum-norm answer.  Every system is solved on
+    its own, so a fit has the same bits whatever else shares its stacks.
+    Returns (thetas, queries, columns) predictions and variances and
+    (thetas, queries, columns, dimension + 1) coefficients, all new arrays.
     """
     dim = vectors.shape[-1]
-    groups: dict[int, list[int] | slice] = {}
-    for q, count in enumerate(np.asarray(limits).tolist()):
-        groups.setdefault(count, []).append(q)
-    if len(groups) == 1:  # every query, in order
-        groups = dict.fromkeys(groups, slice(None))
-    parts = []  # (library, targets, queries, weights, heads) per limit
-    for count, members in groups.items():
+    counts = np.asarray(limits).tolist()
+    starts = [q for q, count in enumerate(counts) if q == 0 or count != counts[q - 1]]
+    parts = []  # (library, targets, queries, weights, heads) per run of one limit
+    for lo, hi in zip(starts, starts[1:] + [len(counts)]):
+        count = counts[lo]
         if vectors.ndim == 2:
             library, targets = vectors[:count], forward[:count]
         else:
-            library, targets = vectors[members, :count], forward[members, :count]
-        states = queries[members]
+            library, targets = vectors[lo:hi, :count], forward[lo:hi, :count]
+        states = queries[lo:hi]
         parts.append((library, targets, states,
                       *_systems(library, targets, states, thetas, ridge)))
     heads = np.concatenate([head for *_, head in parts])
@@ -197,11 +193,7 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
                      coefficients))
     if len(fits) == 1:
         return fits[0]
-    merged = tuple(np.concatenate(part, axis=1) for part in zip(*fits))
-    order = [q for members in groups.values() for q in members]
-    if order == sorted(order):
-        return merged
-    return tuple(part[:, np.argsort(order)] for part in merged)
+    return tuple(np.concatenate(part, axis=1) for part in zip(*fits))
 
 
 @functools.cache
@@ -287,20 +279,19 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
     """Grid-search theta by expanding-window skill; ties go to the smaller theta.
 
     Every theta (and the ridge) is checked as ``SMapConfig`` checks it before
-    any fit.  The one-step queries of ``skill_eval`` are built once, and each
-    query's fit serves the whole grid: its distances, weights and design are
-    shared by every theta.  Each theta's predictions are scored as
-    ``skill_eval`` scores them.  ``threads`` is accepted and ignored.
+    any fit.  ``_fit`` runs on ``skill_eval``'s blocks, one held at a time,
+    and each query's fit serves the whole grid: its distances, weights and
+    design are shared by every theta.  Each theta's predictions are scored
+    as ``skill_eval`` scores them.  ``threads`` is accepted and ignored.
     """
     thetas = [float(t) for t in theta_grid]
     configs = [SMapConfig(spec, theta, ridge=ridge) for theta in thetas]
     grid = sorted(set(thetas))
     if not grid:
         raise ValueError("theta grid is empty")
-    full, _, queries, limits = _one_step_queries(data, target, configs[0], train_end,
-                                                 eval_start, eval_end)
-    predicted, _, _ = _fit(full.vectors, full.targets[:, None], full.vectors[queries], limits,
-                           np.array(grid), ridge)
+    full, _, queries, blocks = _one_step(data, target, configs[0], train_end, eval_start, eval_end,
+                                         lambda *block: _fit(*block, np.array(grid), ridge)[0])
+    predicted = np.concatenate(blocks, axis=1)
     observed = full.targets[queries]
     rows = tuple((theta, pearson_rho(observed, values[:, 0]), rmse(observed, values[:, 0]))
                  for theta, values in zip(grid, predicted))

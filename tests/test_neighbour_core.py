@@ -7,8 +7,10 @@ replaced, so every caller keeps the bits it had.
 import numpy as np
 import pytest
 
+from edmkit.bundled import load_bundled
 from edmkit.embedding import (_PARTITION_WIDTH, EmbeddingLibrary, EmbeddingSpec, _candidates,
-                              _distance_rows, _exclude_band, _floor, _nearest, knn)
+                              _distance_rows, _exclude_band, _floor, _nearest, knn,
+                              multivariate_embed)
 from edmkit.simplex import SimplexConfig, simplex_predict
 from edmkit.smap import SMapConfig, smap_predict
 from edmkit.timeseries import _row_dot
@@ -155,6 +157,18 @@ def test_query_of_the_wrong_length_is_named(entry, length):
         SINGLE_QUERY[entry](library, (40, np.ones(length)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(SINGLE_QUERY))
+def test_a_non_finite_query_coordinate_is_named(entry, bad):
+    # a NaN coordinate used to give simplex a finite forecast, knn neighbours
+    # at NaN distance and the S-map a non-converging SVD; inf warned, then NaN
+    spec = EmbeddingSpec.univariate("debris", 3)
+    library = multivariate_embed(load_bundled(), spec, "debris", tp=1)
+    message = f"^query vector has a non-finite coordinate {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        SINGLE_QUERY[entry](library, (2030, np.array([1.0, bad, -np.inf])))
+
+
 @pytest.mark.parametrize("radius", [0, 2, 5])
 @pytest.mark.parametrize("seed", range(4))
 def test_single_queries_on_a_library_out_of_time_order(seed, radius):
@@ -217,9 +231,11 @@ def test_a_stack_of_libraries_predicts_as_one_call_per_query(config):
     vectors = rng.normal(size=(5, 40, 3))
     vectors[1, 7] = vectors[1, 3]  # a distance tie inside one library
     forward, queries = rng.normal(size=(5, 40, 2)), rng.normal(size=(5, 3))
-    limits = [30, 25, 40, 30, 12]
-    stacked = config._predict(vectors, forward, queries, limits)
-    for q, limit in enumerate(limits):
-        alone = config._predict(vectors[q], forward[q], queries[q:q + 1], [limit])
-        for part, whole in zip(alone, stacked):
-            assert (part is None and whole is None) or part.tobytes() == whole[q:q + 1].tobytes()
+    # limits apart, and limits in runs that repeat out of order
+    for limits in ([30, 25, 40, 30, 12], [30, 30, 12, 12, 30]):
+        stacked = config._predict(vectors, forward, queries, limits)
+        for q, limit in enumerate(limits):
+            alone = config._predict(vectors[q], forward[q], queries[q:q + 1], [limit])
+            for part, whole in zip(alone, stacked):
+                assert (part is None and whole is None) or (
+                    part.tobytes() == whole[q:q + 1].tobytes()), (limits, q)

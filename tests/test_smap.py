@@ -1,9 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import edmkit.smap
+from edmkit import forecast
 from edmkit.bundled import load_bundled
 from edmkit.cli import main as cli_main
 from edmkit.embedding import (
@@ -218,7 +221,7 @@ def _same_skill(a, b):
 @pytest.mark.parametrize("window", [(None, None), (48, 62)], ids=["default", "window"])
 @pytest.mark.parametrize("radius", [0, 3])
 @pytest.mark.parametrize("ridge", [0.0, 0.5])
-def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge):
+def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge, monkeypatch):
     data = record()
     spec = EmbeddingSpec((("x", 2), ("y", 1)), exclusion_radius=radius)
     grid = (3.0, 0.0, 0.5, 9.0, 3.0, 0.0, 0.1)
@@ -230,6 +233,34 @@ def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge
         expected = smap_skill_eval(data, "x", SMapConfig(spec, expected_theta, ridge=ridge), 40,
                                    window[0], window[1])
         assert _same_skill(rho, expected.rho) and _same_skill(error, expected.rmse), theta
+    # blocks of three queries: the grid is fitted block by block, to the same rows
+    full = multivariate_embed(data, spec, "x", tp=1)
+    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", 3 * len(full) * spec.dimension)
+    fit, sizes = edmkit.smap._fit, []
+
+    def counted_fit(vectors, forward, queries, *rest):
+        sizes.append(len(queries))
+        return fit(vectors, forward, queries, *rest)
+
+    monkeypatch.setattr(edmkit.smap, "_fit", counted_fit)
+    blocked = theta_search(data, "x", spec, grid, train_end=40, eval_start=window[0],
+                           eval_end=window[1], ridge=ridge)
+    assert repr(blocked.rows) == repr(result.rows)
+    assert set(sizes[:-1]) == {3} and sum(sizes) == expected.times.shape[0]
+
+
+def test_theta_search_holds_one_block_of_fits_at_a_time():
+    # every query's fits over the grid used to be held until one SVD: a
+    # traced peak of 52 MiB here, growing with the square of the length
+    data = Dataset(coupled_logistic_pair(1000))
+    spec = EmbeddingSpec((("x", 2), ("y", 2)))
+    tracemalloc.start()
+    try:
+        theta_search(data, "x", spec, train_end=499)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad, message", [(-1, "theta must be >= 0, got -1.0"),
@@ -237,8 +268,6 @@ def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge
                                           (math.inf, "theta must be finite, got inf")])
 @pytest.mark.parametrize("where", [0, 2, 5])
 def test_invalid_theta_is_named_before_any_fit(monkeypatch, bad, message, where):
-    import edmkit.smap
-
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran before the grid was checked")
 
