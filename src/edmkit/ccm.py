@@ -20,10 +20,12 @@ still available by disabling leave-one-out.
 Every (size, sample) cell derives its RNG stream from (seed, size, sample
 index), so sweep results do not depend on the order cells are evaluated in.
 A sweep writes the words ``SeedSequence`` makes of each such tuple into one
-uint32 entropy array and seeds each cell's PCG64 generator from its row:
-the same stream as ``default_rng((seed, size, j))``, without converting a
-tuple per cell.  Both directions share the draws and the library times, so
-a sweep checks admissibility once.
+uint32 entropy array, hashes every row into its PCG64 seed words in one
+vectorised pass of numpy's documented ``SeedSequence`` hash, and sets each
+cell's state in turn on one reused generator: the same stream as
+``default_rng((seed, size, j))``, without building a generator per cell.
+Both directions share the draws and the library times, so a sweep checks
+admissibility once.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances serve every cell.  A block is
 one (rows x n) array of Manhattan distances (see
@@ -36,11 +38,13 @@ for a row are the columns of the k smallest ranks among its library, found
 by sorting those ranks, so they come in the order a stable sort of the
 cell's own distances gives them, and a column drawn twice stays beside its
 twin.  The samples of one library size are ranked together, in batches
-that gather no more ranks than the block holds distances.  A cell that
-holds each column exactly once (the whole library, or the one cell of a
-subsampled cross map) needs no ranks: its neighbours are the first k
-places of the order, and when every cell is like that each row's order
-stops at k columns and no ranks are built.  Every cell is read through
+that gather no more ranks than a block may hold distances; when one block
+holds every query row (a block may hold ``step >= n`` rows), ``step // n``
+times that many, so a short record ranks a size in one or two batches.  A
+cell that holds each column exactly once (the whole library, or the one
+cell of a subsampled cross map) needs no ranks: its neighbours are the
+first k places of the order, and when every cell is like that each row's
+order stops at k columns and no ranks are built.  Every cell is read through
 one gather: a batch reads its neighbours' distances and values by flat
 offset (its places plus each row's start), one ``np.take`` each.  One
 row-wise Pearson correlation then scores every cell.  Memory is
@@ -215,7 +219,9 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
             _check_admissible(libraries, times, floor, k)
 
     step = max(1, _BLOCK_ELEMENTS // (n * dimension))
-    budget = _BLOCK_ELEMENTS // dimension  # the most ranks a batch gathers
+    # the most ranks a batch gathers: the most distances a block may hold,
+    # step // n times over when one block holds every query row
+    budget = _BLOCK_ELEMENTS // dimension * max(1, step // n)
     present = np.zeros(n, dtype=bool)
     for libraries in groups:
         present[libraries] = True
@@ -414,6 +420,74 @@ def _entropy_rows(seed: int, sizes: tuple[int, ...], samples: int) -> np.ndarray
     return rows
 
 
+# numpy's SeedSequence hash constants (numpy.random.bit_generator) and the
+# PCG64 multiplier (pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every entropy row, (... x 4).
+
+    numpy's documented hash, on every row at once: ``mix_entropy`` hashes
+    the words into a pool of four (zeros stand in for missing words), mixes
+    each pool word into the others, then mixes in each word past the pool;
+    ``generate_state`` hashes eight uint32 words out of the pool and reads
+    them as little-endian pairs.
+    """
+    def hasher(const: int, mult: int):
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hashmix
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> np.uint32(16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    words = list(np.moveaxis(entropy, -1, 0))
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = hasher(_INIT_B, _MULT_B)
+    state = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.stack([low | high << np.uint64(32) for low, high in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+def _pcg64_state(seed_high: int, seed_low: int, seq_high: int, seq_low: int) -> dict:
+    """The state ``PCG64`` takes from the four words of ``_seed_words``.
+
+    Its set-seed step: ``inc = (seq << 1) | 1``, then one LCG step from 0,
+    the seed added, and one more step.
+    """
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+    state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _embeddable_points(length: int, dimension: int, tau: int) -> int:
+    """How many delay vectors a record of ``length`` values holds; a ValueError if none."""
+    span = (dimension - 1) * tau
+    if length <= span:
+        raise ValueError(f"series of length {length} too short for embedding "
+                         f"(needs more than {span} points)")
+    return length - span
+
+
 def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
                       threads: int = 1) -> CcmResult:
     """Sweep cross-map skill over library sizes in both directions.
@@ -427,7 +501,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     any cell is drawn.  ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
-    n = len(a) - (cfg.dimension - 1) * cfg.tau
+    EmbeddingSpec.univariate(b.name, cfg.dimension, cfg.tau)  # a bad dimension or tau, by name
+    n = _embeddable_points(len(a), cfg.dimension, cfg.tau)
     sizes = cfg.library_sizes
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")
@@ -437,10 +512,16 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     except (MemoryError, ValueError):
         raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
                          f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
+    bits = np.random.PCG64(0)  # set to each cell's state in turn
+    rng = np.random.Generator(bits)
     groups = []
-    for size, rows in zip(sizes, _entropy_rows(cfg.seed, sizes, cfg.samples_per_size)):
-        rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for row in rows)
-        groups.append(np.sort([_draw_indices(rng, n, size, cfg) for rng in rngs], axis=1))
+    for size, cells in zip(sizes, _seed_words(_entropy_rows(cfg.seed, sizes,
+                                                             cfg.samples_per_size))):
+        libraries = []
+        for words in cells.tolist():
+            bits.state = _pcg64_state(*words)
+            libraries.append(_draw_indices(rng, n, size, cfg))
+        groups.append(np.sort(libraries, axis=1))
 
     def direction(cause: TimeSeries, effect: TimeSeries, check: bool) -> CcmDirection:
         library = _embed(cause, effect, cfg.dimension, cfg.tau)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bundled import DEFAULT_DATASET, bundled_path
-from .ccm import CcmConfig, convergence_sweep
+from .ccm import CcmConfig, _embeddable_points, convergence_sweep
 from .embedding import EmbeddingSpec
 from .scenario import load_scenario_file, run_scenarios
 from .forecast import ForecastResult, iterative_forecast, skill_eval
@@ -288,13 +288,11 @@ def _cmd_ccm(args) -> int:
     data_path, data = _load(args.data)
     series_a = data[args.a]
     series_b = data[args.b]
-    n_points = data.n_years - (args.e - 1) * args.tau
     if args.sizes is None:
         # the default grid spans e + 2 .. n_points; name a bad --e or --tau
         # before numpy is handed an endpoint it cannot hold
         EmbeddingSpec.univariate(args.b, args.e, args.tau)
-        if n_points < args.e + 2:
-            raise ValueError(f"smallest library size {n_points} below dimension+2 = {args.e + 2}")
+        n_points = _embeddable_points(data.n_years, args.e, args.tau)
         # leave-one-out under radius r drops up to 2r + 1 library points, so the
         # smallest default library, drawn without replacement, keeps e + 1 for every query
         smallest = min(args.e + 2 + 2 * max(args.exclusion_radius, 0), n_points)

@@ -179,6 +179,29 @@ CCM_ERRORS = {
         lambda a, b: convergence_sweep(a, b, CcmConfig(dimension=4, library_sizes=(10, 61))),
         "largest library size 61 exceeds embeddable points 60", ["--sizes", "10,61"],
     ),
+    # a delay span past the record leaves no point to embed: the count is
+    # never reported as negative, on either CLI grid path
+    "span_past_the_record": (
+        lambda a, b: convergence_sweep(a, b, CcmConfig(4, (6, 10), tau=30)),
+        "series of length 63 too short for embedding (needs more than 90 points)",
+        ["--tau", "30", "--sizes", "6,10"],
+    ),
+    "span_past_the_record_default_grid": (
+        lambda a, b: convergence_sweep(a, b, CcmConfig(4, (6, 10), tau=30)),
+        "series of length 63 too short for embedding (needs more than 90 points)",
+        ["--tau", "30"],
+    ),
+    # named before the estimates are allocated, not as a memory shortfall
+    "dimension_zero_on_a_huge_grid": (
+        lambda a, b: convergence_sweep(a, b, CcmConfig(0, (6, 10), samples_per_size=10**12)),
+        "embedding dimension must be >= 1, got 0",
+        ["--e", "0", "--sizes", "6,10", "--samples", str(10**12)],
+    ),
+    "span_the_length_of_the_record": (
+        lambda a, b: convergence_sweep(a, b, CcmConfig(4, (6, 10), tau=21)),
+        "series of length 63 too short for embedding (needs more than 63 points)",
+        ["--tau", "21"],
+    ),
 }
 
 
@@ -570,7 +593,7 @@ def _record_groups(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64, 2**64 + 5, 2**128 + 7])
 @pytest.mark.parametrize("method, replacement", [("random", False), ("random", True),
                                                  ("contiguous", False)])
 def test_sweep_draws_are_the_seeded_streams(seed, method, replacement, monkeypatch):
@@ -591,6 +614,43 @@ def test_sweep_draws_are_the_seeded_streams(seed, method, replacement, monkeypat
         assert len(groups) == len(expected)
         for drawn, redrawn in zip(groups, expected):
             assert drawn.dtype == redrawn.dtype and np.array_equal(drawn, redrawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 7])
+def test_seed_states_equal_numpys(seed):
+    # with size and j these seeds make 3 to 7 entropy words, so rows shorter
+    # than SeedSequence's pool of four, as long and longer are all hashed
+    sizes, samples = (6, 60, 2**32 - 1), 3
+    words = ccm._seed_words(ccm._entropy_rows(seed, sizes, samples))
+    assert words.shape == (len(sizes), samples, 4) and words.dtype == np.uint64
+    for size, cells in zip(sizes, words):
+        for j, cell in enumerate(cells):
+            sequence = np.random.SeedSequence((seed, size, j))
+            assert np.array_equal(cell, sequence.generate_state(4, np.uint64))
+            assert ccm._pcg64_state(*cell.tolist()) == np.random.PCG64(sequence).state
+
+
+def test_short_record_ranks_each_size_in_at_most_two_batches(monkeypatch):
+    # the paper's grid on the bundled record: one block holds every query
+    # row, so a size's samples are ranked in one or two batches
+    data = load_bundled()
+    a, b = data["debris"], data["total"]
+    n = data.n_years - 3
+    assert ccm._BLOCK_ELEMENTS // (n * 4) >= n
+    sizes = tuple(_grid(6, n, 20))
+    cfg = CcmConfig(4, sizes, samples_per_size=20, seed=7)
+    batches = _record_batches(monkeypatch)
+    result = convergence_sweep(a, b, cfg)
+    # every size but the whole library needs ranks, in both directions
+    widths = [width for _, width in batches]
+    assert sorted(set(widths)) == list(sizes[:-1])
+    assert all(widths.count(size) <= 2 * 2 for size in sizes[:-1])
+    for i, size in enumerate(sizes):
+        for j in range(cfg.samples_per_size):
+            library = _redrawn_library(cfg.seed, size, j, n, "random", False)
+            for direction, (cause, effect) in zip(result.directions, ((a, b), (b, a))):
+                expected = cross_map(cause, effect, 4, library_indices=library)
+                assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
 
 
 def test_admissibility_is_checked_once_per_sweep(monkeypatch):

@@ -452,8 +452,8 @@ CCM = ["ccm", "--a", "debris", "--b", "total"]
     (["embed-search", "--e", "1", "--tau", BIG], 1, "only 0 admissible points remain"),
     (["forecast", "--method", "simplex", "--e", "2", "--to", "2030", "--exclusion-radius", BIG],
      1, "only 0 admissible points remain"),
-    (CCM + ["--e", BIG], 2, "smallest library size -"),
-    (CCM + ["--tau", BIG], 2, "smallest library size -"),
+    (CCM + ["--e", BIG], 2, "series of length 63 too short for embedding"),
+    (CCM + ["--tau", BIG], 2, "series of length 63 too short for embedding"),
     (CCM + ["--e", f"-{BIG}"], 2, "embedding dimension must be >= 1"),
     (CCM + ["--exclusion-radius", BIG], 2, "has only 0 admissible neighbours"),
     (["embed-search", "--data", ""], 2, "Is a directory"),
