@@ -6,6 +6,8 @@ a manifest JSON recording the resolved parameters, input digests, seed, and
 tool version, so identical manifests imply bit-identical outputs.  Every
 command runs single-threaded: ``--threads`` is accepted and ignored, so it
 changes neither results nor wall time, and is excluded from the manifest.
+Each command imports numpy and the edmkit modules it runs when it starts, so
+``version`` loads neither; keep edmkit and numpy imports off this module's top.
 
 Exit codes: 0 success; 1 computation error, for example a forecast library
 with too few neighbours; 2 usage or input error, which includes a cross-map
@@ -23,17 +25,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
-from .bundled import DEFAULT_DATASET, bundled_path
-from .ccm import CcmConfig, _embeddable_points, convergence_sweep
-from .embedding import EmbeddingSpec
-from .scenario import load_scenario_file, run_scenarios
-from .forecast import ForecastResult, iterative_forecast, skill_eval
-from .simplex import SimplexConfig, embed_dimension_search
-from .smap import SMapConfig, coefficients_to_csv
-from .timeseries import Dataset, _jsonable, _write_csv, _write_json, load_csv
 
 __all__ = ["main"]
 
@@ -71,6 +63,7 @@ def _write_outputs(args: argparse.Namespace, writers: list[tuple[Path, Callable[
     resolves to a file no other one names, and gets its folder, so a bad or
     shared output path leaves no file behind.
     """
+    from .timeseries import _write_json
     outputs = [path for path, _ in writers]
     manifest_path = outputs[0].with_suffix(".manifest.json")
     seen: set[Path] = set()
@@ -96,12 +89,15 @@ def _write_outputs(args: argparse.Namespace, writers: list[tuple[Path, Callable[
 
 def _load(arg: str | None) -> tuple[Path, Dataset]:
     """The data path (the bundled record when ``arg`` is None) and its dataset."""
+    from .bundled import DEFAULT_DATASET, bundled_path
+    from .timeseries import load_csv
     path = bundled_path(DEFAULT_DATASET) if arg is None else Path(arg)
     return path, load_csv(path)
 
 
 def _grid(lo: int, hi: int, count: int) -> list[int]:
     """Distinct integers nearest to ``count`` evenly spaced points on lo..hi."""
+    import numpy as np
     return sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
 
 
@@ -149,6 +145,8 @@ def _cmd_version(_args) -> int:
 
 
 def _cmd_embed_search(args) -> int:
+    from .simplex import embed_dimension_search
+    from .timeseries import _jsonable, _write_json
     data_path, data = _load(args.data)
     dimensions = _parse_integers("--e", args.e, "a range 'lo:hi'",
                                  lambda lo, hi: list(range(lo, hi + 1)))
@@ -175,6 +173,9 @@ def _combine_results(parts: list[ForecastResult]) -> ForecastResult:
     extrapolation.  A part without observations (an extrapolation) reads NaN
     there; coefficients are kept only when every part has them.
     """
+    import numpy as np
+    from .forecast import ForecastResult
+
     def joined(name: str) -> np.ndarray:
         return np.concatenate([np.full(p.times.shape, np.nan) if getattr(p, name) is None
                                else getattr(p, name) for p in parts])
@@ -196,6 +197,7 @@ def _combine_results(parts: list[ForecastResult]) -> ForecastResult:
 
 def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
     """Minimal static line chart: observed and predicted, optional band."""
+    import numpy as np
     width, height, pad = 760, 420, 48
     times = result.times.astype(float)
     series = [result.predicted, result.observed]
@@ -245,6 +247,10 @@ def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
 
 
 def _cmd_forecast(args) -> int:
+    from .embedding import EmbeddingSpec
+    from .forecast import iterative_forecast, skill_eval
+    from .simplex import SimplexConfig
+    from .smap import SMapConfig, coefficients_to_csv
     data_path, data = _load(args.data)
     columns = [part.strip() for part in args.columns.split(",") if part.strip()]
     if not columns:
@@ -285,6 +291,8 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_ccm(args) -> int:
+    from .ccm import CcmConfig, _embeddable_points, convergence_sweep
+    from .embedding import EmbeddingSpec
     data_path, data = _load(args.data)
     series_a = data[args.a]
     series_b = data[args.b]
@@ -325,6 +333,9 @@ def _cmd_ccm(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .bundled import bundled_path
+    from .scenario import load_scenario_file, run_scenarios
+    from .timeseries import _write_csv, _write_json
     scenario_arg = args.scenarios
     if scenario_arg is None:
         scenario_path = bundled_path("scenarios/table2.cfg")

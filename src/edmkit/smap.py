@@ -138,7 +138,8 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
     means = distances.sum(axis=-1, keepdims=True) / distances.shape[-1]
     flat = (means == 0.0) | (thetas == 0.0)
     weights = np.exp(-thetas * distances / np.where(flat, 1.0, means))
-    return np.where(flat, 1.0, weights)  # even where a distance overflowed
+    np.copyto(weights, 1.0, where=flat)  # even where a distance overflowed
+    return weights
 
 
 def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,

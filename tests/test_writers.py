@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from edmkit import __version__, cli
+from edmkit import __version__, scenario, simplex
 from edmkit.ccm import CcmDirection, CcmResult
 from edmkit.cli import main
 from edmkit.forecast import ForecastResult, write_skill_table
@@ -61,15 +61,15 @@ def _write_every_output(folder, monkeypatch) -> dict[str, bytes]:
     _ccm().to_csv("ccm.csv")
     _ccm().to_json("ccm.json")
 
-    monkeypatch.setattr(cli, "embed_dimension_search", lambda *args, **kwargs: (
+    monkeypatch.setattr(simplex, "embed_dimension_search", lambda *args, **kwargs: (
         DimensionSearchResult(rows=((1, 0.5, 0.25), (2, NAN, THIRD)), best_dimension=1)))
     assert main(["embed-search", "--data", "in.csv", "--e", "1,2"]) == 0
 
     report = MitigationReport(PolicyScenario("adr", adr_per_year=10), debris_2050=1e20,
                               baseline_2050=2.0, pct_mitigated=THIRD, margin_of_error=0.1,
                               trajectory=_forecast())
-    monkeypatch.setattr(cli, "load_scenario_file", lambda path: (None, [report.scenario]))
-    monkeypatch.setattr(cli, "run_scenarios", lambda *args, **kwargs: [report])
+    monkeypatch.setattr(scenario, "load_scenario_file", lambda path: (None, [report.scenario]))
+    monkeypatch.setattr(scenario, "run_scenarios", lambda *args, **kwargs: [report])
     assert main(["simulate", "--data", "in.csv", "--scenarios", "s.cfg", "--outdir", "."]) == 0
 
     return {name: (folder / name).read_bytes() for name in EXPECTED}
