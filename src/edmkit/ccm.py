@@ -61,8 +61,9 @@ import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _distance_rows,
                         _exclude_band, _floor, _smallest_k, multivariate_embed)
-from .timeseries import (Dataset, TimeSeries, _cell, _frozen, _jsonable, _require_finite,
-                         _rho_rows, _row_dot, _whole_number, _write_csv, _write_json)
+from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
+                         _require_finite, _rho_rows, _row_dot, _whole_number, _write_csv,
+                         _write_json)
 
 __all__ = [
     "CcmConfig",
@@ -80,6 +81,14 @@ class CcmConfig:
     ``library_sizes`` must be increasing, at least ``dimension + 2`` each,
     and no larger than the number of embeddable points.  ``method`` selects
     random-index subsampling (default) or contiguous blocks.
+
+    A config keeps the libraries it drew for the last record length it was
+    swept at, once they passed the admissibility check, and a later sweep of
+    that length reuses them; another length replaces them, so a config holds
+    one grid, ``samples_per_size x sum(library_sizes)`` int64 (about 100 KB
+    on the paper's 20 x 20 grid of the bundled record).  They are not a
+    field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore
+    them, and an equal config built separately draws its own.
     """
 
     dimension: int
@@ -111,6 +120,7 @@ class CcmConfig:
             raise ValueError("samples_per_size must be >= 1")
         if self.seed < 0:  # numpy seeds with the seed's unsigned 32-bit words
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "replacement", _flag("replacement", self.replacement))
         object.__setattr__(self, "exclusion_radius", _check_radius(self.exclusion_radius))
         if self.method not in ("random", "contiguous"):
             raise ValueError(f"unknown subsampling method {self.method!r}")
@@ -168,11 +178,14 @@ def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: i
     """Raise if a query keeps fewer than ``k`` neighbours in one of these libraries.
 
     ``libraries`` is (cells x size); library entries whose time is within
-    ``floor`` of the query's are dropped.  The message names the first
-    failing cell's first failing query.
+    ``floor`` of the query's are dropped, none under a negative floor.  The
+    message names the first failing cell's first failing query.
     """
+    if floor < 0:
+        return
     cells, size = libraries.shape
     n = times.shape[0]
+    floor = min(floor, n)  # no gap reaches n; int64 holds n
     # entries per (cell, row); times are consecutive, so the entries a query
     # drops are those on rows q - floor .. q + floor, a window of the cumsum
     counts = np.bincount((libraries + n * np.arange(cells)[:, None]).ravel(),
@@ -193,8 +206,8 @@ def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: i
 
 
 def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclusion_radius: int,
-                     leave_one_out: bool = True, estimates: np.ndarray | None = None,
-                     check: bool = True) -> np.ndarray:
+                     leave_one_out: bool = True,
+                     estimates: np.ndarray | None = None) -> np.ndarray:
     """Cross-map skill of each cell, a sorted row of library indices.
 
     ``groups`` holds one (cells x size) array per library size; the result
@@ -205,18 +218,13 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     ``_estimates`` call: a cell holding each used column once takes the
     first k places of the order, any other the k smallest ranks of
     ``_select``.  The estimates fill ``estimates`` when given, else a new
-    (cells x n) array.  Unless ``check`` is off (the caller checked these
-    cells against the same times), admissibility is checked for every cell
-    before any distance is computed; a shortfall names the first failing
-    cell's first failing query.
+    (cells x n) array.  The caller has checked every cell's admissibility
+    with ``_check_admissible``.
     """
-    times, vectors, targets = library.times, library.vectors, library.targets
+    vectors, targets = library.vectors, library.targets
     n, dimension = vectors.shape
     k = dimension + 1
     floor = min(_floor(exclusion_radius, leave_one_out), n)  # no gap reaches n; int64 holds n
-    if check and floor >= 0:
-        for libraries in groups:
-            _check_admissible(libraries, times, floor, k)
 
     step = max(1, _BLOCK_ELEMENTS // (n * dimension))
     # the most ranks a batch gathers: the most distances a block may hold,
@@ -310,6 +318,7 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "
             f"have {indices.size}"
         )
+    _check_admissible(indices[None], library.times, _floor(radius, leave_one_out), dimension + 1)
     return float(_cross_map_cells(library, [indices[None]], radius, leave_one_out)[0])
 
 
@@ -479,6 +488,42 @@ def _pcg64_state(seed_high: int, seed_low: int, seq_high: int, seq_low: int) -> 
             "has_uint32": 0, "uinteger": 0}
 
 
+def _drawn_groups(cfg: CcmConfig, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sorted, read-only (samples x size) libraries of every size, checked for ``times``.
+
+    Kept on ``cfg`` for later sweeps of ``len(times)`` points: the check's
+    verdict depends only on the draws, that length, the radius and ``k``,
+    because library times are consecutive.  ``times`` only names the year
+    of a shortfall, which is never kept.
+    """
+    n = times.shape[0]
+    kept = getattr(cfg, "_draws", None)
+    if kept is not None and kept[0] == n:
+        return kept[1]
+    bits = np.random.PCG64(0)  # set to each cell's state in turn
+    rng = np.random.Generator(bits)
+    groups = []
+    for size, cells in zip(cfg.library_sizes, _seed_words(
+            _entropy_rows(cfg.seed, cfg.library_sizes, cfg.samples_per_size))):
+        libraries = []
+        for words in cells.tolist():
+            bits.state = _pcg64_state(*words)
+            libraries.append(_draw_indices(rng, n, size, cfg))
+        groups.append(_frozen(np.sort(libraries, axis=1), dtype=None))
+    floor = _floor(cfg.exclusion_radius, leave_one_out=True)
+    try:
+        for libraries in groups:
+            _check_admissible(libraries, times, floor, cfg.dimension + 1)
+    except ValueError as error:
+        if not cfg.replacement:
+            raise
+        raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
+                         f"a library can hold excluded points more than once") from None
+    groups = tuple(groups)
+    object.__setattr__(cfg, "_draws", (n, groups))  # not a field: == and hash ignore it
+    return groups
+
+
 def _embeddable_points(length: int, dimension: int, tau: int) -> int:
     """How many delay vectors a record of ``length`` values holds; a ValueError if none."""
     span = (dimension - 1) * tau
@@ -498,7 +543,11 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     cannot exhibit convergence, so the result is flagged insufficient.
 
     Both directions fill one (cells x n) estimates array, allocated before
-    any cell is drawn.  ``threads`` is accepted and ignored.
+    any cell is drawn.  The libraries come from ``cfg``: it keeps the draws
+    of the last record length it was swept at, about 100 KB on the paper's
+    grid, so sweeping the three pairs of one record with one config draws
+    and checks the grid once; an equal config built separately draws again.
+    ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
     EmbeddingSpec.univariate(b.name, cfg.dimension, cfg.tau)  # a bad dimension or tau, by name
@@ -512,27 +561,14 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     except (MemoryError, ValueError):
         raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
                          f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
-    bits = np.random.PCG64(0)  # set to each cell's state in turn
-    rng = np.random.Generator(bits)
-    groups = []
-    for size, cells in zip(sizes, _seed_words(_entropy_rows(cfg.seed, sizes,
-                                                             cfg.samples_per_size))):
-        libraries = []
-        for words in cells.tolist():
-            bits.state = _pcg64_state(*words)
-            libraries.append(_draw_indices(rng, n, size, cfg))
-        groups.append(np.sort(libraries, axis=1))
+    libraries = (_embed(a, b, cfg.dimension, cfg.tau), _embed(b, a, cfg.dimension, cfg.tau))
+    # both directions share the draws and the library times: one check serves both
+    groups = _drawn_groups(cfg, libraries[0].times)
 
-    def direction(cause: TimeSeries, effect: TimeSeries, check: bool) -> CcmDirection:
-        library = _embed(cause, effect, cfg.dimension, cfg.tau)
-        try:
-            samples = _cross_map_cells(library, groups, cfg.exclusion_radius, estimates=estimates,
-                                       check=check).reshape(len(sizes), -1)
-        except ValueError as error:  # the admissibility pre-check
-            if not cfg.replacement:
-                raise
-            raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
-                             f"a library can hold excluded points more than once") from None
+    def direction(cause: TimeSeries, effect: TimeSeries,
+                  library: EmbeddingLibrary) -> CcmDirection:
+        samples = _cross_map_cells(library, groups, cfg.exclusion_radius,
+                                   estimates=estimates).reshape(len(sizes), -1)
         means = samples.mean(axis=1)
         return CcmDirection(
             cause=cause.name,
@@ -545,9 +581,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
         )
 
     return CcmResult(
-        # both directions share the draws and the library times: one check serves both
-        a_from_b=direction(a, b, check=True),
-        b_from_a=direction(b, a, check=False),
+        a_from_b=direction(a, b, libraries[0]),
+        b_from_a=direction(b, a, libraries[1]),
         insufficient_grid=len(sizes) < 2,
         seed=cfg.seed,
     )

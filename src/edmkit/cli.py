@@ -249,8 +249,6 @@ def _write_svg(path: Path, result: ForecastResult, with_band: bool) -> None:
 def _cmd_forecast(args) -> int:
     from .embedding import EmbeddingSpec
     from .forecast import iterative_forecast, skill_eval
-    from .simplex import SimplexConfig
-    from .smap import SMapConfig, coefficients_to_csv
     data_path, data = _load(args.data)
     columns = [part.strip() for part in args.columns.split(",") if part.strip()]
     if not columns:
@@ -261,10 +259,12 @@ def _cmd_forecast(args) -> int:
     self_condition = not args.fixed_library
 
     if args.method == "smap":
+        from .smap import SMapConfig
         if args.theta is None:
             raise ValueError("--method smap needs --theta")
         cfg = SMapConfig(spec, args.theta, ridge=args.ridge)
     else:
+        from .simplex import SimplexConfig
         cfg = SimplexConfig(spec, k=args.knn)
     parts = []
     in_sample_end = min(args.to, data.end_year)
@@ -279,6 +279,7 @@ def _cmd_forecast(args) -> int:
     out = _file(args.out)
     writers = [(out, combined.to_csv), (out.with_suffix(".json"), combined.to_json)]
     if combined.coefficients is not None:  # S-map only
+        from .smap import coefficients_to_csv
         writers.append((out.with_name(out.stem + "_coefficients.csv"),
                         lambda path: coefficients_to_csv(combined, path)))
     if args.svg:

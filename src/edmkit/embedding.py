@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timeseries import Dataset, TimeSeries, _frozen, _whole_number
+from .timeseries import Dataset, TimeSeries, _flag, _frozen, _whole_number
 
 __all__ = [
     "EmbeddingError",
@@ -105,6 +105,7 @@ class EmbeddingSpec:
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "tau", int(self.tau))
         object.__setattr__(self, "exclusion_radius", radius)
+        object.__setattr__(self, "normalize", _flag("normalize", self.normalize))
 
     @staticmethod
     def univariate(name: str, dimension: int, tau: int = 1,

@@ -56,7 +56,7 @@ import numpy as np
 from .embedding import EmbeddingSpec
 from .forecast import ForecastResult, _lockstep
 from .smap import SMapConfig
-from .timeseries import Dataset, _require_finite, _whole_number
+from .timeseries import Dataset, _flag, _require_finite, _whole_number
 
 __all__ = [
     "CURRENT_PMD_YEARS",
@@ -104,6 +104,7 @@ class PolicyScenario:
                         compliance=self.compliance, **values)
         for name in ("effective_year", "operational_lifetime", "pmd_years", "adr_per_year"):
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
+        object.__setattr__(self, "adr_cumulative", _flag("adr_cumulative", self.adr_cumulative))
         needed = _KIND_FIELDS[self.kind]
         if values[needed] is None:
             raise ValueError(f"{self.kind} scenario needs {needed}")

@@ -256,6 +256,13 @@ def _whole_number(name: str, value):
     return int(value)
 
 
+def _flag(name: str, value) -> bool:
+    """``value`` as a bool; anything but a ``bool`` or ``numpy.bool_`` is rejected by name."""
+    if not isinstance(value, (bool, np.bool_)):  # "no" is truthy, 2 is not a setting
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def load_csv(path, year_column: str = "year") -> Dataset:
     """Load a yearly dataset from a CSV file with a header row.
 

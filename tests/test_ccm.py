@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -672,3 +673,100 @@ def test_admissibility_is_checked_once_per_sweep(monkeypatch):
     checks.clear()
     cross_map(x, y, 2, library_indices=np.arange(0, n, 2))
     assert checks == [(1, -(-n // 2))]
+
+
+def _spy(monkeypatch, name):
+    """Spy on ``ccm.<name>``: the arguments of every call, in order."""
+    calls = []
+    original = getattr(ccm, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ccm, name, spy)
+    return calls
+
+
+BUNDLED_PAIRS = (("debris", "total"), ("debris", "launched"), ("launched", "total"))
+
+
+def test_one_config_draws_and_checks_the_paper_grid_once(monkeypatch):
+    # the paper's three pair sweeps on the bundled record, with one config
+    data = load_bundled()
+    sizes = tuple(_grid(6, data.n_years - 3, 20))
+    assert len(sizes) == 20
+    draws = _spy(monkeypatch, "_draw_indices")
+    checks = _spy(monkeypatch, "_check_admissible")
+    cfg = CcmConfig(4, sizes, samples_per_size=20, seed=7)
+    shared = [convergence_sweep(data[a], data[b], cfg) for a, b in BUNDLED_PAIRS]
+    assert len(draws) == 400
+    assert [libraries.shape for libraries, *_ in checks] == [(20, size) for size in sizes]
+    fresh = [convergence_sweep(data[a], data[b], CcmConfig(4, sizes, samples_per_size=20, seed=7))
+             for a, b in BUNDLED_PAIRS]
+    assert len(draws) == 4 * 400  # an equal config built separately draws again
+    for kept, drawn in zip(shared, fresh):
+        for first, second in zip(kept.directions, drawn.directions):
+            assert first.samples.tobytes() == second.samples.tobytes()
+
+
+def test_kept_draws_are_read_only_and_no_field():
+    x, y = coupled_logistic_pair(61)
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
+    before = (repr(cfg), hash(cfg), dataclasses.fields(cfg))
+    convergence_sweep(x, y, cfg)
+    n, groups = vars(cfg)["_draws"]
+    assert n == len(x) - 1
+    assert [libraries.shape for libraries in groups] == [(4, 20), (4, 35)]
+    for libraries in groups:
+        with pytest.raises(ValueError, match="read-only"):
+            libraries[0, 0] = 0
+    assert (repr(cfg), hash(cfg), dataclasses.fields(cfg)) == before
+    twin = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
+    assert cfg == twin and "_draws" not in vars(twin)
+    assert "_draws" not in vars(dataclasses.replace(cfg))
+
+
+def test_a_second_record_length_replaces_the_kept_draws(monkeypatch):
+    draws = _spy(monkeypatch, "_draw_indices")
+    cfg = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
+    long, short = coupled_logistic_pair(81), coupled_logistic_pair(61)
+    for (x, y), drawn in ((long, 8), (long, 0), (short, 8), (short, 0), (long, 8)):
+        before = len(draws)
+        result = convergence_sweep(x, y, cfg)
+        assert len(draws) - before == drawn
+        assert vars(cfg)["_draws"][0] == len(x) - 1
+        twin = convergence_sweep(x, y, CcmConfig(dimension=2, library_sizes=(20, 35),
+                                                 samples_per_size=4, seed=3))
+        for first, second in zip(result.directions, twin.directions):
+            assert first.samples.tobytes() == second.samples.tobytes()
+
+
+def test_a_shortfall_is_never_kept():
+    # each sweep checks again and names its own record's year
+    x, y = coupled_logistic_pair(40)
+    radius, k = 12, 3
+    cfg = CcmConfig(dimension=2, library_sizes=(10, 30), samples_per_size=3, seed=2,
+                    exclusion_radius=radius)
+    query, admissible = _first_shortfall(_redrawn_library(cfg.seed, 10, 0, len(x) - 1, "random",
+                                                          False), len(x) - 1, radius, k)
+    for start in (1960, 1990, 1960):
+        message = (f"cross-map query at {start + 1 + query} has only {admissible} "
+                   f"admissible neighbours, needs {k}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_sweep(TimeSeries("a", start, x.values), TimeSeries("b", start, y.values),
+                              cfg)
+        assert "_draws" not in vars(cfg)
+    # a shortfall of draws with replacement names the option every time
+    data = load_bundled()
+    debris, total = data["debris"], data["total"]
+    cfg = CcmConfig(dimension=4, library_sizes=tuple(_grid(6, 60, 20)), seed=0, replacement=True)
+    years = []
+    for shift in (0, 100, 0):
+        with pytest.raises(ValueError, match=r"; drawn with replacement "
+                                             r"\(replacement, --replacement\)") as caught:
+            convergence_sweep(TimeSeries("debris", debris.start_year + shift, debris.values),
+                              TimeSeries("total", total.start_year + shift, total.values), cfg)
+        years.append(int(re.match(r"cross-map query at (\d+) ", str(caught.value)).group(1)))
+        assert "_draws" not in vars(cfg)
+    assert years[1] == years[0] + 100 and years[2] == years[0]

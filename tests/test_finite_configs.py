@@ -143,6 +143,32 @@ def test_integer_field_rejects_a_fraction_and_stores_a_whole_float_as_int(case):
     assert stored == whole and type(stored) is int
 
 
+# field -> (constructor of one value, reader of the stored field)
+FLAG_CASES = {
+    "CcmConfig.replacement": (lambda v: CcmConfig(2, (10, 20), replacement=v),
+                              lambda c: c.replacement),
+    "EmbeddingSpec.normalize": (lambda v: EmbeddingSpec((("debris", 2),), normalize=v),
+                                lambda c: c.normalize),
+    "PolicyScenario.adr_cumulative": (
+        lambda v: PolicyScenario("adr", adr_per_year=100, adr_cumulative=v),
+        lambda c: c.adr_cumulative),
+}
+
+
+@pytest.mark.parametrize("value", ["no", "False", "", 0, 1, 1.0, None])
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_boolean_field_rejects_a_non_bool_and_stores_a_bool(case, value):
+    # "no" used to be truthy: a config drew with replacement, a spec normalized,
+    # an ADR scenario removed objects cumulatively
+    build, read = FLAG_CASES[case]
+    field = case.partition(".")[2]
+    message = f"{field} must be True or False, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+    for flag in (True, False, np.True_, np.False_):
+        assert read(build(flag)) is bool(flag)
+
+
 DEBRIS = EmbeddingSpec.univariate("debris", 3)
 LIBRARY = EmbeddingLibrary(EmbeddingSpec.univariate("q", 2, exclusion_radius=0), "q", 0,
                            np.arange(4), np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [5.0, 5.0]]),

@@ -83,7 +83,15 @@ print(json.dumps([code, sorted(m for m in sys.modules
     (["embed-search", "--e", "1:3", "--out", "search.csv"],
      ["edmkit.bundled", "edmkit.cli", "edmkit.embedding", "edmkit.forecast", "edmkit.simplex",
       "edmkit.timeseries", "numpy"]),
-], ids=["version", "ccm", "embed-search"])
+    (["forecast", "--method", "simplex", "--columns", "debris", "--e", "3", "--to", "2030",
+      "--out", "forecast.csv"],
+     ["edmkit.bundled", "edmkit.cli", "edmkit.embedding", "edmkit.forecast", "edmkit.simplex",
+      "edmkit.timeseries", "numpy"]),
+    (["forecast", "--method", "smap", "--columns", "debris,total", "--e", "4", "--theta", "2",
+      "--to", "2030", "--out", "forecast.csv"],
+     ["edmkit.bundled", "edmkit.cli", "edmkit.embedding", "edmkit.forecast", "edmkit.smap",
+      "edmkit.timeseries", "numpy"]),
+], ids=["version", "ccm", "embed-search", "forecast-simplex", "forecast-smap"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, loaded):
     src = Path(edmkit.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
