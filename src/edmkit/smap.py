@@ -28,12 +28,15 @@ is the predictor they call.
 Every S-map fit goes through one routine, ``_fit``, which has a theta axis:
 the protocol's predictor, ``smap_predict`` (through it, on one query's
 candidate rows in ascending time) and ``theta_search`` (on each block of
-``skill_eval``'s queries) all call it.  Per query it computes the distances
-and their mean once and the weights of every theta in one exponential.
-Each (theta, query, series) system ``[A | b]`` is square-root weighted;
-each run of consecutive queries with one library size is factored by one
-stacked Householder QR (``numpy.linalg.qr``), and one stacked SVD per call
-solves every triangle.  A theta search thus makes one QR per query for the
+``skill_eval``'s queries) all call it.  Per call it computes the distances
+of every query once, and the weights of every (theta, query) in one
+exponential, each query scaled by its mean distance over its own library
+prefix.  Each (theta, query, series) system ``[A | b]`` is square-root
+weighted; each run of consecutive queries with one library size is written
+into one buffer per call and factored by one stacked Householder QR
+(``numpy.linalg.qr``), and one stacked SVD per call solves every triangle.
+The residual variance is read off the same factors, with no second pass
+over the library.  A theta search thus makes one QR per query for the
 whole grid, and a batch of scenarios one QR and one SVD per year.
 A fit has the same bits whatever shares its stacks, and agrees with one
 ``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).
@@ -134,8 +137,16 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
     thetas = np.asarray(theta, dtype=float)
     if not distances.shape[-1]:
         return np.ones(thetas.shape + distances.shape)
+    return _weights(distances, thetas, distances.sum(axis=-1, keepdims=True) / distances.shape[-1])
+
+
+def _weights(distances: np.ndarray, thetas: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The weight formula: ``exp(-theta * d / mean)`` for each theta of ``thetas``.
+
+    ``means`` holds each row's mean distance (``distances``' shape with a
+    last axis of 1).  Where theta or the mean is 0 every weight is 1.0.
+    """
     thetas = thetas.reshape(thetas.shape + (1,) * distances.ndim)
-    means = distances.sum(axis=-1, keepdims=True) / distances.shape[-1]
     flat = (means == 0.0) | (thetas == 0.0)
     weights = np.exp(-thetas * distances / np.where(flat, 1.0, means))
     np.copyto(weights, 1.0, where=flat)  # even where a distance overflowed
@@ -150,51 +161,89 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     library for every query, or one per query along a leading query axis.
     Query ``q`` fits over the first ``limits[q]`` rows; ``limits`` is any
     sequence of ints, each at least ``dimension + 2``, which the callers
-    check where they cut the library.  Each run of consecutive queries with
-    one limit shares one stacked QR (``_systems``), and one stacked SVD
-    solves the (dimension + 1) triangle of every system of the call:
-    singular values at most ``_SV_CUTOFF`` times the largest count as 0,
-    which gives ``lstsq``'s minimum-norm answer.  Every system is solved on
-    its own, so a fit has the same bits whatever else shares its stacks.
-    Returns (thetas, queries, columns) predictions and variances and
-    (thetas, queries, columns, dimension + 1) coefficients, all new arrays.
+    check where they cut the library.
+
+    One pass finds the distances of every query to the longest prefix, and
+    one exponential gives the weights of every (theta, query), each query
+    scaled by its mean distance over its own prefix; a query's rows past its
+    prefix get distance and weight 0, and a (theta, query) whose weights are
+    all 0 is named by its theta before anything is factored.  Each (theta,
+    query, column) then gets its own square-root-weighted system ``[A | b]``:
+    the intercept column ``sqrt(w)``, the coordinates and the column's
+    targets, with the ridge penalty rows last (target 0).  Each run of
+    consecutive queries with one limit writes its systems, contiguous and
+    transposed, into one buffer that the call allocates for its largest run,
+    and one stacked Householder QR (``numpy.linalg.qr``, ``mode="raw"``)
+    factors them, so each system's triangle ``R^T`` is the lower left corner
+    of its leading (dimension + 2) square and ``Q^T b`` leads that square's
+    last row.  One stacked SVD solves the (dimension + 1) triangle of every
+    system of the call: singular values at most ``_SV_CUTOFF`` times the
+    largest count as 0, which gives ``lstsq``'s minimum-norm answer.
+
+    The weighted residual sum of squares is read off the same factors
+    (Golub and Van Loan, *Matrix Computations*, section 5.3): the square of
+    R's last diagonal entry plus the squares of ``Q^T b`` along the dropped
+    singular directions, less the ridge rows' ``ridge * |slopes|^2``,
+    floored at 0 since rounding can cross it on an exact fit.  The variance
+    divides it by the weight sum, the square of R's first diagonal entry
+    (the norm of the intercept column).  Every system is solved on its own,
+    so a fit has the same bits whatever else shares its stacks.  Returns
+    (thetas, queries, columns) predictions and variances and (thetas,
+    queries, columns, dimension + 1) coefficients, all new arrays.
     """
     dim = vectors.shape[-1]
     counts = np.asarray(limits).tolist()
     starts = [q for q, count in enumerate(counts) if q == 0 or count != counts[q - 1]]
-    parts = []  # (library, targets, queries, weights, heads) per run of one limit
-    for lo, hi in zip(starts, starts[1:] + [len(counts)]):
+    runs = list(zip(starts, starts[1:] + [len(counts)]))
+    top = max(counts)
+    distances = _distance_rows(vectors[..., :top, :], queries, "euclidean")
+    means = np.empty((len(counts), 1))
+    for lo, hi in runs:
+        means[lo:hi] = distances[lo:hi, :counts[lo]].sum(axis=-1, keepdims=True) / counts[lo]
+    if len(runs) > 1:  # no arithmetic on rows past a query's prefix can overflow
+        past = np.arange(top) >= np.array(counts)[:, None]
+        np.copyto(distances, 0.0, where=past)
+    weights = _weights(distances, thetas, means)
+    if len(runs) > 1:
+        np.copyto(weights, 0.0, where=past)
+    live = weights.any(axis=-1)
+    if not live.all():  # past theta ~745 every exp(-theta d / mean) can underflow
+        theta = float(thetas[np.flatnonzero(~live.all(axis=1))[0]])
+        raise RuntimeError(f"every S-map weight of a query underflows to 0 at theta={theta:g}; "
+                           f"choose a smaller theta")
+    roots = np.sqrt(weights, out=weights)[:, :, None, None, :]  # (thetas, queries, 1, 1, rows)
+    columns, extra = forward.shape[-1], dim if ridge > 0.0 else 0  # extra: the ridge rows
+    buffer = np.empty(max(len(thetas) * (hi - lo) * columns * (dim + 2) * (counts[lo] + extra)
+                          for lo, hi in runs))
+    heads = np.empty((len(thetas), len(counts), columns, dim + 2, dim + 2))
+    for lo, hi in runs:
         count = counts[lo]
         if vectors.ndim == 2:
             library, targets = vectors[:count], forward[:count]
         else:
             library, targets = vectors[lo:hi, :count], forward[lo:hi, :count]
-        states = queries[lo:hi]
-        parts.append((library, targets, states,
-                      *_systems(library, targets, states, thetas, ridge)))
-    heads = np.concatenate([head for *_, head in parts])
-    v, s, ut = np.linalg.svd(np.where(_lower(dim + 1), heads[:, :-1, :-1], 0.0))
-    kept = np.where(s > _SV_CUTOFF * s[:, :1], s, np.inf)  # a dropped value divides to 0
-    solved = (v @ ((ut @ heads[:, -1, :-1, None])[..., 0] / kept)[..., None])[..., 0]
-    fits, start = [], 0
-    for library, targets, states, weights, head in parts:
-        stop = start + len(head)
-        coefficients = solved[start:stop].reshape(*weights.shape[:2], targets.shape[-1], dim + 1)
-        start = stop
-        intercepts, slopes = coefficients[..., :1], coefficients[..., 1:]
-        fitted = intercepts + (library[..., None, :, :] @ slopes[..., None])[..., 0]
-        residuals = targets.swapaxes(-1, -2) - fitted
-        totals = weights.sum(axis=-1)
-        if not totals.all():  # past theta ~745 every exp(-theta d / mean) can underflow
-            theta = float(thetas[np.flatnonzero((totals == 0.0).any(axis=1))[0]])
-            raise RuntimeError(f"every S-map weight of a query underflows to 0 at theta={theta:g}; "
-                               f"choose a smaller theta")
-        variances = (weights[:, :, None] * residuals**2).sum(axis=-1) / totals[..., None]
-        fits.append((intercepts[..., 0] + _row_dot(slopes, states[:, None]), variances,
-                     coefficients))
-    if len(fits) == 1:
-        return fits[0]
-    return tuple(np.concatenate(part, axis=1) for part in zip(*fits))
+        shape = (len(thetas), hi - lo, columns, dim + 2, count + extra)
+        system = buffer[:math.prod(shape)].reshape(shape)
+        root = roots[:, lo:hi, ..., :count]
+        system[..., 0, :count] = root[..., 0, :]
+        np.multiply(library.swapaxes(-1, -2)[..., None, :, :], root, out=system[..., 1:-1, :count])
+        np.multiply(targets.swapaxes(-1, -2), root[..., 0, :], out=system[..., -1, :count])
+        if extra:
+            system[..., count:] = 0.0
+            system[..., 1:-1, count:] = math.sqrt(ridge) * np.eye(dim)
+        heads[:, lo:hi] = np.linalg.qr(system.swapaxes(-1, -2), mode="raw")[0][..., :dim + 2]
+    v, s, ut = np.linalg.svd(np.where(_lower(dim + 1), heads[..., :-1, :-1], 0.0))
+    kept = s > _SV_CUTOFF * s[..., :1]
+    projected = (ut @ heads[..., -1, :-1, None])[..., 0]  # Q^T b in the singular basis
+    # a dropped value divides to 0
+    coefficients = (v @ (projected / np.where(kept, s, np.inf))[..., None])[..., 0]
+    intercepts, slopes = coefficients[..., 0], coefficients[..., 1:]
+    dropped = np.where(kept, 0.0, projected)
+    rss = heads[..., -1, -1] ** 2 + _row_dot(dropped, dropped)
+    if extra:
+        rss = np.maximum(rss - ridge * _row_dot(slopes, slopes), 0.0)
+    return (intercepts + _row_dot(slopes, queries[:, None]), rss / heads[..., 0, 0] ** 2,
+            coefficients)
 
 
 @functools.cache
@@ -203,38 +252,6 @@ def _lower(size: int) -> np.ndarray:
     mask = np.tri(size, dtype=bool)
     mask.flags.writeable = False
     return mask
-
-
-def _systems(library: np.ndarray, targets: np.ndarray, queries: np.ndarray,
-             thetas: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weights and the factored systems of queries that share one library size.
-
-    ``library`` (rows x dimension) and ``targets`` (rows x columns) serve
-    every query, or carry a leading query axis.  Each (theta, query, column)
-    gets its own square-root-weighted system ``[A | b]``, stored contiguous
-    as (dimension + 2) x rows: the intercept column ``sqrt(w)``, the
-    coordinates and the column's targets, with the ridge penalty rows last
-    (target 0).  One stacked Householder QR factors them all.  Returns the
-    (thetas, queries, rows) weights and the leading (dimension + 2) square
-    of every factored system, one per (theta, query, column) in that order:
-    ``mode="raw"`` leaves each system transposed, so the fit's triangle
-    ``R^T`` is that square's lower left corner and ``Q^T b`` leads its last
-    row.
-    """
-    count, dim = library.shape[-2:]
-    extra = dim if ridge > 0.0 else 0  # the ridge rows
-    weights = smap_weights(_distance_rows(library, queries, "euclidean"), thetas)
-    sqrt_w = np.sqrt(weights)[..., None, None, :]  # (thetas, queries, 1, 1, rows)
-    system = np.empty((*weights.shape[:2], targets.shape[-1], dim + 2, count + extra))
-    system[..., 0, :count] = sqrt_w[..., 0, :]
-    np.multiply(library.swapaxes(-1, -2)[..., None, :, :], sqrt_w, out=system[..., 1:-1, :count])
-    np.multiply(targets.swapaxes(-1, -2), sqrt_w[..., 0, :], out=system[..., -1, :count])
-    if extra:
-        system[..., count:] = 0.0
-        system[..., 1:-1, count:] = math.sqrt(ridge) * np.eye(dim)
-    factors = np.linalg.qr(system.swapaxes(-1, -2), mode="raw")[0]
-    # a copy, so the factors of every row are freed here
-    return weights, np.ascontiguousarray(factors[..., :dim + 2]).reshape(-1, dim + 2, dim + 2)
 
 
 def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],

@@ -366,6 +366,50 @@ def test_rank_deficient_fits_match_the_minimum_norm_answer(name, ridge):
     _close_to_reference(fits, vectors, forward, queries, limits, thetas, ridge)
 
 
+def _random_states(dim):
+    return lambda rng: rng.normal(size=(int(rng.integers(dim + 4, 40)), dim))
+
+
+DESIGNS = {**{f"random_e{dim}": _random_states(dim) for dim in range(1, 5)}, **RANK_DEFICIENT}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_factored_variance_matches_the_reference_across_scales_and_ridges(name):
+    # the variance is read off each fit's QR (R's last diagonal entry, the
+    # dropped singular directions, less the ridge rows' share); the reference
+    # refits the library through one lstsq per system
+    rng = np.random.default_rng([32, len(name), ord(name[-1])])
+    thetas = np.array([0.0, 1.0, 5.0])
+    for scale in (1e-3, 1.0, 1e5):
+        for ridge in (0.0, 1e-14, 1e-6, 1e2):
+            vectors = DESIGNS[name](rng) * scale
+            forward = np.column_stack([np.sin(vectors.sum(axis=1) / scale),
+                                       rng.normal(size=vectors.shape[0])]) * scale
+            queries = np.vstack([vectors[-1], rng.normal(size=vectors.shape[1]) * scale])
+            limits = np.array([vectors.shape[0], vectors.shape[0] - 2])
+            variances = _fit(vectors, forward, queries, limits, thetas, ridge)[1]
+            for t, theta in enumerate(thetas):
+                for q, limit in enumerate(limits):
+                    expected = reference_smap_fit(vectors[:limit], forward[:limit], queries[q],
+                                                  theta, ridge)
+                    for c, (_, variance, _) in enumerate(expected):
+                        np.testing.assert_allclose(variances[t, q, c], variance, FIT_RTOL,
+                                                   FIT_ATOL, err_msg=f"{scale=} {ridge=}")
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("ridge", [1e-14, 1e-12])
+def test_exact_linear_data_with_a_tiny_ridge_keeps_its_band_finite(theta, ridge):
+    # on a residual of 0 the factored sum less the ridge rows' share can
+    # round below 0, which would be a NaN band; the fit floors it at 0
+    data = Dataset((linear_rule_series(n=40),))
+    cfg = SMapConfig(EmbeddingSpec.univariate("u", 2), theta, ridge=ridge)
+    for result in (smap_skill_eval(data, "u", cfg, 20),
+                   smap_iterative_forecast(data, "u", cfg, 60)):
+        assert (result.step_variance >= 0.0).all()
+        assert np.isfinite(result.band_halfwidth).all()
+
+
 def test_iterative_steps_keep_their_own_coefficient_rows():
     data = Dataset(coupled_logistic_pair(40))
     cfg = SMapConfig(EmbeddingSpec((("x", 2), ("y", 2))), 2.0)
@@ -555,3 +599,34 @@ def test_underflowing_weights_are_named_by_theta(tmp_path, capsys, monkeypatch):
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         theta_search(load_bundled(), "debris", EmbeddingSpec((("debris", 2), ("total", 2))),
                      (0.0, 2.0, 1e6), train_end=1990)
+
+
+def test_underflowing_theta_is_named_before_any_system_is_factored(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a system was factored before the weights were checked")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    message = "every S-map weight of a query underflows to 0 at theta=1e+06; choose a smaller theta"
+    spec = EmbeddingSpec((("debris", 2), ("total", 2)))
+    cfg = SMapConfig(spec, 1e6)
+    for call in (lambda data: theta_search(data, "debris", spec, (0.0, 2.0, 1e6), train_end=1990),
+                 lambda data: smap_skill_eval(data, "debris", cfg, 1990),
+                 lambda data: smap_iterative_forecast(data, "debris", cfg, 2030)):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            call(load_bundled())
+
+
+def test_rows_past_a_query_prefix_leave_its_fit_alone(monkeypatch):
+    # a block of queries shares one distance and weight pass over its longest
+    # prefix; a query scaled by a tiny mean distance must not overflow on the
+    # later rows it never fits over, and its fit keeps the bits of a block of one
+    rng = np.random.default_rng(1)
+    values = np.concatenate([rng.uniform(1.0, 2.0, 30) * 1e-160,
+                             rng.uniform(1.0, 2.0, 30) * 1e150])
+    data = Dataset((TimeSeries("u", 0, values.tolist()),))
+    cfg = SMapConfig(EmbeddingSpec.univariate("u", 2), 1.0)
+    blocked = smap_skill_eval(data, "u", cfg, 20)
+    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", 1)  # one query per block
+    alone = smap_skill_eval(data, "u", cfg, 20)
+    for name in ("predicted", "step_variance", "coefficients"):
+        assert getattr(blocked, name).tobytes() == getattr(alone, name).tobytes()
