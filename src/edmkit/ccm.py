@@ -24,8 +24,6 @@ uint32 entropy array, hashes every row into its PCG64 seed words in one
 vectorised pass of numpy's documented ``SeedSequence`` hash, and sets each
 cell's state in turn on one reused generator: the same stream as
 ``default_rng((seed, size, j))``, without building a generator per cell.
-Both directions share the draws and the library times, so a sweep checks
-admissibility once.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances serve every cell.  A block is
 one (rows x n) array of Manhattan distances (see
@@ -46,8 +44,10 @@ cell of a subsampled cross map) needs no ranks: its neighbours are the
 first k places of the order, and when every cell is like that each row's
 order stops at k columns and no ranks are built.  Every cell is read through
 one gather: a batch reads its neighbours' distances and values by flat
-offset (its places plus each row's start), one ``np.take`` each.  One
-row-wise Pearson correlation then scores every cell.  Memory is
+offset (its places plus each row's start), one ``np.take`` each.  A row
+whose k-th gathered distance is inf keeps too few admissible neighbours: its
+batch is not estimated, and the lowest such cell's first such row is named.
+One row-wise Pearson correlation then scores every cell.  Memory is
 O(block x n + cells x n), never n x n.
 CCM runs single-threaded: the ``threads`` argument of ``convergence_sweep``
 is accepted and ignored.
@@ -83,8 +83,8 @@ class CcmConfig:
     random-index subsampling (default) or contiguous blocks.
 
     A config keeps the libraries it drew for the last record length it was
-    swept at, once they passed the admissibility check, and a later sweep of
-    that length reuses them; another length replaces them, so a config holds
+    swept at, once a direction met no shortfall with them, and a later sweep
+    of that length reuses them; another length replaces them, so a config holds
     one grid, ``samples_per_size x sum(library_sizes)`` int64 (about 100 KB
     on the paper's 20 x 20 grid of the bundled record).  They are not a
     field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore
@@ -174,37 +174,6 @@ def _select(rank: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
     return ranks[..., :k]
 
 
-def _check_admissible(libraries: np.ndarray, times: np.ndarray, floor: int, k: int) -> None:
-    """Raise if a query keeps fewer than ``k`` neighbours in one of these libraries.
-
-    ``libraries`` is (cells x size); library entries whose time is within
-    ``floor`` of the query's are dropped, none under a negative floor.  The
-    message names the first failing cell's first failing query.
-    """
-    if floor < 0:
-        return
-    cells, size = libraries.shape
-    n = times.shape[0]
-    floor = min(floor, n)  # no gap reaches n; int64 holds n
-    # entries per (cell, row); times are consecutive, so the entries a query
-    # drops are those on rows q - floor .. q + floor, a window of the cumsum
-    counts = np.bincount((libraries + n * np.arange(cells)[:, None]).ravel(),
-                         minlength=cells * n).reshape(cells, n)
-    below = np.zeros((cells, n + 1), dtype=counts.dtype)
-    np.cumsum(counts, axis=1, out=below[:, 1:])
-    rows = np.arange(n)
-    dropped = below[:, np.minimum(rows + floor + 1, n)] - below[:, np.maximum(rows - floor, 0)]
-    admissible = size - dropped
-    short = admissible < k
-    if short.any():
-        cell = int(np.argmax(short.any(axis=1)))
-        q = int(np.argmax(short[cell]))
-        raise ValueError(
-            f"cross-map query at {int(times[q])} has only {int(admissible[cell, q])} "
-            f"admissible neighbours, needs {k}"
-        )
-
-
 def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclusion_radius: int,
                      leave_one_out: bool = True,
                      estimates: np.ndarray | None = None) -> np.ndarray:
@@ -218,8 +187,9 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     ``_estimates`` call: a cell holding each used column once takes the
     first k places of the order, any other the k smallest ranks of
     ``_select``.  The estimates fill ``estimates`` when given, else a new
-    (cells x n) array.  The caller has checked every cell's admissibility
-    with ``_check_admissible``.
+    (cells x n) array.  A ValueError names the first query of the lowest
+    cell that keeps fewer than ``dimension + 1`` admissible neighbours (a
+    column drawn twice counts twice).
     """
     vectors, targets = library.vectors, library.targets
     n, dimension = vectors.shape
@@ -260,6 +230,7 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     # block holds fewer than max(n, _BLOCK_ELEMENTS) distances
     offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.int32)[:, None, None]
     leading = offsets + np.arange(k, dtype=np.int32)  # the first k places of each row
+    shortfall = None  # (cell, row, admissible count) of the lowest cell found short
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = _distance_rows(vectors, vectors[start:stop], "manhattan")
@@ -274,9 +245,21 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
         starts, first_k = offsets[:stop - start], leading[:stop - start]
         for cells, batch in batches:
             flat = first_k if batch is None else _select(rank, batch, k) + starts
+            distances = np.take(near, flat)  # (rows x cells x k); one column for whole cells
+            short = distances[..., -1] == np.inf
+            if short.any():
+                at = int(np.argmax(short.any(axis=0)))  # cells ascend within a batch
+                row = int(np.argmax(short[:, at]))
+                found = (cells[at], start + row, int(np.isfinite(distances[row, at]).sum()))
+                shortfall = found if shortfall is None else min(shortfall, found)
+                continue
             estimates[cells, start:stop] = _estimates(
-                np.take(near, flat).reshape(-1, k), np.take(picked, flat).reshape(-1, k)
+                distances.reshape(-1, k), np.take(picked, flat).reshape(-1, k)
             ).reshape(stop - start, -1).T
+    if shortfall is not None:
+        _, row, admissible = shortfall
+        raise ValueError(f"cross-map query at {int(library.times[row])} has only {admissible} "
+                         f"admissible neighbours, needs {k}")
     return _rho_rows(targets, estimates)
 
 
@@ -318,7 +301,6 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
             f"cross-map library needs at least dimension+2 = {dimension + 2} points, "
             f"have {indices.size}"
         )
-    _check_admissible(indices[None], library.times, _floor(radius, leave_one_out), dimension + 1)
     return float(_cross_map_cells(library, [indices[None]], radius, leave_one_out)[0])
 
 
@@ -488,18 +470,8 @@ def _pcg64_state(seed_high: int, seed_low: int, seq_high: int, seq_low: int) -> 
             "has_uint32": 0, "uinteger": 0}
 
 
-def _drawn_groups(cfg: CcmConfig, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The sorted, read-only (samples x size) libraries of every size, checked for ``times``.
-
-    Kept on ``cfg`` for later sweeps of ``len(times)`` points: the check's
-    verdict depends only on the draws, that length, the radius and ``k``,
-    because library times are consecutive.  ``times`` only names the year
-    of a shortfall, which is never kept.
-    """
-    n = times.shape[0]
-    kept = getattr(cfg, "_draws", None)
-    if kept is not None and kept[0] == n:
-        return kept[1]
+def _drawn_groups(cfg: CcmConfig, n: int) -> tuple[np.ndarray, ...]:
+    """The sorted, read-only (samples x size) libraries of every size, drawn from ``n`` points."""
     bits = np.random.PCG64(0)  # set to each cell's state in turn
     rng = np.random.Generator(bits)
     groups = []
@@ -510,18 +482,7 @@ def _drawn_groups(cfg: CcmConfig, times: np.ndarray) -> tuple[np.ndarray, ...]:
             bits.state = _pcg64_state(*words)
             libraries.append(_draw_indices(rng, n, size, cfg))
         groups.append(_frozen(np.sort(libraries, axis=1), dtype=None))
-    floor = _floor(cfg.exclusion_radius, leave_one_out=True)
-    try:
-        for libraries in groups:
-            _check_admissible(libraries, times, floor, cfg.dimension + 1)
-    except ValueError as error:
-        if not cfg.replacement:
-            raise
-        raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
-                         f"a library can hold excluded points more than once") from None
-    groups = tuple(groups)
-    object.__setattr__(cfg, "_draws", (n, groups))  # not a field: == and hash ignore it
-    return groups
+    return tuple(groups)
 
 
 def _embeddable_points(length: int, dimension: int, tau: int) -> int:
@@ -546,7 +507,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     any cell is drawn.  The libraries come from ``cfg``: it keeps the draws
     of the last record length it was swept at, about 100 KB on the paper's
     grid, so sweeping the three pairs of one record with one config draws
-    and checks the grid once; an equal config built separately draws again.
+    the grid once; an equal config built separately draws again.  Draws
+    that meet a shortfall fail the first direction and are not kept.
     ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
@@ -562,8 +524,8 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
         raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
                          f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
     libraries = (_embed(a, b, cfg.dimension, cfg.tau), _embed(b, a, cfg.dimension, cfg.tau))
-    # both directions share the draws and the library times: one check serves both
-    groups = _drawn_groups(cfg, libraries[0].times)
+    kept = vars(cfg).get("_draws")
+    groups = kept[1] if kept is not None and kept[0] == n else _drawn_groups(cfg, n)
 
     def direction(cause: TimeSeries, effect: TimeSeries,
                   library: EmbeddingLibrary) -> CcmDirection:
@@ -580,8 +542,16 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
             verdict=_verdict(means, cfg),
         )
 
+    try:  # the directions share draws and times, so a shortfall fails the first
+        a_from_b = direction(a, b, libraries[0])
+    except ValueError as error:
+        if not (cfg.replacement and cfg.method == "random"):  # contiguous draws never repeat
+            raise
+        raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
+                         f"a library can hold excluded points more than once") from None
+    object.__setattr__(cfg, "_draws", (n, groups))  # not a field: == and hash ignore it
     return CcmResult(
-        a_from_b=direction(a, b, libraries[0]),
+        a_from_b=a_from_b,
         b_from_a=direction(b, a, libraries[1]),
         insufficient_grid=len(sizes) < 2,
         seed=cfg.seed,

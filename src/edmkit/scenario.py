@@ -456,7 +456,8 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
     Format: ``key = value`` lines; keys before the first ``[section]`` set
     the shared model (theta, lags, tau, ridge, horizon, series names),
     each ``[name]`` section defines one scenario, and its name, which names
-    output files, holds no ``/`` or ``\\``.  ``#`` lines are comments.
+    output files, holds no ``/`` or ``\\``.  ``#`` lines are comments.  The
+    file is read as UTF-8; a leading byte-order mark is skipped.
     Malformed, unknown or repeated keys (within the model block or one
     section) and repeated sections raise ValueError naming the line.
     """
@@ -466,7 +467,7 @@ def load_scenario_file(path) -> tuple[ScenarioModelConfig, list[PolicyScenario]]
     model_kwargs: dict = {}
     sections: list[tuple[str, dict]] = []
     current: dict | None = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -38,8 +38,13 @@ into one buffer per call and factored by one stacked Householder QR
 The residual variance is read off the same factors, with no second pass
 over the library.  A theta search thus makes one QR per query for the
 whole grid, and a batch of scenarios one QR and one SVD per year.
-A fit has the same bits whatever shares its stacks, and agrees with one
-``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).
+A fit has the same bits whatever shares its stacks.  On unit-scale designs
+with ridge 0 or 0.3, rank-deficient ones included, it agrees with one
+``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).  A
+rank-deficient design with a ridge at scale 1e-3 or 1e5 can miss that by up
+to 9 times relative, since one solver keeps a direction near the 1e-10
+singular-value cutoff that the other drops; the residual variance meets it
+at scales 1e-3 to 1e5 and ridges 0 to 1e2.
 """
 
 from __future__ import annotations

@@ -268,7 +268,8 @@ def load_csv(path, year_column: str = "year") -> Dataset:
 
     The file must have one integer year column, strictly increasing by one,
     plus at least one numeric value column.  Each value column becomes a
-    TimeSeries named after its header.
+    TimeSeries named after its header.  The file is read as UTF-8; a leading
+    byte-order mark, as Excel's "CSV UTF-8" writes, is skipped.
 
     Raises FileNotFoundError for a missing file and ValueError, naming the
     offending row by its file line (blank lines counted), for non-numeric or
@@ -277,7 +278,7 @@ def load_csv(path, year_column: str = "year") -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such data file: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)  # line_num: the file line a row ends on
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:

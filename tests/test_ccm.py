@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -522,6 +523,36 @@ def test_sweep_shortfall_is_named_from_a_later_batch(monkeypatch):
         convergence_sweep(a, b, cfg)
 
 
+def test_a_shortfall_to_zero_neighbours_is_named_from_a_later_block(monkeypatch):
+    # the first failing cell draws a column twice, so its admissible count
+    # falls from 2 to 0 in one step, at a query of a later row block; no
+    # estimate of a short row is computed, so no kernel weight is 0/0
+    x, y = coupled_logistic_pair(40)
+    a = TimeSeries("a", 1960, x.values)
+    b = TimeSeries("b", 1960, y.values)
+    n = len(a)  # dimension 1 embeds every point
+    radius, k, rows, size = 1, 2, 5, 3
+    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n)
+    cfg = CcmConfig(dimension=1, library_sizes=(size, 20), samples_per_size=8, seed=175,
+                    replacement=True, exclusion_radius=radius)
+    failures = [_first_shortfall(_redrawn_library(cfg.seed, s, j, n, "random", True),
+                                 n, radius, k)
+                for s in cfg.library_sizes for j in range(cfg.samples_per_size)]
+    query, admissible = next(f for f in failures if f is not None)
+    assert admissible == 0 and query >= rows
+    batches = _record_batches(monkeypatch)
+    # delay vector i has its head at year 1960 + i
+    message = (f"cross-map query at {1960 + query} has only 0 admissible neighbours, "
+               f"needs {k}; drawn with replacement (replacement, --replacement), "
+               f"a library can hold excluded points more than once")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_sweep(a, b, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert (cfg.samples_per_size, size) in batches  # its cell was ranked
+
+
 def test_too_many_samples_are_named_before_any_cell_is_drawn(monkeypatch):
     # a 400-digit sample count used to draw cells without end
     def no_draws(*args):
@@ -566,6 +597,29 @@ def test_replacement_shortfall_names_the_option(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"{shortfall}$"):
         convergence_sweep(data["debris"], data["total"],
                           CcmConfig(4, sizes, seed=0, exclusion_radius=30))
+
+
+def test_contiguous_shortfall_keeps_the_plain_message(tmp_path, capsys):
+    # contiguous draws ignore the replacement flag, so they never repeat a
+    # point and their shortfall is named without the option
+    data = load_bundled()
+    debris, total = data["debris"], data["total"]
+    messages = []
+    for replacement in (True, False):
+        cfg = CcmConfig(4, (10, 30, 59), method="contiguous", replacement=replacement,
+                        exclusion_radius=5, seed=1)
+        with pytest.raises(ValueError, match=r"^cross-map query at \d+ has only \d+ admissible "
+                                             r"neighbours, needs 5$") as caught:
+            convergence_sweep(debris, total, cfg)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    out = tmp_path / "ccm"
+    code = main(["ccm", "--a", "debris", "--b", "total", "--e", "4", "--method", "contiguous",
+                 "--replacement", "--exclusion-radius", "5", "--sizes", "10,30,59",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {messages[0]}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
@@ -654,25 +708,20 @@ def test_short_record_ranks_each_size_in_at_most_two_batches(monkeypatch):
                 assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
 
 
-def test_admissibility_is_checked_once_per_sweep(monkeypatch):
-    # both directions share the draws, times, floor and k, so one check serves both
-    checks = []
-    check_admissible = ccm._check_admissible
-
-    def spy(libraries, times, floor, k):
-        checks.append(libraries.shape)
-        return check_admissible(libraries, times, floor, k)
-
-    monkeypatch.setattr(ccm, "_check_admissible", spy)
-    x, y = coupled_logistic_pair(61)
-    n = len(x) - 1
-    cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=3,
-                    exclusion_radius=2)
-    convergence_sweep(x, y, cfg)
-    assert checks == [(4, size) for size in cfg.library_sizes]
-    checks.clear()
-    cross_map(x, y, 2, library_indices=np.arange(0, n, 2))
-    assert checks == [(1, -(-n // 2))]
+def test_a_sweep_shortfall_is_raised_from_its_first_direction(monkeypatch):
+    # both directions share the draws and the library times, so the second
+    # direction is never cross mapped once the first falls short
+    x, y = coupled_logistic_pair(40)
+    a = TimeSeries("a", 1960, x.values)
+    b = TimeSeries("b", 1960, y.values)
+    cfg = CcmConfig(dimension=2, library_sizes=(10, 30), samples_per_size=3, seed=2,
+                    exclusion_radius=12)
+    calls = _record_groups(monkeypatch)
+    with pytest.raises(ValueError, match=r"^cross-map query at \d+ has only \d+ admissible "
+                                         r"neighbours, needs 3$"):
+        convergence_sweep(a, b, cfg)
+    assert len(calls) == 1
+    assert "_draws" not in vars(cfg)
 
 
 def _spy(monkeypatch, name):
@@ -697,11 +746,9 @@ def test_one_config_draws_and_checks_the_paper_grid_once(monkeypatch):
     sizes = tuple(_grid(6, data.n_years - 3, 20))
     assert len(sizes) == 20
     draws = _spy(monkeypatch, "_draw_indices")
-    checks = _spy(monkeypatch, "_check_admissible")
     cfg = CcmConfig(4, sizes, samples_per_size=20, seed=7)
     shared = [convergence_sweep(data[a], data[b], cfg) for a, b in BUNDLED_PAIRS]
     assert len(draws) == 400
-    assert [libraries.shape for libraries, *_ in checks] == [(20, size) for size in sizes]
     fresh = [convergence_sweep(data[a], data[b], CcmConfig(4, sizes, samples_per_size=20, seed=7))
              for a, b in BUNDLED_PAIRS]
     assert len(draws) == 4 * 400  # an equal config built separately draws again

@@ -138,6 +138,19 @@ def test_forecast_simplex_and_smap(data_csv, tmp_path):
     assert (tmp_path / "fc_smap_coefficients.csv").exists()
 
 
+def test_forecast_reads_data_with_a_byte_order_mark(data_csv, tmp_path):
+    # a CSV saved as Excel's "CSV UTF-8" used to exit 2 on its header
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+    outputs = []
+    for path in (data_csv, marked):
+        out = tmp_path / f"fc_{path.stem}.csv"
+        assert main(["forecast", "--method", "simplex", "--data", str(path),
+                     "--columns", "debris", "--e", "3", "--to", "2030", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_forecast_lags_set_each_column_lag_count(data_csv, tmp_path):
     out = tmp_path / "lags.csv"
     assert main(["forecast", "--method", "smap", "--data", str(data_csv), "--columns",

@@ -224,6 +224,16 @@ def test_scenario_file_parsing(tmp_path):
     assert scenarios[0].pmd_years == 15
 
 
+def test_scenario_file_skips_a_byte_order_mark(tmp_path):
+    # the first key used to be read as '\ufefftheta' and refused as unknown
+    text = "theta = 7\n[pmd_15]\nkind = pmd\npmd_years = 15\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert load_scenario_file(marked) == load_scenario_file(plain)
+    assert load_scenario_file(marked)[0].theta == 7.0
+
+
 def test_scenario_file_errors(tmp_path):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("[s]\nkind = pmd\nwarp_factor = 9\n", encoding="utf-8")

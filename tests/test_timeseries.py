@@ -97,6 +97,24 @@ def test_load_csv_errors(tmp_path):
         load_csv(bad)
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; the header used to read '\ufeffyear'
+    text = "year,debris\n1960,10\n1961,12\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for path in (plain, marked):
+        data = load_csv(path)
+        assert data.names == ("debris",) and data.start_year == 1960
+        assert data["debris"].values == (10.0, 12.0)
+    # a mark later in the file is still a cell of its own
+    late = tmp_path / "late.csv"
+    late.write_text("year,debris\n1960,10\n1961,\ufeff12\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 3"):
+        load_csv(late)
+
+
 @pytest.mark.parametrize("text, message", [
     ("year,a\n2000,1\n\n2001,x\n", "row 4: non-numeric value 'x' in column 'a'"),
     ("\nyear,a\n2000,1\n2002,2\n", "year gap at row 4"),
