@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _distance_rows,
-                        _exclude_band, _floor, _smallest_k, multivariate_embed)
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _check_span,
+                        _distance_rows, _exclude_band, _floor, _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
                          _require_finite, _rho_rows, _row_dot, _whole_number, _write_csv,
                          _write_json)
@@ -130,8 +130,7 @@ class CcmConfig:
 #: Most coordinate differences computed in one block: a block holds
 #: ``_BLOCK_ELEMENTS // (n * dimension)`` query rows, so its distances and
 #: the scratch plane of ``_distance_rows`` each have at most 1/dimension of
-#: this many entries.  The (rows x n x dimension) differences are only built
-#: from dimension 8 on, where the whole-row sum keeps numpy's pairwise rounding.
+#: this many entries.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -144,10 +143,15 @@ def _check_aligned(cause: TimeSeries, effect: TimeSeries) -> None:
 
 
 def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> EmbeddingLibrary:
-    """The effect's delay vectors, each paired with the contemporaneous cause value."""
+    """The effect's delay vectors, each paired with the contemporaneous cause value.
+
+    A ValueError names the effect when its Manhattan distances could overflow.
+    """
     spec = EmbeddingSpec.univariate(effect.name, dimension, tau, exclusion_radius=0)
     members = (effect,) if cause.name == effect.name else (effect, cause)
-    return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
+    library = multivariate_embed(Dataset(members), spec, cause.name, tp=0)
+    _check_span(library.vectors, spec, "manhattan")
+    return library
 
 
 def _estimates(distances: np.ndarray, values: np.ndarray) -> np.ndarray:

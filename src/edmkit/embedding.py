@@ -9,10 +9,11 @@ rather than enforced; in practice the dimension is chosen by forecast skill.
 
 Simplex projection, the S-map and cross mapping share one neighbour core.
 ``_distance_rows`` returns Euclidean or Manhattan distances from a block of
-queries to the library as a new array; below E = 8 Manhattan adds one
-coordinate plane at a time, which rounds like numpy's sum of fewer than 8
-numbers, and from E = 8 on, where numpy sums pairwise, it sums whole
-difference rows.  A point is a candidate for a query when their time gap
+queries to the library as a new array, adding one coordinate plane at a
+time in coordinate order for both metrics and every dimension, and
+``_check_span`` names states whose distances could overflow that sum.
+Every state is finite (``EmbeddingLibrary`` names a non-finite one), so no
+distance is NaN.  A point is a candidate for a query when their time gap
 exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``, which
 suppresses autocorrelation shortcuts; for radius 0, -1 (every point, an
 exact self-match included) or 0 under cross mapping's leave-one-out.
@@ -169,6 +170,15 @@ class EmbeddingLibrary:
             raise ValueError(f"vectors must be (n, {self.spec.dimension}), got {vectors.shape}")
         if times.shape != (vectors.shape[0],) or self.targets.shape != times.shape:
             raise ValueError("times, vectors, and targets must have matching lengths")
+        if not np.isfinite(vectors).all():
+            row, c = np.argwhere(~np.isfinite(vectors))[0]
+            raise ValueError(f"library state at {int(times[row])} has a non-finite value "
+                             f"{float(vectors[row, c])!r} in coordinate "
+                             f"{self.spec.coordinate_labels()[c]!r}")
+        if not np.isfinite(self.targets).all():
+            row = np.flatnonzero(~np.isfinite(self.targets))[0]
+            raise ValueError(f"library target {self.target_name!r} has a non-finite value "
+                             f"{float(self.targets[row])!r} for the state at {int(times[row])}")
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -299,25 +309,43 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
 def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
     """The (queries x rows) distances from each query to each row of ``vectors``.
 
-    Below E = 8 Manhattan writes the first coordinate plane
-    ``|v[:, 0] - q[:, 0]|`` into a new result in place and adds each other
-    plane through one scratch plane, the order in which numpy sums fewer
-    than 8 elements, so no (queries x rows x E) difference array is built.
-    From E = 8 on numpy sums pairwise, which the planes would round
-    differently, so each difference row is summed whole.
+    The first coordinate plane, ``|v[..., 0] - q[:, 0]|`` or its square,
+    starts a new result, each later plane is added in coordinate order
+    through one scratch plane, and Euclidean takes the square root in place
+    at the end.  ``vectors`` may carry a leading query axis, one library per
+    query.
     """
     _check_metric(metric)
-    if metric == "manhattan" and vectors.shape[1] < 8:
-        out = np.subtract(vectors[:, 0], queries[:, :1])
-        np.abs(out, out=out)
-        plane = np.empty_like(out)
-        for c in range(1, vectors.shape[1]):
-            out += np.abs(np.subtract(vectors[:, c], queries[:, c:c + 1], out=plane), out=plane)
-        return out
-    diffs = vectors - queries[:, None]
-    if metric == "euclidean":
-        return np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))
-    return np.abs(diffs).sum(axis=-1)
+    term = np.abs if metric == "manhattan" else np.square
+    out = np.subtract(vectors[..., 0], queries[:, :1])
+    term(out, out=out)
+    plane = np.empty_like(out)
+    for c in range(1, vectors.shape[-1]):
+        out += term(np.subtract(vectors[..., c], queries[:, c:c + 1], out=plane), out=plane)
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
+def _check_span(states: np.ndarray, spec: EmbeddingSpec, metric: str,
+                labels: Sequence[str] | None = None) -> None:
+    """Raise ValueError if a ``_distance_rows`` distance among ``states`` could overflow.
+
+    Rounding is monotone, so no such distance exceeds the per-coordinate
+    spans (max - min, squared for Euclidean) added in the same coordinate
+    order; while that sum is finite none overflows.  Otherwise the series of
+    the coordinate at which it overflows is named.  ``states`` may carry a
+    leading record axis, each record checked on its own and named by
+    ``labels``.
+    """
+    with np.errstate(over="ignore"):
+        spans = states.max(axis=-2) - states.min(axis=-2)
+        bounds = np.cumsum(np.square(spans) if metric == "euclidean" else spans, axis=-1)
+    wide = ~np.isfinite(bounds)
+    if wide.any():
+        *record, c = np.unravel_index(np.argmax(wide), wide.shape)
+        name = [name for name, lags in spec.columns for _ in range(lags)][c]
+        where = "" if labels is None else f"{labels[record[0]]}: "
+        raise ValueError(f"{where}series {name!r} spans too wide a range: "
+                         f"{metric.capitalize()} distances between its states overflow float64")
 
 
 def _check_metric(metric: str) -> None:
@@ -346,8 +374,6 @@ def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
     if masked.shape[1] < _PARTITION_WIDTH or k == masked.shape[1]:  # nothing to partition off
         return np.argsort(masked, axis=1, kind="stable")[:, :k]
     kth = np.partition(masked, k - 1, axis=1)[:, k - 1:k]
-    if np.isnan(kth).any():  # NaN sorts last and equals nothing; leave it to the sort
-        return np.argsort(masked, axis=1, kind="stable")[:, :k]
     keep = masked <= kth
     if np.count_nonzero(keep) > masked.shape[0] * k:
         # a row holds more values equal to its k-th than places remain after

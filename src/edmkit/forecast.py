@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingSpec, _check_admissible, _check_radius, _check_state_time,
-                        _gather, _layout, multivariate_embed)
+from .embedding import (EmbeddingSpec, _check_admissible, _check_radius, _check_span,
+                        _check_state_time, _gather, _layout, multivariate_embed)
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _whole_number,
                          _write_csv, _write_json, pearson_rho, rmse)
 
@@ -58,7 +58,8 @@ __all__ = [
 
 
 #: Most coordinate differences one block of one-step queries may hold
-#: (query rows x library rows x dimension), about 0.4 MB of float64.
+#: (query rows x library rows x dimension); its distances and the scratch
+#: plane of ``_distance_rows`` each hold 1/dimension of that.
 _BLOCK_ELEMENTS = 48_000
 
 
@@ -182,6 +183,7 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
         )
     full = multivariate_embed(data, spec, target, tp=1)
     _check_state_time(data, spec, start - 1)
+    _check_span(full.vectors, spec, "euclidean")
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
     # a radius past the library's length admits nothing; capped there, it fits int64
@@ -297,6 +299,7 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
         vectors[:n_obs - first] = _gather(buffer, np.arange(first, n_obs), layout)
     target_col = names.index(target)
     observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
+    _check_span(states[:, :n_obs - first], spec, "euclidean", labels)
     _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)

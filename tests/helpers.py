@@ -100,16 +100,20 @@ def oracle_wls(vectors, targets, weights, query_vector, ridge=0.0):
 def reference_smap_fit(vectors, forward, query, theta, ridge=0.0):
     """The S-map fit at one query, written out step by step for bit-level pins.
 
-    Unlike ``oracle_wls`` this follows the package's arithmetic exactly:
-    Euclidean distances through the same einsum, weights
-    exp(-theta * d / d_mean) (all 1.0 when theta or d_mean is 0), one
-    concatenated square-root-weighted design with the ridge rows appended,
-    and one ``lstsq`` per forward column.  Returns one (prediction,
-    variance, coefficients) triple per column of ``forward``.
+    Unlike ``oracle_wls`` this follows the package's arithmetic step by
+    step: Euclidean distances with the squared coordinate differences added
+    in coordinate order, weights exp(-theta * d / d_mean) (all 1.0 when
+    theta or d_mean is 0), one concatenated square-root-weighted design with
+    the ridge rows appended, and one ``lstsq`` per forward column.  Returns
+    one (prediction, variance, coefficients) triple per column of
+    ``forward``.
     """
     count, dim = vectors.shape
-    diffs = vectors - query[None, None]
-    distances = np.sqrt(np.einsum("qij,qij->qi", diffs, diffs))[0]
+    squares = (vectors - query) ** 2
+    total = squares[:, 0].copy()
+    for c in range(1, dim):
+        total += squares[:, c]
+    distances = np.sqrt(total)
     mean_distance = float(distances.mean())
     if mean_distance == 0.0 or theta == 0.0:
         weights = np.ones_like(distances)

@@ -817,3 +817,36 @@ def test_a_shortfall_is_never_kept():
         years.append(int(re.match(r"cross-map query at (\d+) ", str(caught.value)).group(1)))
         assert "_draws" not in vars(cfg)
     assert years[1] == years[0] + 100 and years[2] == years[0]
+
+
+def _overflowing_pair():
+    # b's two states at index 10 and any other are 3.4e308 apart, past float64
+    a = TimeSeries("a", 1960, [float(i) for i in range(30)])
+    b = TimeSeries("b", 1960, [1.7e308 if i == 10 else -1.7e308 for i in range(30)])
+    return a, b
+
+
+def test_overflowing_distances_name_the_series_not_a_shortfall():
+    # this used to warn of an overflow and then name a shortfall of 0 neighbours
+    a, b = _overflowing_pair()
+    message = ("^series 'b' spans too wide a range: Manhattan distances between its states "
+               "overflow float64$")
+    with pytest.raises(ValueError, match=message):
+        cross_map(a, b, dimension=1)
+    for replacement in (False, True):  # no replacement hint: nothing was drawn wrong
+        with pytest.raises(ValueError, match=message):
+            convergence_sweep(a, b, CcmConfig(dimension=1, library_sizes=(5, 20),
+                                              replacement=replacement))
+
+
+def test_ccm_cli_names_overflowing_distances(tmp_path, capsys):
+    a, b = _overflowing_pair()
+    path = tmp_path / "ovf.csv"
+    path.write_text("year,a,b\n" + "".join(f"{1960 + i},{x!r},{y!r}\n" for i, (x, y) in
+                                           enumerate(zip(a.values, b.values))), encoding="utf-8")
+    code = main(["ccm", "--a", "a", "--b", "b", "--e", "1", "--data", str(path),
+                 "--out", str(tmp_path / "ccm_ovf")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: series 'b' spans too wide a range: Manhattan "
+                                       "distances between its states overflow float64\n")
+    assert not list(tmp_path.glob("ccm_ovf*"))

@@ -1,6 +1,7 @@
 """The forecasting protocol shared by simplex and S-map: error paths, query
 states, and the configuration surface."""
 
+import random
 import re
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from edmkit.simplex import (SimplexConfig, embed_dimension_search, iterative_for
                             simplex_predict, skill_eval)
 from edmkit.smap import SMapConfig, smap_iterative_forecast, smap_predict, theta_search
 from edmkit.smap import skill_eval as smap_skill_eval
-from edmkit.timeseries import Dataset, TimeSeries
+from edmkit.timeseries import Dataset, TimeSeries, load_csv
 
 from helpers import coupled_logistic_pair
 
@@ -337,3 +338,43 @@ def test_too_long_horizon_ends_the_command_with_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: horizon {big} lies too far past the record "
                                        f"(2022) to fit in memory\n")
     assert not any(tmp_path.iterdir())
+
+
+def _wide_record(tmp_path):
+    # 40 years drawn from +-1e200: squared differences overflow float64
+    rng = random.Random(1)
+    path = tmp_path / "wide.csv"
+    path.write_text("year,b\n" + "".join(f"{1960 + i},{rng.uniform(-1e200, 1e200)!r}\n"
+                                         for i in range(40)), encoding="utf-8")
+    return path
+
+
+WIDE = "series 'b' spans too wide a range: Euclidean distances between its states overflow float64"
+
+
+@pytest.mark.parametrize("method", [["--method", "simplex"], ["--method", "smap", "--theta", "2"]],
+                         ids=["simplex", "smap"])
+def test_forecast_cli_names_overflowing_distances(method, tmp_path, capsys):
+    # simplex used to name a NaN forecast in 2000, the S-map a non-converging SVD
+    code = main(["forecast", *method, "--columns", "b", "--e", "2", "--train-end", "1980",
+                 "--to", "2005", "--data", str(_wide_record(tmp_path)),
+                 "--out", str(tmp_path / "f.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {WIDE}\n"
+    assert not list(tmp_path.glob("f*"))
+
+
+@pytest.mark.parametrize("cfg", [SimplexConfig(EmbeddingSpec.univariate("b", 2)),
+                                 SMapConfig(EmbeddingSpec.univariate("b", 2), 2.0)],
+                         ids=["simplex", "smap"])
+def test_both_drivers_name_overflowing_distances(cfg, tmp_path):
+    wide = load_csv(_wide_record(tmp_path))
+    with pytest.raises(ValueError, match=f"^{re.escape(WIDE)}$"):
+        forecast.skill_eval(wide, "b", cfg, 1980)
+    with pytest.raises(ValueError, match=f"^{re.escape(WIDE)}$"):
+        forecast.iterative_forecast(wide, "b", cfg, 2005)
+    # a lockstep checks each record on its own and names the one that overflows
+    narrow = Dataset((TimeSeries("b", 1960, [float(i % 7) for i in range(40)]),))
+    with pytest.raises(ValueError, match=f"^wide: {re.escape(WIDE)}$"):
+        forecast._lockstep([narrow, wide], "b", cfg, 2005, [None, None],
+                           labels=["narrow", "wide"])

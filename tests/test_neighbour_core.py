@@ -1,8 +1,12 @@
 """The shared neighbour-and-kernel core: distances, candidacy, selection, row products.
 
-Each helper is checked byte for byte against the per-site formula it
-replaced, so every caller keeps the bits it had.
+Distances are checked byte for byte against one rule, coordinate terms added
+in coordinate order, at every caller's shape; each other helper against the
+per-site formula it replaced, so every caller keeps the bits it had.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -21,41 +25,63 @@ def _vectors(rng, rows, dimension):
     return rng.normal(size=(rows, dimension)) * 10.0 ** rng.uniform(-3, 3, size=dimension)
 
 
-@pytest.mark.parametrize("queries", [1, 2, 9])
-@pytest.mark.parametrize("dimension", range(1, 11))
-def test_distance_rows_match_the_per_query_formulas(dimension, queries):
+def _planes(vectors, query, metric):
+    """One query's distances in Python floats, each coordinate's term added in order."""
+    distances = []
+    for row in vectors.tolist():
+        total = None
+        for v, q in zip(row, query.tolist()):
+            term = abs(v - q) if metric == "manhattan" else (v - q) * (v - q)
+            total = term if total is None else total + term
+        distances.append(math.sqrt(total) if metric == "euclidean" else total)
+    return np.array(distances)
+
+
+METRICS = pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+DIMENSIONS = pytest.mark.parametrize("dimension", range(1, 11))
+
+
+@pytest.mark.parametrize("queries", [1, 4, 9])
+@METRICS
+@DIMENSIONS
+def test_distance_rows_add_planes_in_coordinate_order(dimension, metric, queries):
+    # one rule for every metric, dimension and block size: each row is the
+    # per-query sum of coordinate terms taken in coordinate order
     rng = np.random.default_rng(100 * dimension + queries)
-    vectors = _vectors(rng, 61, dimension)
-    block = _vectors(rng, queries, dimension)
-    euclidean = _distance_rows(vectors, block, "euclidean")
-    manhattan = _distance_rows(vectors, block, "manhattan")
-    assert euclidean.shape == manhattan.shape == (queries, 61)
-    for q, query in enumerate(block):
-        diffs = vectors - query
-        assert euclidean[q].tobytes() == np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).tobytes()
-        assert manhattan[q].tobytes() == np.abs(diffs).sum(axis=1).tobytes()
-
-
-@pytest.mark.parametrize("dimension", [1, 3, 8, 10])
-def test_manhattan_rows_match_the_cross_map_block_formula(dimension):
-    rng = np.random.default_rng(dimension)
-    vectors = _vectors(rng, 40, dimension)
-    old = np.abs(vectors[5:12, None, :] - vectors[None, :, :]).sum(axis=2)
-    assert _distance_rows(vectors, vectors[5:12], "manhattan").tobytes() == old.tobytes()
-
-
-@pytest.mark.parametrize("dimension", range(1, 11))
-def test_manhattan_blocks_round_like_the_whole_row_sum(dimension):
-    # below E = 8 the planes are added one at a time, from E = 8 on each row
-    # is summed whole; both must round like the whole-row sum
-    rng = np.random.default_rng(200 + dimension)
     vectors = _vectors(rng, 57, dimension)
-    for rows in (9, 4, 1):
-        queries = _vectors(rng, rows, dimension)
-        expected = np.abs(vectors - queries[:, None]).sum(-1)
-        block = _distance_rows(vectors, queries, "manhattan")
-        assert block.shape == (rows, 57)
-        assert block.tobytes() == expected.tobytes()
+    block = _vectors(rng, queries, dimension)
+    distances = _distance_rows(vectors, block, metric)
+    assert distances.shape == (queries, 57)
+    for q, query in enumerate(block):
+        assert distances[q].tobytes() == _planes(vectors, query, metric).tobytes()
+
+
+@METRICS
+@DIMENSIONS
+def test_per_query_libraries_add_planes_in_coordinate_order(dimension, metric):
+    # the (queries, rows, dimension) libraries of the iterative driver
+    rng = np.random.default_rng(300 + dimension)
+    vectors = _vectors(rng, 5 * 40, dimension).reshape(5, 40, dimension)
+    queries = _vectors(rng, 5, dimension)
+    distances = _distance_rows(vectors, queries, metric)
+    assert distances.shape == (5, 40)
+    for q, query in enumerate(queries):
+        assert distances[q].tobytes() == _planes(vectors[q], query, metric).tobytes()
+
+
+@METRICS
+@DIMENSIONS
+def test_knn_distances_add_planes_in_coordinate_order(dimension, metric):
+    rng = np.random.default_rng(400 + dimension)
+    vectors = _vectors(rng, 50, dimension)
+    query = _vectors(rng, 1, dimension)[0]
+    library = _library(np.arange(1960, 2010), vectors, np.zeros(50), 2)
+    found = knn(library, (1980, query), 6, metric)
+    reference = _planes(vectors, query, metric)
+    candidates = np.flatnonzero(np.abs(library.times - 1980) > 2)
+    expected = candidates[np.argsort(reference[candidates], kind="stable")[:6]]
+    assert found.indices.tolist() == expected.tolist()
+    assert found.distances.tobytes() == reference[expected].tobytes()
 
 
 @pytest.mark.parametrize("floor", [-1, 0, 1, 3])
@@ -239,3 +265,23 @@ def test_a_stack_of_libraries_predicts_as_one_call_per_query(config):
             for part, whole in zip(alone, stacked):
                 assert (part is None and whole is None) or (
                     part.tobytes() == whole[q:q + 1].tobytes()), (limits, q)
+
+
+def test_a_library_names_a_non_finite_state():
+    # knn used to skip the state at NaN distance, and the S-map not to converge
+    vectors = np.array([[1.0, 2.0], [np.nan, 3.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match=r"^library state at 2021 has a non-finite value nan "
+                                         r"in coordinate 's\(t-1\)'$"):
+        _library(np.arange(2020, 2023), vectors[:, ::-1], np.zeros(3), 0)
+    with pytest.raises(ValueError, match=r"^library state at 2021 has a non-finite value nan "
+                                         r"in coordinate 's\(t\)'$"):
+        _library(np.arange(2020, 2023), vectors, np.zeros(3), 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_library_names_a_non_finite_target(bad):
+    # simplex used to return (inf, nan) with a warning, the S-map a NaN step
+    targets = np.array([1.0, bad, 2.0, 3.0])
+    with pytest.raises(ValueError, match=rf"^library target 's' has a non-finite value "
+                                         rf"{re.escape(repr(bad))} for the state at 1961$"):
+        _library(np.arange(1960, 1964), np.ones((4, 2)), targets, 0)

@@ -53,11 +53,12 @@ def test_smallest_k_is_the_stable_argsort_on_both_sides_of_the_width(case):
 @BOUNDED
 @given(st.data())
 def test_partition_path_is_the_stable_argsort_on_drawn_values(data):
-    # every value is drawn, NaN included; the width constant is lowered so
-    # the partition path runs on rows small enough for Hypothesis to shrink
+    # every value a distance can take is drawn, inf included (states are
+    # finite, so no distance is NaN); the width constant is lowered so the
+    # partition path runs on rows small enough for Hypothesis to shrink
     rows = data.draw(st.integers(1, 4))
     width = data.draw(st.integers(1, 12))
-    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
     masked = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
                                          min_size=rows, max_size=rows)))
     k = data.draw(st.integers(1, width))
