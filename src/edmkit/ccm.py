@@ -35,14 +35,14 @@ int32 array holds every column's place in that order.  A cell's neighbours
 for a row are the columns of the k smallest ranks among its library, found
 by sorting those ranks, so they come in the order a stable sort of the
 cell's own distances gives them, and a column drawn twice stays beside its
-twin.  The samples of one library size are ranked together, in batches
-that gather no more ranks than a block may hold distances; when one block
-holds every query row (a block may hold ``step >= n`` rows), ``step // n``
-times that many, so a short record ranks a size in one or two batches.  A
-cell that holds each column exactly once (the whole library, or the one
-cell of a subsampled cross map) needs no ranks: its neighbours are the
-first k places of the order, and when every cell is like that each row's
-order stops at k columns and no ranks are built.  Every cell is read through
+twin.  Blocks hold ``embedding._block_rows`` query rows, and the samples
+of one library size are ranked together, in batches that gather no more
+ranks than a block holds coordinate differences (``step x n x dimension``),
+so a short record ranks a size in one or two batches.  A cell that holds
+each column exactly once (the whole library, or the one cell of a
+subsampled cross map) needs no ranks: its neighbours are the first k
+places of the order, and when every cell is like that each row's order
+stops at k columns and no ranks are built.  Every cell is read through
 one gather: a batch reads its neighbours' distances and values by flat
 offset (its places plus each row's start), one ``np.take`` each.  A row
 whose k-th gathered distance is inf keeps too few admissible neighbours: its
@@ -59,8 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _check_radius, _check_span,
-                        _distance_rows, _exclude_band, _floor, _smallest_k, multivariate_embed)
+from .embedding import (EmbeddingLibrary, EmbeddingSpec, _block_rows, _check_radius,
+                        _check_span, _distance_rows, _embeddable, _exclude_band, _floor,
+                        _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
                          _require_finite, _rho_rows, _row_dot, _whole_number, _write_csv,
                          _write_json)
@@ -127,19 +128,15 @@ class CcmConfig:
         object.__setattr__(self, "library_sizes", sizes)
 
 
-#: Most coordinate differences computed in one block: a block holds
-#: ``_BLOCK_ELEMENTS // (n * dimension)`` query rows, so its distances and
-#: the scratch plane of ``_distance_rows`` each have at most 1/dimension of
-#: this many entries.
-_BLOCK_ELEMENTS = 1 << 16
-
-
 def _check_aligned(cause: TimeSeries, effect: TimeSeries) -> None:
     if cause.start_year != effect.start_year or len(cause) != len(effect):
         raise ValueError(
             f"series must be aligned: {cause.name!r} {cause.start_year}..{cause.end_year}, "
             f"{effect.name!r} {effect.start_year}..{effect.end_year}"
         )
+    if cause.name == effect.name and cause != effect:  # ``_embed`` reads the cause by name
+        raise ValueError(f"two different series share the name {cause.name!r}; "
+                         f"cross mapping needs distinct names")
 
 
 def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> EmbeddingLibrary:
@@ -200,10 +197,8 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     k = dimension + 1
     floor = min(_floor(exclusion_radius, leave_one_out), n)  # no gap reaches n; int64 holds n
 
-    step = max(1, _BLOCK_ELEMENTS // (n * dimension))
-    # the most ranks a batch gathers: the most distances a block may hold,
-    # step // n times over when one block holds every query row
-    budget = _BLOCK_ELEMENTS // dimension * max(1, step // n)
+    step = _block_rows(n, dimension)
+    budget = step * n * dimension  # a batch gathers no more ranks than a block's differences
     present = np.zeros(n, dtype=bool)
     for libraries in groups:
         present[libraries] = True
@@ -231,7 +226,7 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
         estimates = np.empty((first, n), dtype=float)
     values = targets[used]
     # each row's start in the flat near and picked; int32 like the ranks, since a
-    # block holds fewer than max(n, _BLOCK_ELEMENTS) distances
+    # block holds fewer than max(n, embedding._BLOCK_ELEMENTS) distances
     offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.int32)[:, None, None]
     leading = offsets + np.arange(k, dtype=np.int32)  # the first k places of each row
     shortfall = None  # (cell, row, admissible count) of the lowest cell found short
@@ -489,15 +484,6 @@ def _drawn_groups(cfg: CcmConfig, n: int) -> tuple[np.ndarray, ...]:
     return tuple(groups)
 
 
-def _embeddable_points(length: int, dimension: int, tau: int) -> int:
-    """How many delay vectors a record of ``length`` values holds; a ValueError if none."""
-    span = (dimension - 1) * tau
-    if length <= span:
-        raise ValueError(f"series of length {length} too short for embedding "
-                         f"(needs more than {span} points)")
-    return length - span
-
-
 def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
                       threads: int = 1) -> CcmResult:
     """Sweep cross-map skill over library sizes in both directions.
@@ -516,8 +502,7 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
-    EmbeddingSpec.univariate(b.name, cfg.dimension, cfg.tau)  # a bad dimension or tau, by name
-    n = _embeddable_points(len(a), cfg.dimension, cfg.tau)
+    n = _embeddable(len(a), EmbeddingSpec.univariate(b.name, cfg.dimension, cfg.tau))
     sizes = cfg.library_sizes
     if sizes[-1] > n:
         raise ValueError(f"largest library size {sizes[-1]} exceeds embeddable points {n}")

@@ -11,7 +11,9 @@ Each command imports numpy and the edmkit modules it runs when it starts, so
 
 Exit codes: 0 success; 1 computation error, for example a forecast library
 with too few neighbours; 2 usage or input error, which includes a cross-map
-grid with too few neighbours.
+grid with too few neighbours, and on every command an embedding the record
+cannot support or a query state outside it (``EmbeddingError`` is a
+``ValueError``).
 """
 
 from __future__ import annotations
@@ -292,16 +294,15 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_ccm(args) -> int:
-    from .ccm import CcmConfig, _embeddable_points, convergence_sweep
-    from .embedding import EmbeddingSpec
+    from .ccm import CcmConfig, convergence_sweep
+    from .embedding import EmbeddingSpec, _embeddable
     data_path, data = _load(args.data)
     series_a = data[args.a]
     series_b = data[args.b]
     if args.sizes is None:
         # the default grid spans e + 2 .. n_points; name a bad --e or --tau
         # before numpy is handed an endpoint it cannot hold
-        EmbeddingSpec.univariate(args.b, args.e, args.tau)
-        n_points = _embeddable_points(data.n_years, args.e, args.tau)
+        n_points = _embeddable(data.n_years, EmbeddingSpec.univariate(args.b, args.e, args.tau))
         # leave-one-out under radius r drops up to 2r + 1 library points, so the
         # smallest default library, drawn without replacement, keeps e + 1 for every query
         smallest = min(args.e + 2 + 2 * max(args.exclusion_radius, 0), n_points)

@@ -3,15 +3,22 @@
 A scalar series ``x`` with dimension ``E`` and delay ``tau`` is unfolded into
 vectors ``<x(t), x(t - tau), ..., x(t - (E-1) tau)>``; multivariate layouts
 concatenate the lag blocks of several series in a declared column order.
-Faithful reconstruction classically requires the dimension to exceed twice
-the (unobservable) attractor dimension, so that condition is documented here
-rather than enforced; in practice the dimension is chosen by forecast skill.
+Every caller counts a record's states with ``_embeddable``: ``length -
+max_offset - tp`` of them, where ``tp`` is how far ahead each state's
+target lies, and an ``EmbeddingError`` (a ``ValueError``) when none is
+left.  Faithful reconstruction classically requires the dimension to
+exceed twice the (unobservable) attractor dimension, so that condition is
+documented here rather than enforced; in practice the dimension is chosen
+by forecast skill.
 
 Simplex projection, the S-map and cross mapping share one neighbour core.
 ``_distance_rows`` returns Euclidean or Manhattan distances from a block of
 queries to the library as a new array, adding one coordinate plane at a
 time in coordinate order for both metrics and every dimension, and
 ``_check_span`` names states whose distances could overflow that sum.
+One-step forecasting and cross mapping size their query blocks by one
+rule, ``_block_rows``: as many rows as keep rows x library states x
+dimension within ``_BLOCK_ELEMENTS`` coordinate differences, at least one.
 Every state is finite (``EmbeddingLibrary`` names a non-finite one), so no
 distance is NaN.  A point is a candidate for a query when their time gap
 exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``, which
@@ -54,8 +61,8 @@ __all__ = [
 ]
 
 
-class EmbeddingError(RuntimeError):
-    """The data cannot support the requested embedding."""
+class EmbeddingError(ValueError):
+    """The data cannot support the requested embedding: an input error."""
 
 
 class NeighborShortfallError(RuntimeError):
@@ -79,7 +86,8 @@ class EmbeddingSpec:
     normalize : bool
         When True each series is z-scored (over its full extent) before
         coordinates are formed, so distances mix series of very different
-        magnitudes evenly.  Default False: raw coordinates.
+        magnitudes evenly; an EmbeddingError names a series whose mean or
+        standard deviation overflows float64.  Default False: raw coordinates.
     """
 
     columns: tuple[tuple[str, int], ...]
@@ -213,8 +221,12 @@ def _resolve_norms(data: Dataset, spec: EmbeddingSpec) -> tuple[tuple[str, float
     norms = []
     for name, _ in spec.columns:
         values = data[name].to_array()
-        std = float(values.std())
-        norms.append((name, float(values.mean()), std if std > 0.0 else 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(values.mean()), float(values.std())
+        if not np.isfinite([mean, std]).all():
+            raise EmbeddingError(f"series {name!r} spans too wide a range to normalize: "
+                                 f"its mean or standard deviation overflows float64")
+        norms.append((name, mean, std if std > 0.0 else 1.0))
     return tuple(norms)
 
 
@@ -239,6 +251,15 @@ def _gather(values: np.ndarray, heads, layout) -> np.ndarray:
     return (values[np.asarray(heads)[..., None] - rows, cols] - centre) / scale
 
 
+def _embeddable(length: int, spec: EmbeddingSpec, tp: int = 0) -> int:
+    """How many states ``length`` values hold, each with a value ``tp`` ahead; an error if none."""
+    count = length - spec.max_offset - tp
+    if count < 1:
+        raise EmbeddingError(f"series of length {length} too short for embedding "
+                             f"(needs more than {spec.max_offset + tp} points)")
+    return count
+
+
 def _columns(data: Dataset, spec: EmbeddingSpec) -> np.ndarray:
     return np.column_stack([data[name].to_array() for name, _ in spec.columns])
 
@@ -261,17 +282,11 @@ def multivariate_embed(data: Dataset, spec: EmbeddingSpec, target: str, tp: int 
         if name not in data:
             raise ValueError(f"unknown series {name!r} in embedding; have {list(data.names)}")
 
-    first_idx = spec.max_offset
-    last_idx = data.n_years - 1 - tp
-    if last_idx < first_idx:
-        raise EmbeddingError(
-            f"series of length {data.n_years} too short for embedding "
-            f"(needs more than {spec.max_offset + tp} points)"
-        )
+    count = _embeddable(data.n_years, spec, tp)
     if norms is None:
         norms = _resolve_norms(data, spec)
 
-    head = np.arange(first_idx, last_idx + 1)
+    head = np.arange(spec.max_offset, spec.max_offset + count)
     vectors = _gather(_columns(data, spec), head, _layout(spec, norms))
     targets = data[target].to_array()[head + tp]
     times = data.start_year + head
@@ -304,6 +319,17 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
         norms = _resolve_norms(data, spec)
     _check_state_time(data, spec, time_index)
     return _gather(_columns(data, spec), time_index - data.start_year, _layout(spec, norms))
+
+
+#: Most coordinate differences one block of queries may hold (query rows x
+#: library rows x dimension); its distances and the scratch plane of
+#: ``_distance_rows`` each hold 1/dimension of that.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(rows: int, dimension: int) -> int:
+    """Query rows per block against ``rows`` states: within ``_BLOCK_ELEMENTS``, at least one."""
+    return max(1, _BLOCK_ELEMENTS // (rows * dimension))
 
 
 def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:

@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingSpec, _check_admissible, _check_radius, _check_span,
-                        _check_state_time, _gather, _layout, multivariate_embed)
+from .embedding import (EmbeddingSpec, _block_rows, _check_admissible, _check_radius,
+                        _check_span, _check_state_time, _gather, _layout, multivariate_embed)
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _whole_number,
                          _write_csv, _write_json, pearson_rho, rmse)
 
@@ -55,12 +55,6 @@ __all__ = [
     "best_row",
     "write_skill_table",
 ]
-
-
-#: Most coordinate differences one block of one-step queries may hold
-#: (query rows x library rows x dimension); its distances and the scratch
-#: plane of ``_distance_rows`` each hold 1/dimension of that.
-_BLOCK_ELEMENTS = 48_000
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,8 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
     Checks the evaluation range, embeds the full library and finds the library
     row of each query state and its admissible prefix, of which the first,
     the shortest, is checked against ``cfg._needs``.  ``predict(vectors,
-    forward, queries, limits)`` gets blocks of ascending rows whose rows times
-    library size times dimension stay within ``_BLOCK_ELEMENTS``.
+    forward, queries, limits)`` gets blocks of ascending rows, as many per
+    block as ``embedding._block_rows`` allows against the full library.
     """
     spec = cfg.spec
     train_end, eval_start, eval_end = (_whole_number(name, year) for name, year in (
@@ -189,7 +183,7 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
     # a radius past the library's length admits nothing; capped there, it fits int64
     limits = np.maximum(rows - min(spec.radius, len(full)), 0)
     _check_admissible(cfg._needs, int(limits[0]), int(rows[0]), spec.radius)
-    step = max(1, _BLOCK_ELEMENTS // (len(full) * spec.dimension))
+    step = _block_rows(len(full), spec.dimension)
     blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
                       limits[lo:lo + step]) for lo in range(0, rows.shape[0], step)]
     return full, times, rows, blocks

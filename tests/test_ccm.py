@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edmkit import ccm
+from edmkit import ccm, embedding
 from edmkit.bundled import load_bundled
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
 from edmkit.cli import _grid, main
@@ -27,6 +27,21 @@ def test_self_mapping_with_leave_one_out_on_chaotic_map():
     assert rho >= 0.999
 
 
+def test_two_series_sharing_a_name_are_refused():
+    # the cause is read by name beside the effect, so it used to be the effect:
+    # a cross map returned the effect's self-map skill
+    rng = np.random.default_rng(5)
+    a = TimeSeries("s", 0, rng.uniform(0.0, 1.0, 80))
+    b = TimeSeries("s", 0, rng.uniform(0.0, 1.0, 80))
+    message = "two different series share the name 's'; cross mapping needs distinct names"
+    for call in (lambda: cross_map(a, b, 3),
+                 lambda: convergence_sweep(a, b, CcmConfig(3, (10, 40), samples_per_size=2))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    # one series passed twice, or an equal copy of it, still maps onto itself
+    assert cross_map(a, TimeSeries("s", 0, a.values), 3) == cross_map(a, a, 3)
+
+
 def test_cross_map_requires_alignment_and_size():
     a = logistic_series(50, name="a")
     b = TimeSeries("b", 5, a.values[:45])
@@ -41,7 +56,7 @@ def test_cross_map_requires_alignment_and_size():
 def _block_budgets(n, dimension):
     """The default block budget, then one that walks n query rows in blocks of 7."""
     assert n > 2 * 7  # at least 3 blocks
-    return (ccm._BLOCK_ELEMENTS, 7 * n * dimension)
+    return (embedding._BLOCK_ELEMENTS, 7 * n * dimension)
 
 
 def test_cross_map_deterministic_and_matches_oracle(monkeypatch):
@@ -54,7 +69,7 @@ def test_cross_map_deterministic_and_matches_oracle(monkeypatch):
         2, 1, indices.tolist())
     rhos = []
     for budget in _block_budgets(n, 2):
-        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", budget)
         first = cross_map(x, y, dimension=2, library_indices=indices)
         second = cross_map(x, y, dimension=2, library_indices=indices)
         assert first == second
@@ -262,7 +277,7 @@ def test_sweep_cells_match_oracle(method, replacement, radius, monkeypatch):
                     method=method, replacement=replacement, exclusion_radius=radius)
     results = []
     for budget in _block_budgets(n, 2):
-        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", budget)
         results.append(convergence_sweep(x, y, cfg))
     xs, ys = list(x.values), list(y.values)
     for i, size in enumerate(cfg.library_sizes):
@@ -313,7 +328,7 @@ def test_sweep_shortfall_is_named_across_row_blocks(monkeypatch):
     b = TimeSeries("b", 1960, y.values)
     n = len(a) - 1
     radius, k, rows = 10, 3, 5
-    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 2)
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", rows * n * 2)
     assert n > 2 * rows  # at least 3 blocks
     cfg = CcmConfig(dimension=2, library_sizes=(8, 20), samples_per_size=3, seed=1,
                     exclusion_radius=radius)
@@ -401,7 +416,7 @@ def test_batched_sweep_matches_per_cell_cross_maps(method, replacement, full, ra
     assert (len(union) < n) == (not full)
     batches = _record_batches(monkeypatch)
     for budget, split in zip(_block_budgets(n, 2), (False, True)):
-        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", budget)
         batches.clear()
         result = convergence_sweep(x, y, cfg)
         # the 7-row budget splits the size-30 samples over several batches
@@ -436,7 +451,7 @@ def test_sweep_ranks_each_block_once_not_each_batch(monkeypatch):
     sizes = tuple(sorted({int(round(v)) for v in np.linspace(5, n, 20)}))
     cfg = CcmConfig(dimension=3, library_sizes=sizes, samples_per_size=20, seed=6)
     rows = 9
-    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 3)
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", rows * n * 3)
     rankings = _record_rankings(monkeypatch)
     batches = _record_batches(monkeypatch)
     convergence_sweep(x, y, cfg)
@@ -457,7 +472,7 @@ def test_batched_driver_matches_per_cell_on_tied_integer_series(dimension, monke
     # the whole library twice around a full-size draw with repeated indices
     groups.append(np.stack([np.arange(n), np.sort(draw.choice(n, n)), np.arange(n)]))
     for budget in _block_budgets(n, dimension):
-        monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", budget)
         for leave_one_out in (True, False):
             for radius in (0, 2):
                 skill = ccm._cross_map_cells(library, groups, radius, leave_one_out)
@@ -476,10 +491,10 @@ def test_tied_full_library_cross_map_is_independent_of_the_block_size(dimension,
     b = TimeSeries("b", 0, rng.integers(0, 4, 1200).astype(float))
     for radius in (0, 2):
         for leave_one_out in (True, False):
-            monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", 1 << 16)
+            monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 1 << 16)
             default = cross_map(a, b, dimension, exclusion_radius=radius,
                                 leave_one_out=leave_one_out)
-            monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", 1)  # one query row per block
+            monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 1)  # one query row per block
             single = cross_map(a, b, dimension, exclusion_radius=radius,
                                leave_one_out=leave_one_out)
             assert np.float64(single).tobytes() == np.float64(default).tobytes()
@@ -496,19 +511,19 @@ def test_constant_cause_is_undefined_in_every_cell():
 
 
 def test_sweep_shortfall_is_named_from_a_later_batch(monkeypatch):
-    # the first failing cell is the sixth sample of the smallest size, whose
-    # samples are estimated in batches of four; the message still names it
+    # the first failing cell is the twelfth sample of the smallest size, whose
+    # samples are estimated in batches of nine; the message still names it
     x, y = coupled_logistic_pair(40)
     a = TimeSeries("a", 1960, x.values)
     b = TimeSeries("b", 1960, y.values)
     n = len(a) - 1
     radius, k, rows, size = 6, 3, 5, 8
-    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n * 2)
-    cfg = CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=8, seed=8,
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", rows * n * 2)
+    cfg = CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=12, seed=0,
                     exclusion_radius=radius)
     batches = _record_batches(monkeypatch)
-    convergence_sweep(a, b, CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=8,
-                                      seed=8))  # the same batches, no shortfall
+    convergence_sweep(a, b, CcmConfig(dimension=2, library_sizes=(size, 20), samples_per_size=12,
+                                      seed=0))  # the same batches, no shortfall
     per_batch = next(cells for cells, width in batches if width == size)
     failures = [_first_shortfall(_redrawn_library(cfg.seed, size, j, n, "random", False),
                                  n, radius, k)
@@ -532,7 +547,7 @@ def test_a_shortfall_to_zero_neighbours_is_named_from_a_later_block(monkeypatch)
     b = TimeSeries("b", 1960, y.values)
     n = len(a)  # dimension 1 embeds every point
     radius, k, rows, size = 1, 2, 5, 3
-    monkeypatch.setattr(ccm, "_BLOCK_ELEMENTS", rows * n)
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", rows * n)
     cfg = CcmConfig(dimension=1, library_sizes=(size, 20), samples_per_size=8, seed=175,
                     replacement=True, exclusion_radius=radius)
     failures = [_first_shortfall(_redrawn_library(cfg.seed, s, j, n, "random", True),
@@ -691,7 +706,7 @@ def test_short_record_ranks_each_size_in_at_most_two_batches(monkeypatch):
     data = load_bundled()
     a, b = data["debris"], data["total"]
     n = data.n_years - 3
-    assert ccm._BLOCK_ELEMENTS // (n * 4) >= n
+    assert embedding._BLOCK_ELEMENTS // (n * 4) >= n
     sizes = tuple(_grid(6, n, 20))
     cfg = CcmConfig(4, sizes, samples_per_size=20, seed=7)
     batches = _record_batches(monkeypatch)

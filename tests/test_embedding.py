@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from edmkit.ccm import CcmConfig, convergence_sweep
 from edmkit.embedding import (
     EmbeddingError,
     EmbeddingLibrary,
@@ -9,6 +12,7 @@ from edmkit.embedding import (
     delay_embed,
     knn,
     multivariate_embed,
+    _embeddable,
     state_vector,
 )
 from edmkit.timeseries import Dataset, TimeSeries
@@ -45,6 +49,29 @@ def test_point_count_formula():
 def test_embed_too_short():
     with pytest.raises(EmbeddingError):
         delay_embed(TimeSeries("x", 0, (1.0, 2.0)), EmbeddingSpec.univariate("x", 2), tp=1)
+
+
+@pytest.mark.parametrize("tp", [0, 1])
+def test_every_caller_counts_states_alike_at_the_boundary(tp):
+    # a record of max_offset + tp + 1 values holds one state; one value fewer
+    # holds none, and the embedding and the cross-map sweep name that alike
+    spec = EmbeddingSpec.univariate("x", 3, tau=2)
+    length = spec.max_offset + tp + 1
+    values = [float(v) for v in range(length)]
+    assert _embeddable(length, spec, tp) == 1
+    assert len(multivariate_embed(Dataset((TimeSeries("x", 0, values),)), spec, "x", tp)) == 1
+    short = TimeSeries("x", 0, values[:-1])
+    calls = [lambda: _embeddable(length - 1, spec, tp),
+             lambda: multivariate_embed(Dataset((short,)), spec, "x", tp)]
+    if tp == 0:  # a cross map pairs each state with the cause at its own time
+        other = TimeSeries("y", 0, values[:-1])
+        calls.append(lambda: convergence_sweep(short, other, CcmConfig(3, (5, 6), tau=2)))
+    message = (f"series of length {length - 1} too short for embedding "
+               f"(needs more than {length - 1} points)")
+    for call in calls:
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            call()
+    assert issubclass(EmbeddingError, ValueError)  # an input error: exit 2
 
 
 def test_multivariate_layout_and_equivalence():

@@ -3,16 +3,18 @@ states, and the configuration surface."""
 
 import random
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from edmkit import forecast
+from edmkit import embedding, forecast
 from edmkit.bundled import load_bundled
 from edmkit.cli import main
 from edmkit.embedding import (
     EmbeddingError,
+    EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
     knn,
@@ -53,14 +55,14 @@ PROTOCOL_ERRORS = {
         lambda data: skill_eval(data, "debris", SimplexConfig(DEBRIS_E5), 1960),
         EmbeddingError, "cannot form a state vector at 1960: needs data on 1956..1960, "
                         "have 1960..2022",
-        ["forecast", "--method", "simplex", "--e", "5", "--train-end", "1960", "--to", "2000"], 1,
+        ["forecast", "--method", "simplex", "--e", "5", "--train-end", "1960", "--to", "2000"], 2,
     ),
     "query_before_first_state_smap": (
         lambda data: smap_skill_eval(data, "debris", SMapConfig(DEBRIS_E5, 0.0), 1960),
         EmbeddingError, "cannot form a state vector at 1960: needs data on 1956..1960, "
                         "have 1960..2022",
         ["forecast", "--method", "smap", "--theta", "0", "--e", "5", "--train-end", "1960",
-         "--to", "2000"], 1,
+         "--to", "2000"], 2,
     ),
     "no_defined_theta": (
         lambda data: theta_search(data, "debris", TWO_INPUT, [0.0], train_end=2020,
@@ -140,16 +142,16 @@ SIMPLEX_SPECS = {
 def test_batched_simplex_matches_per_query(name, budget, monkeypatch):
     # one-step simplex predicts blocks of query rows at once; each prediction
     # and variance must equal simplex_predict on the expanding library, byte
-    # for byte.  The default budget splits the 199 queries into blocks of 40
-    # to 80 rows; a budget of 1 gives one row per block, 2000 one or two.
+    # for byte.  The default budget splits the 199 queries into blocks of 55
+    # to 109 rows; a budget of 1 gives one row per block, 2000 one or two.
     if budget is not None:
-        monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", budget)
     data = Dataset(coupled_logistic_pair(300))
     spec = SIMPLEX_SPECS[name]
     cfg = SimplexConfig(spec)
     full = multivariate_embed(data, spec, "x", tp=1)
     result = skill_eval(data, "x", cfg, train_end=100)
-    assert forecast._BLOCK_ELEMENTS // (len(full) * spec.dimension) < result.times.shape[0]
+    assert embedding._BLOCK_ELEMENTS // (len(full) * spec.dimension) < result.times.shape[0]
     expected = np.array([
         simplex_predict(full.targets_through(int(year) - 1),
                         (int(year) - 1, full.vectors[int(year) - 1 - int(full.times[0])]), cfg)
@@ -177,7 +179,7 @@ def test_batched_simplex_never_uses_an_excluded_exact_copy(dimension, radius, ro
     spec = EmbeddingSpec.univariate("x", dimension, exclusion_radius=radius)
     cfg = SimplexConfig(spec)
     full = multivariate_embed(data, spec, "x", tp=1)
-    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", rows * len(full) * dimension)
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", rows * len(full) * dimension)
     result = skill_eval(data, "x", cfg, train_end=first, eval_end=first + radius)
     assert result.times.shape == (radius,)
     expected = []
@@ -378,3 +380,51 @@ def test_both_drivers_name_overflowing_distances(cfg, tmp_path):
     with pytest.raises(ValueError, match=f"^wide: {re.escape(WIDE)}$"):
         forecast._lockstep([narrow, wide], "b", cfg, 2005, [None, None],
                            labels=["narrow", "wide"])
+
+
+@pytest.mark.parametrize("predict", [
+    lambda library, query: simplex_predict(library, query, SimplexConfig(library.spec)),
+    lambda library, query: smap_predict(library, query, SMapConfig(library.spec, 1.0)),
+], ids=["simplex", "smap"])
+def test_single_query_predictors_name_overflowing_distances(predict):
+    # simplex_predict used to return NaN after overflow warnings and
+    # smap_predict to raise a non-converging SVD; knn keeps its inf distances
+    spec = EmbeddingSpec.univariate("s", 1)
+    library = EmbeddingLibrary(spec, "s", 1, np.arange(2000, 2006), [[1e308], [-1e308]] * 3,
+                               np.zeros(6))
+    message = WIDE.replace("'b'", "'s'")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict(library, (2010, [0.0]))
+
+
+def test_normalizing_a_series_whose_spread_overflows_names_it(tmp_path):
+    # the squares of its deviations used to overflow, scale every coordinate
+    # to 0 and predict one value for every year
+    wide = load_csv(_wide_record(tmp_path))
+    cfg = SimplexConfig(EmbeddingSpec.univariate("b", 2, normalize=True))
+    message = ("series 'b' spans too wide a range to normalize: its mean or standard "
+               "deviation overflows float64")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            skill_eval(wide, "b", cfg, 1980)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["forecast", "--method", "simplex", "--columns", "debris", "--e", "70", "--to", "2030"],
+     "series of length 63 too short for embedding (needs more than 70 points)"),
+    (["embed-search", "--e", "70:71"],
+     "series of length 63 too short for embedding (needs more than 70 points)"),
+    (["embed-search", "--e", "60:61"],
+     "cannot form a state vector at 1990: needs data on 1931..1990, have 1960..2022"),
+    (["ccm", "--a", "debris", "--b", "total", "--e", "70"],
+     "series of length 63 too short for embedding (needs more than 69 points)"),
+], ids=["forecast", "embed_search_too_short", "embed_search_state", "ccm"])
+def test_an_embedding_the_record_cannot_hold_exits_2_on_every_command(argv, message, tmp_path,
+                                                                      capsys):
+    # an EmbeddingError is an input error; forecast and embed-search used to exit 1
+    assert main([*argv, "--out", str(tmp_path / "short.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())

@@ -11,13 +11,16 @@ import re
 import numpy as np
 import pytest
 
+from edmkit import ccm, embedding, simplex
 from edmkit.bundled import load_bundled
 from edmkit.embedding import (_PARTITION_WIDTH, EmbeddingLibrary, EmbeddingSpec, _candidates,
                               _distance_rows, _exclude_band, _floor, _nearest, knn,
                               multivariate_embed)
-from edmkit.simplex import SimplexConfig, simplex_predict
+from edmkit.simplex import SimplexConfig, simplex_predict, skill_eval
 from edmkit.smap import SMapConfig, smap_predict
-from edmkit.timeseries import _row_dot
+from edmkit.timeseries import Dataset, _row_dot
+
+from helpers import coupled_logistic_pair
 
 
 def _vectors(rng, rows, dimension):
@@ -285,3 +288,31 @@ def test_a_library_names_a_non_finite_target(bad):
     with pytest.raises(ValueError, match=rf"^library target 's' has a non-finite value "
                                          rf"{re.escape(repr(bad))} for the state at 1961$"):
         _library(np.arange(1960, 1964), np.ones((4, 2)), targets, 0)
+
+
+def test_one_block_budget_sizes_both_drivers(monkeypatch):
+    # one-step simplex and cross mapping read their query blocks off one rule
+    data = Dataset(coupled_logistic_pair(200))
+    spec = EmbeddingSpec.univariate("x", 2)
+    blocks = {}
+    for module in (simplex, ccm):
+        def counted(vectors, queries, metric, name=module.__name__,
+                    distance_rows=module._distance_rows):
+            blocks[name] += 1
+            return distance_rows(vectors, queries, metric)
+
+        monkeypatch.setattr(module, "_distance_rows", counted)
+
+    def run():
+        blocks.update(dict.fromkeys(("edmkit.simplex", "edmkit.ccm"), 0))
+        result = skill_eval(data, "x", SimplexConfig(spec), train_end=100)
+        skill = ccm.cross_map(data["x"], data["y"], 2)
+        return result.predicted.tobytes() + result.step_variance.tobytes() + np.float64(
+            skill).tobytes()
+
+    default = run()
+    # 99 one-step queries against 198 states, 199 cross-map queries against 199
+    assert blocks == {"edmkit.simplex": 1, "edmkit.ccm": 2}
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 10 * 199 * 2)  # ten rows a block
+    assert run() == default
+    assert blocks == {"edmkit.simplex": 10, "edmkit.ccm": 20}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import edmkit.smap
-from edmkit import forecast
+from edmkit import embedding
 from edmkit.bundled import load_bundled
 from edmkit.cli import main as cli_main
 from edmkit.embedding import (
@@ -235,7 +235,7 @@ def test_theta_rows_equal_one_skill_eval_per_theta(record, window, radius, ridge
         assert _same_skill(rho, expected.rho) and _same_skill(error, expected.rmse), theta
     # blocks of three queries: the grid is fitted block by block, to the same rows
     full = multivariate_embed(data, spec, "x", tp=1)
-    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", 3 * len(full) * spec.dimension)
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 3 * len(full) * spec.dimension)
     fit, sizes = edmkit.smap._fit, []
 
     def counted_fit(vectors, forward, queries, *rest):
@@ -626,7 +626,7 @@ def test_rows_past_a_query_prefix_leave_its_fit_alone(monkeypatch):
     data = Dataset((TimeSeries("u", 0, values.tolist()),))
     cfg = SMapConfig(EmbeddingSpec.univariate("u", 2), 1.0)
     blocked = smap_skill_eval(data, "u", cfg, 20)
-    monkeypatch.setattr(forecast, "_BLOCK_ELEMENTS", 1)  # one query per block
+    monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 1)  # one query per block
     alone = smap_skill_eval(data, "u", cfg, 20)
     for name in ("predicted", "step_variance", "coefficients"):
         assert getattr(blocked, name).tobytes() == getattr(alone, name).tobytes()
