@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _block_rows, _check_radius,
-                        _check_span, _distance_rows, _embeddable, _exclude_band, _floor,
+                        _distance_rows, _embeddable, _exclude_band, _floor,
                         _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
                          _require_finite, _rho_rows, _row_dot, _whole_number, _write_csv,
@@ -140,15 +140,10 @@ def _check_aligned(cause: TimeSeries, effect: TimeSeries) -> None:
 
 
 def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> EmbeddingLibrary:
-    """The effect's delay vectors, each paired with the contemporaneous cause value.
-
-    A ValueError names the effect when its Manhattan distances could overflow.
-    """
+    """The effect's delay vectors, each paired with the contemporaneous cause value."""
     spec = EmbeddingSpec.univariate(effect.name, dimension, tau, exclusion_radius=0)
     members = (effect,) if cause.name == effect.name else (effect, cause)
-    library = multivariate_embed(Dataset(members), spec, cause.name, tp=0)
-    _check_span(library.vectors, spec, "manhattan")
-    return library
+    return multivariate_embed(Dataset(members), spec, cause.name, tp=0)
 
 
 def _estimates(distances: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -14,16 +14,17 @@ by forecast skill.
 Simplex projection, the S-map and cross mapping share one neighbour core.
 ``_distance_rows`` returns Euclidean or Manhattan distances from a block of
 queries to the library as a new array, adding one coordinate plane at a
-time in coordinate order for both metrics and every dimension, and
-``_check_span`` names states whose distances could overflow that sum.
+time in coordinate order for both metrics and every dimension.
 One-step forecasting and cross mapping size their query blocks by one
 rule, ``_block_rows``: as many rows as keep rows x library states x
 dimension within ``_BLOCK_ELEMENTS`` coordinate differences, at least one.
-Every state is finite (``EmbeddingLibrary`` names a non-finite one), so no
-distance is NaN.  A point is a candidate for a query when their time gap
-exceeds a floor (``_floor``): ``r`` for an exclusion radius ``r > 0``, which
-suppresses autocorrelation shortcuts; for radius 0, -1 (every point, an
-exact self-match included) or 0 under cross mapping's leave-one-out.
+Every state and query coordinate lies within +-1e100 where it enters
+(``timeseries._BOUND``; ``EmbeddingLibrary`` and ``_candidate_rows`` name
+any other value), so no distance among them overflows or is NaN.  A point is a candidate for a query when
+their time gap exceeds a floor (``_floor``): ``r`` for an exclusion radius
+``r > 0``, which suppresses autocorrelation shortcuts; for radius 0, -1
+(every point, an exact self-match included) or 0 under cross mapping's
+leave-one-out.
 ``_candidates`` applies the rule as a mask, ``_candidate_rows`` as one
 query's candidate rows in ascending time (the one road of ``knn``,
 ``simplex_predict`` and ``smap_predict``), and ``_exclude_band`` as inf
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timeseries import Dataset, TimeSeries, _flag, _frozen, _whole_number
+from .timeseries import Dataset, TimeSeries, _flag, _frozen, _refused, _whole_number, _within
 
 __all__ = [
     "EmbeddingError",
@@ -86,8 +87,7 @@ class EmbeddingSpec:
     normalize : bool
         When True each series is z-scored (over its full extent) before
         coordinates are formed, so distances mix series of very different
-        magnitudes evenly; an EmbeddingError names a series whose mean or
-        standard deviation overflows float64.  Default False: raw coordinates.
+        magnitudes evenly.  Default False: raw coordinates.
     """
 
     columns: tuple[tuple[str, int], ...]
@@ -178,15 +178,17 @@ class EmbeddingLibrary:
             raise ValueError(f"vectors must be (n, {self.spec.dimension}), got {vectors.shape}")
         if times.shape != (vectors.shape[0],) or self.targets.shape != times.shape:
             raise ValueError("times, vectors, and targets must have matching lengths")
-        if not np.isfinite(vectors).all():
-            row, c = np.argwhere(~np.isfinite(vectors))[0]
-            raise ValueError(f"library state at {int(times[row])} has a non-finite value "
-                             f"{float(vectors[row, c])!r} in coordinate "
+        bad = np.argwhere(~_within(vectors))
+        if bad.size:
+            row, c = bad[0]
+            raise ValueError(f"library state at {int(times[row])} has a "
+                             f"{_refused(vectors[row, c])} in coordinate "
                              f"{self.spec.coordinate_labels()[c]!r}")
-        if not np.isfinite(self.targets).all():
-            row = np.flatnonzero(~np.isfinite(self.targets))[0]
-            raise ValueError(f"library target {self.target_name!r} has a non-finite value "
-                             f"{float(self.targets[row])!r} for the state at {int(times[row])}")
+        bad = np.flatnonzero(~_within(self.targets))
+        if bad.size:
+            raise ValueError(f"library target {self.target_name!r} has a "
+                             f"{_refused(self.targets[bad[0]])} for the state at "
+                             f"{int(times[bad[0]])}")
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -221,11 +223,7 @@ def _resolve_norms(data: Dataset, spec: EmbeddingSpec) -> tuple[tuple[str, float
     norms = []
     for name, _ in spec.columns:
         values = data[name].to_array()
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = float(values.mean()), float(values.std())
-        if not np.isfinite([mean, std]).all():
-            raise EmbeddingError(f"series {name!r} spans too wide a range to normalize: "
-                                 f"its mean or standard deviation overflows float64")
+        mean, std = float(values.mean()), float(values.std())
         norms.append((name, mean, std if std > 0.0 else 1.0))
     return tuple(norms)
 
@@ -351,29 +349,6 @@ def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
-def _check_span(states: np.ndarray, spec: EmbeddingSpec, metric: str,
-                labels: Sequence[str] | None = None) -> None:
-    """Raise ValueError if a ``_distance_rows`` distance among ``states`` could overflow.
-
-    Rounding is monotone, so no such distance exceeds the per-coordinate
-    spans (max - min, squared for Euclidean) added in the same coordinate
-    order; while that sum is finite none overflows.  Otherwise the series of
-    the coordinate at which it overflows is named.  ``states`` may carry a
-    leading record axis, each record checked on its own and named by
-    ``labels``.
-    """
-    with np.errstate(over="ignore"):
-        spans = states.max(axis=-2) - states.min(axis=-2)
-        bounds = np.cumsum(np.square(spans) if metric == "euclidean" else spans, axis=-1)
-    wide = ~np.isfinite(bounds)
-    if wide.any():
-        *record, c = np.unravel_index(np.argmax(wide), wide.shape)
-        name = [name for name, lags in spec.columns for _ in range(lags)][c]
-        where = "" if labels is None else f"{labels[record[0]]}: "
-        raise ValueError(f"{where}series {name!r} spans too wide a range: "
-                         f"{metric.capitalize()} distances between its states overflow float64")
-
-
 def _check_metric(metric: str) -> None:
     if metric not in ("euclidean", "manhattan"):
         raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
@@ -461,9 +436,9 @@ def _candidate_rows(library: EmbeddingLibrary, query: tuple[int, Sequence[float]
     if vector.shape != (library.spec.dimension,):
         raise ValueError(f"query vector has shape {vector.shape}, the library's states have "
                          f"{library.spec.dimension} coordinates")
-    bad = vector[~np.isfinite(vector)]
+    bad = vector[~_within(vector)]
     if bad.size:
-        raise ValueError(f"query vector has a non-finite coordinate {float(bad[0])!r}")
+        raise ValueError(f"query vector has a {_refused(bad[0], 'coordinate')}")
     times = library.times
     rows = np.flatnonzero(_candidates(times, query[0], _floor(radius)))
     if (times[1:] < times[:-1]).any():  # a library built by hand need not ascend in time

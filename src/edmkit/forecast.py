@@ -39,9 +39,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .embedding import (EmbeddingSpec, _block_rows, _check_admissible, _check_radius,
-                        _check_span, _check_state_time, _gather, _layout, multivariate_embed)
-from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _whole_number,
-                         _write_csv, _write_json, pearson_rho, rmse)
+                        _check_state_time, _gather, _layout, multivariate_embed)
+from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _refused,
+                         _whole_number, _within, _write_csv, _write_json, pearson_rho, rmse)
 
 if TYPE_CHECKING:
     from .simplex import SimplexConfig
@@ -177,7 +177,6 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
         )
     full = multivariate_embed(data, spec, target, tp=1)
     _check_state_time(data, spec, start - 1)
-    _check_span(full.vectors, spec, "euclidean")
     times = np.arange(start, end + 1)
     rows = times - 1 - int(full.times[0])  # row of each query state
     # a radius past the library's length admits nothing; capped there, it fits int64
@@ -238,11 +237,12 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     capped at the observed record while query states are still formed from
     the extended series.  ``adjust`` (if given) maps each year's predicted
     values before they join the library, which is how policy interventions
-    are injected mid-forecast where later steps can see them.  A non-finite
-    value that a later step would use raises ValueError naming its series
-    and year.  The band accumulates the target's step variance along the
-    horizon, so it can only widen; an S-map result keeps the target's
-    coefficient row per step.  This is ``_lockstep`` for one record.
+    are injected mid-forecast where later steps can see them.  A value that a
+    later step would use and that is non-finite or beyond +-1e100
+    (``timeseries._BOUND``) raises ValueError naming its series and year.
+    The band accumulates the target's step variance along the horizon, so it
+    can only widen; an S-map result keeps the target's coefficient row per
+    step.  This is ``_lockstep`` for one record.
 
     Inside the generative loop the temporal exclusion window defaults to 0:
     the freshest states (including values the forecast itself appended) are
@@ -263,8 +263,8 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
 
     The records span the same years.  Each keeps its own norms, buffers and
     ``adjust``, and gives ``cfg._predict`` its own library along a leading
-    query axis, so each year's call predicts every record at once.  A
-    non-finite value names its record's label (``labels``), series and year.
+    query axis, so each year's call predicts every record at once.  A value
+    past the bound names its record's label (``labels``), series and year.
     """
     spec = cfg.spec
     data = records[0]
@@ -293,7 +293,6 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
         vectors[:n_obs - first] = _gather(buffer, np.arange(first, n_obs), layout)
     target_col = names.index(target)
     observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
-    _check_span(states[:, :n_obs - first], spec, "euclidean", labels)
     _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
 
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
@@ -316,14 +315,12 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
         if step_coefs is not None:
             coefficients.append(step_coefs[:, target_col])
         if i + 1 < steps:
-            bad = np.flatnonzero(~np.isfinite(values[:, row]))
-            if bad.size:
-                b, col = divmod(int(bad[0]), len(names))
+            within = _within(values[:, row])
+            if not within.all():
+                b, col = divmod(int(np.flatnonzero(~within)[0]), len(names))
                 where = "" if labels is None else f"{labels[b]}: "
-                raise ValueError(
-                    f"{where}series {names[col]!r} has a non-finite value "
-                    f"{float(values[b, row, col])!r} in year {int(year)}"
-                )
+                raise ValueError(f"{where}series {names[col]!r} has a "
+                                 f"{_refused(values[b, row, col])} in year {int(year)}")
             for vectors, buffer, layout in zip(states, values, layouts):
                 vectors[row - first] = _gather(buffer, row, layout)
     tracks = np.stack(coefficients, axis=1) if coefficients else [None] * batch

@@ -23,8 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _check_span,
-                        _distance_rows, _nearest)
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows, _nearest
 # ForecastResult and the two forecasting entry points are re-exported for existing callers
 from .forecast import ForecastResult, best_row, iterative_forecast, skill_eval, write_skill_table
 from .timeseries import Dataset, _row_dot, _whole_number
@@ -102,13 +101,8 @@ def simplex_weights(distances: np.ndarray) -> np.ndarray:
 
 def simplex_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
                     cfg: SimplexConfig) -> tuple[float, float]:
-    """One simplex forecast: returns (prediction, weighted target variance).
-
-    A ValueError names the series when Euclidean distances among the
-    candidate states and the query could overflow.
-    """
+    """One simplex forecast: returns (prediction, weighted target variance)."""
     vector, rows = _candidate_rows(library, query, cfg._needs)
-    _check_span(np.vstack([library.vectors[rows], vector]), library.spec, "euclidean")
     predictions, variances, _ = cfg._predict(
         library.vectors[rows], library.targets[rows, None], vector[None], [rows.size])
     return float(predictions[0, 0]), float(variances[0, 0])

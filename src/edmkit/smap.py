@@ -56,8 +56,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _check_span,
-                        _distance_rows)
+from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows
 from .forecast import ForecastResult, _one_step, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
 from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _row_dot, _write_csv,
@@ -155,7 +154,7 @@ def _weights(distances: np.ndarray, thetas: np.ndarray, means: np.ndarray) -> np
     thetas = thetas.reshape(thetas.shape + (1,) * distances.ndim)
     flat = (means == 0.0) | (thetas == 0.0)
     weights = np.exp(-thetas * distances / np.where(flat, 1.0, means))
-    np.copyto(weights, 1.0, where=flat)  # even where a distance overflowed
+    np.copyto(weights, 1.0, where=flat)  # also where a mean underflowed to 0
     return weights
 
 
@@ -268,11 +267,9 @@ def smap_predict(library: EmbeddingLibrary, query: tuple[int, Sequence[float]],
     order; the regression needs at least ``dimension + 2`` of them.
     ``exclusion_radius`` overrides the library spec's window per call.
     The fit solves weighted least squares through the square-root-weight
-    design matrix.  A ValueError names the series when Euclidean distances
-    among the candidate states and the query could overflow.
+    design matrix.
     """
     vector, rows = _candidate_rows(library, query, cfg._needs, exclusion_radius)
-    _check_span(np.vstack([library.vectors[rows], vector]), library.spec, "euclidean")
     predictions, variances, coefficients = cfg._predict(
         library.vectors[rows], library.targets[rows, None], vector[None], [rows.size])
     return SMapStep(time=int(query[0]), prediction=float(predictions[0, 0]),

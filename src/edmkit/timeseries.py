@@ -45,10 +45,28 @@ __all__ = [
 #: can never be mistaken for "zero skill".
 UNDEFINED_SKILL = float("nan")
 
+#: The largest magnitude a value may have where it enters.  Within it every
+#: distance, normalization, S-map norm and skill sum over N states of E
+#: coordinates stays below about 4e200 * N * E, far from float64's 1.8e308.
+_BOUND = 1e100
+
 
 def skill_defined(value: float) -> bool:
     """True when a metric carries an actual value rather than the undefined marker."""
     return not math.isnan(value)
+
+
+def _within(values):
+    """True where a value lies within +-``_BOUND``: False for NaN and infinity too."""
+    return np.abs(values) <= _BOUND
+
+
+def _refused(value: float, noun: str = "value", shown: str | None = None) -> str:
+    """How a value outside ``_within`` reads: ``shown`` (default its repr) and why."""
+    value = float(value)
+    shown = repr(value) if shown is None else shown
+    return (f"{noun} {shown} beyond the magnitude bound {_BOUND:g}" if math.isfinite(value)
+            else f"non-finite {noun} {shown}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,8 @@ class TimeSeries:
     """A named sequence of yearly observations on a contiguous year index.
 
     ``values[i]`` is the observation for year ``start_year + i``.  The series
-    must be non-empty and every entry must be finite (no NaN, no infinity).
+    must be non-empty and every entry must lie within +-1e100 (``_BOUND``),
+    which rules out NaN and infinity too.
     """
 
     name: str
@@ -70,12 +89,10 @@ class TimeSeries:
         array = np.fromiter(self.values, dtype=float)
         if not array.size:
             raise ValueError(f"series {self.name!r} is empty")
-        bad = np.flatnonzero(~np.isfinite(array))
+        bad = np.flatnonzero(~_within(array))
         if bad.size:
-            raise ValueError(
-                f"series {self.name!r} has a non-finite value {float(array[bad[0]])!r} "
-                f"in year {int(self.start_year) + int(bad[0])}"
-            )
+            raise ValueError(f"series {self.name!r} has a {_refused(array[bad[0]])} "
+                             f"in year {int(self.start_year) + int(bad[0])}")
         array.setflags(write=False)
         object.__setattr__(self, "values", tuple(array.tolist()))
         object.__setattr__(self, "start_year", int(self.start_year))
@@ -273,7 +290,8 @@ def load_csv(path, year_column: str = "year") -> Dataset:
 
     Raises FileNotFoundError for a missing file and ValueError, naming the
     offending row by its file line (blank lines counted), for non-numeric or
-    non-finite cells, duplicate years, or year gaps.
+    non-finite cells or cells beyond +-1e100 (``_BOUND``), duplicate years, or
+    year gaps.
     """
     path = Path(path)
     if not path.exists():
@@ -317,10 +335,9 @@ def load_csv(path, year_column: str = "year") -> Dataset:
                 raise ValueError(
                     f"{path}: row {row_no}: non-numeric value {cell.strip()!r} in column {name!r}"
                 ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {row_no}: non-finite value {cell.strip()!r} in column {name!r}"
-                )
+            if not _within(value):
+                raise ValueError(f"{path}: row {row_no}: "
+                                 f"{_refused(value, shown=repr(cell.strip()))} in column {name!r}")
             columns[name].append(value)
 
     if not years:

@@ -10,7 +10,8 @@ from edmkit import ccm, embedding
 from edmkit.bundled import load_bundled
 from edmkit.ccm import CcmConfig, convergence_sweep, cross_map
 from edmkit.cli import _grid, main
-from edmkit.timeseries import UNDEFINED_SKILL, TimeSeries, pearson_rho, skill_defined
+from edmkit.timeseries import (_BOUND, UNDEFINED_SKILL, TimeSeries, pearson_rho,
+                               skill_defined)
 
 from helpers import coupled_logistic_pair, logistic_series, oracle_cross_map, random_walk
 
@@ -834,34 +835,30 @@ def test_a_shortfall_is_never_kept():
     assert years[1] == years[0] + 100 and years[2] == years[0]
 
 
-def _overflowing_pair():
-    # b's two states at index 10 and any other are 3.4e308 apart, past float64
+def test_distances_at_the_bound_leave_every_neighbour_admissible():
+    # b's states lie 2e100 apart, the widest span the magnitude bound admits; a
+    # span past float64 used to overflow and then name a shortfall of 0 neighbours
     a = TimeSeries("a", 1960, [float(i) for i in range(30)])
-    b = TimeSeries("b", 1960, [1.7e308 if i == 10 else -1.7e308 for i in range(30)])
-    return a, b
+    b = TimeSeries("b", 1960, [_BOUND if i == 10 else -_BOUND for i in range(30)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert skill_defined(cross_map(a, b, dimension=1))
+        for replacement in (False, True):
+            result = convergence_sweep(a, b, CcmConfig(dimension=1, library_sizes=(5, 20),
+                                                       replacement=replacement))
+            assert all(np.isfinite(direction.samples).all()
+                       for direction in (result.a_from_b, result.b_from_a))
 
 
-def test_overflowing_distances_name_the_series_not_a_shortfall():
-    # this used to warn of an overflow and then name a shortfall of 0 neighbours
-    a, b = _overflowing_pair()
-    message = ("^series 'b' spans too wide a range: Manhattan distances between its states "
-               "overflow float64$")
-    with pytest.raises(ValueError, match=message):
-        cross_map(a, b, dimension=1)
-    for replacement in (False, True):  # no replacement hint: nothing was drawn wrong
-        with pytest.raises(ValueError, match=message):
-            convergence_sweep(a, b, CcmConfig(dimension=1, library_sizes=(5, 20),
-                                              replacement=replacement))
-
-
-def test_ccm_cli_names_overflowing_distances(tmp_path, capsys):
-    a, b = _overflowing_pair()
+def test_ccm_cli_refuses_a_record_beyond_the_bound(tmp_path, capsys):
+    # b spans +-1.7e308, so its Manhattan distances would overflow float64: load_csv
+    # names its first cell past the bound, by row and column, before any distance
     path = tmp_path / "ovf.csv"
-    path.write_text("year,a,b\n" + "".join(f"{1960 + i},{x!r},{y!r}\n" for i, (x, y) in
-                                           enumerate(zip(a.values, b.values))), encoding="utf-8")
+    path.write_text("year,a,b\n" + "".join(f"{1960 + i},{i},{1.7e308 if i == 10 else -1.7e308!r}\n"
+                                          for i in range(30)), encoding="utf-8")
     code = main(["ccm", "--a", "a", "--b", "b", "--e", "1", "--data", str(path),
                  "--out", str(tmp_path / "ccm_ovf")])
     assert code == 2
-    assert capsys.readouterr().err == ("error: series 'b' spans too wide a range: Manhattan "
-                                       "distances between its states overflow float64\n")
+    assert capsys.readouterr().err == (f"error: {path}: row 2: value '-1.7e+308' beyond the "
+                                       f"magnitude bound 1e+100 in column 'b'\n")
     assert not list(tmp_path.glob("ccm_ovf*"))

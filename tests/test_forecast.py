@@ -1,6 +1,7 @@
 """The forecasting protocol shared by simplex and S-map: error paths, query
 states, and the configuration surface."""
 
+import math
 import random
 import re
 import warnings
@@ -26,7 +27,7 @@ from edmkit.simplex import (SimplexConfig, embed_dimension_search, iterative_for
                             simplex_predict, skill_eval)
 from edmkit.smap import SMapConfig, smap_iterative_forecast, smap_predict, theta_search
 from edmkit.smap import skill_eval as smap_skill_eval
-from edmkit.timeseries import Dataset, TimeSeries, load_csv
+from edmkit.timeseries import _BOUND, Dataset, TimeSeries, load_csv
 
 from helpers import coupled_logistic_pair
 
@@ -342,74 +343,90 @@ def test_too_long_horizon_ends_the_command_with_exit_two(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def _wide_record(tmp_path):
-    # 40 years drawn from +-1e200: squared differences overflow float64
+def _record(tmp_path, spread):
+    # 40 years drawn from +-spread
     rng = random.Random(1)
     path = tmp_path / "wide.csv"
-    path.write_text("year,b\n" + "".join(f"{1960 + i},{rng.uniform(-1e200, 1e200)!r}\n"
+    path.write_text("year,b\n" + "".join(f"{1960 + i},{rng.uniform(-spread, spread)!r}\n"
                                          for i in range(40)), encoding="utf-8")
     return path
 
 
-WIDE = "series 'b' spans too wide a range: Euclidean distances between its states overflow float64"
-
-
 @pytest.mark.parametrize("method", [["--method", "simplex"], ["--method", "smap", "--theta", "2"]],
                          ids=["simplex", "smap"])
-def test_forecast_cli_names_overflowing_distances(method, tmp_path, capsys):
-    # simplex used to name a NaN forecast in 2000, the S-map a non-converging SVD
+def test_forecast_cli_refuses_a_record_beyond_the_bound(method, tmp_path, capsys):
+    # squared differences of values from +-1e200 overflow float64: simplex used to name a
+    # NaN forecast in 2000, the S-map a non-converging SVD; load_csv now names the first cell
+    path = _record(tmp_path, 1e200)
     code = main(["forecast", *method, "--columns", "b", "--e", "2", "--train-end", "1980",
-                 "--to", "2005", "--data", str(_wide_record(tmp_path)),
-                 "--out", str(tmp_path / "f.csv")])
+                 "--to", "2005", "--data", str(path), "--out", str(tmp_path / "f.csv")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {WIDE}\n"
+    first = random.Random(1).uniform(-1e200, 1e200)
+    assert capsys.readouterr().err == (f"error: {path}: row 2: value '{first!r}' beyond the "
+                                       f"magnitude bound 1e+100 in column 'b'\n")
     assert not list(tmp_path.glob("f*"))
 
 
-@pytest.mark.parametrize("cfg", [SimplexConfig(EmbeddingSpec.univariate("b", 2)),
-                                 SMapConfig(EmbeddingSpec.univariate("b", 2), 2.0)],
+def test_a_record_whose_squared_errors_overflow_is_refused_where_it_enters():
+    # its Euclidean span passed the old span check, and skill_eval then returned
+    # rmse = inf beside a defined rho after an overflow in matmul
+    rng = random.Random(1)
+    values = [rng.uniform(-6e153, 6e153) for _ in range(40)]
+    message = (f"^series 'b' has a value {re.escape(repr(values[0]))} beyond the magnitude "
+               f"bound 1e\\+100 in year 1960$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            data = Dataset((TimeSeries("b", 1960, values),))
+            skill_eval(data, "b", SimplexConfig(EmbeddingSpec.univariate("b", 1)), 1980)
+
+
+def _blow_up(year, values):
+    return {name: value * 1e60 for name, value in values.items()}
+
+
+@pytest.mark.parametrize("cfg, year", [(SimplexConfig(EmbeddingSpec.univariate("b", 2)), 2002),
+                                       (SMapConfig(EmbeddingSpec.univariate("b", 2), 2.0), 2001)],
                          ids=["simplex", "smap"])
-def test_both_drivers_name_overflowing_distances(cfg, tmp_path):
-    wide = load_csv(_wide_record(tmp_path))
-    with pytest.raises(ValueError, match=f"^{re.escape(WIDE)}$"):
-        forecast.skill_eval(wide, "b", cfg, 1980)
-    with pytest.raises(ValueError, match=f"^{re.escape(WIDE)}$"):
-        forecast.iterative_forecast(wide, "b", cfg, 2005)
-    # a lockstep checks each record on its own and names the one that overflows
-    narrow = Dataset((TimeSeries("b", 1960, [float(i % 7) for i in range(40)]),))
-    with pytest.raises(ValueError, match=f"^wide: {re.escape(WIDE)}$"):
-        forecast._lockstep([narrow, wide], "b", cfg, 2005, [None, None],
-                           labels=["narrow", "wide"])
+def test_both_drivers_name_a_forecast_beyond_the_bound(cfg, year):
+    # an adjust that multiplies each year by 1e60 used to overflow the distances:
+    # simplex named a NaN only after RuntimeWarnings, the S-map raised LinAlgError
+    data = Dataset((TimeSeries("b", 1960, [float(i % 7) for i in range(40)]),))
+    message = f"series 'b' has a value [^ ]+ beyond the magnitude bound 1e\\+100 in year {year}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            forecast.iterative_forecast(data, "b", cfg, 2030, adjust=_blow_up)
+        # a lockstep checks each record on its own and names the one that leaves the bound
+        with pytest.raises(ValueError, match=f"^wide: {message}"):
+            forecast._lockstep([data, data], "b", cfg, 2030, [None, _blow_up],
+                               labels=["narrow", "wide"])
 
 
 @pytest.mark.parametrize("predict", [
-    lambda library, query: simplex_predict(library, query, SimplexConfig(library.spec)),
-    lambda library, query: smap_predict(library, query, SMapConfig(library.spec, 1.0)),
+    lambda library, query: simplex_predict(library, query, SimplexConfig(library.spec))[0],
+    lambda library, query: smap_predict(library, query, SMapConfig(library.spec, 1.0)).prediction,
 ], ids=["simplex", "smap"])
-def test_single_query_predictors_name_overflowing_distances(predict):
-    # simplex_predict used to return NaN after overflow warnings and
-    # smap_predict to raise a non-converging SVD; knn keeps its inf distances
+def test_single_query_predictors_stay_finite_at_the_bound(predict):
+    # states 2e100 apart: past float64, simplex_predict used to return NaN after
+    # overflow warnings and smap_predict to raise a non-converging SVD
     spec = EmbeddingSpec.univariate("s", 1)
-    library = EmbeddingLibrary(spec, "s", 1, np.arange(2000, 2006), [[1e308], [-1e308]] * 3,
-                               np.zeros(6))
-    message = WIDE.replace("'b'", "'s'")
+    library = EmbeddingLibrary(spec, "s", 1, np.arange(2000, 2006), [[_BOUND], [-_BOUND]] * 3,
+                               np.arange(6.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            predict(library, (2010, [0.0]))
+        assert math.isfinite(predict(library, (2010, [0.0])))
 
 
-def test_normalizing_a_series_whose_spread_overflows_names_it(tmp_path):
-    # the squares of its deviations used to overflow, scale every coordinate
-    # to 0 and predict one value for every year
-    wide = load_csv(_wide_record(tmp_path))
+def test_normalizing_a_series_at_the_bound_stays_finite(tmp_path):
+    # past float64 the squares of its deviations used to overflow, scale every
+    # coordinate to 0 and predict one value for every year
+    data = load_csv(_record(tmp_path, _BOUND))
     cfg = SimplexConfig(EmbeddingSpec.univariate("b", 2, normalize=True))
-    message = ("series 'b' spans too wide a range to normalize: its mean or standard "
-               "deviation overflows float64")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
-            skill_eval(wide, "b", cfg, 1980)
+        predicted = skill_eval(data, "b", cfg, 1980).predicted
+    assert np.isfinite(predicted).all() and np.unique(predicted).size > 1
 
 
 @pytest.mark.parametrize("argv, message", [

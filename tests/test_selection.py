@@ -18,6 +18,7 @@ from edmkit.embedding import (
     _smallest_k,
     knn,
 )
+from edmkit.timeseries import _BOUND
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -114,14 +115,13 @@ def test_knn_matches_a_lexsort_reference(case):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-def test_knn_keeps_an_admissible_overflow_ahead_of_an_excluded_column(metric):
-    # the distances at times 0 and 2 both overflow to inf; time 0 lies in the
-    # exclusion window, so it must not win the tie by coming first
+def test_knn_keeps_an_admissible_tie_ahead_of_an_excluded_column(metric):
+    # times 0 and 2 tie at 2e100, the widest distance the magnitude bound admits;
+    # time 0 lies in the exclusion window, so it must not win the tie by coming first
     times = np.arange(6)
-    vectors = np.array([[1e308], [-1e308], [1e308], [-1e308], [-1e308], [-1e308]])
+    vectors = np.array([[_BOUND], [-_BOUND], [_BOUND], [-_BOUND], [-_BOUND], [-_BOUND]])
     spec = EmbeddingSpec.univariate("x", 1, exclusion_radius=1)
     library = EmbeddingLibrary(spec, "x", 1, times, vectors, np.zeros(6))
-    with np.errstate(over="ignore"):
-        found = knn(library, (0, [-1e308]), 4, metric)
+    found = knn(library, (0, [-_BOUND]), 4, metric)
     assert found.indices.tolist() == [3, 4, 5, 2]
-    assert found.distances.tolist() == [0.0, 0.0, 0.0, np.inf]
+    assert found.distances.tolist() == [0.0, 0.0, 0.0, 2 * _BOUND]

@@ -619,12 +619,18 @@ def test_underflowing_theta_is_named_before_any_system_is_factored(monkeypatch):
 def test_rows_past_a_query_prefix_leave_its_fit_alone(monkeypatch):
     # a block of queries shares one distance and weight pass over its longest
     # prefix; a query scaled by a tiny mean distance must not overflow on the
-    # later rows it never fits over, and its fit keeps the bits of a block of one
-    rng = np.random.default_rng(1)
-    values = np.concatenate([rng.uniform(1.0, 2.0, 30) * 1e-160,
-                             rng.uniform(1.0, 2.0, 30) * 1e150])
+    # later rows it never fits over, and its fit keeps the bits of a block of one.
+    # Within the magnitude bound no nonzero Euclidean distance lies below 2.2e-162
+    # (its square would underflow), so a later row's distance over a mean is at
+    # most about 1e262: theta must carry the rest of the way past float64.  Each
+    # query state recurs exactly in its prefix, so every query keeps a weight.
+    values = np.tile([1e-160, 2e-160, 3e-160], 14)[:40]
+    values[19] = 1e90  # past the first query's prefix, inside every later one
+    theta = 1e60
+    first_prefix_mean = np.abs(values[:19] - values[20]).mean()  # the first query's
+    assert values[19] / first_prefix_mean > np.finfo(float).max / theta
     data = Dataset((TimeSeries("u", 0, values.tolist()),))
-    cfg = SMapConfig(EmbeddingSpec.univariate("u", 2), 1.0)
+    cfg = SMapConfig(EmbeddingSpec.univariate("u", 1), theta)
     blocked = smap_skill_eval(data, "u", cfg, 20)
     monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 1)  # one query per block
     alone = smap_skill_eval(data, "u", cfg, 20)
