@@ -19,12 +19,13 @@ One-step forecasting and cross mapping size their query blocks by one
 rule, ``_block_rows``: as many rows as keep rows x library states x
 dimension within ``_BLOCK_ELEMENTS`` coordinate differences, at least one.
 Every state and query coordinate lies within +-1e100 where it enters
-(``timeseries._BOUND``; ``EmbeddingLibrary`` and ``_candidate_rows`` name
-any other value), so no distance among them overflows or is NaN.  A point is a candidate for a query when
-their time gap exceeds a floor (``_floor``): ``r`` for an exclusion radius
-``r > 0``, which suppresses autocorrelation shortcuts; for radius 0, -1
-(every point, an exact self-match included) or 0 under cross mapping's
-leave-one-out.
+(``timeseries._BOUND``; ``EmbeddingLibrary``, ``_candidate_rows`` and the
+iterative loop, ``forecast._lockstep``, name any other value), so no
+distance among them overflows or is NaN.  A point is a candidate for a
+query when their time gap exceeds a floor (``_floor``): ``r`` for an
+exclusion radius ``r > 0``, which suppresses autocorrelation shortcuts; for
+radius 0, -1 (every point, an exact self-match included) or 0 under cross
+mapping's leave-one-out.
 ``_candidates`` applies the rule as a mask, ``_candidate_rows`` as one
 query's candidate rows in ascending time (the one road of ``knn``,
 ``simplex_predict`` and ``smap_predict``), and ``_exclude_band`` as inf
@@ -33,11 +34,11 @@ written in place into a block of distances among consecutive times.
 ``_nearest`` has one input, distances in which every non-candidate already
 holds inf, and keeps the ``k`` nearest by (distance, column), exactly as a
 stable sort of the row orders them; cross mapping ranks each row once in
-that order.  ``_smallest_k`` sorts in full rows narrower than
-``_PARTITION_WIDTH`` and rows it must order whole, and partitions the
-others at the k-th smallest value, keeping every value below it and the
-earliest values equal to it, whose columns one flat index pass finds, so
-only ``k`` survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
+that order.  ``_smallest_k`` has one selection rule: it sorts a row whole
+only when it must order the whole row, and otherwise partitions it at the
+k-th smallest value, keeping every value below it and the earliest values
+equal to it, whose columns one flat index pass finds, so only ``k``
+survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
 """
 
 from __future__ import annotations
@@ -354,26 +355,16 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'manhattan'")
 
 
-#: Row width from which ``_smallest_k`` partitions instead of sorting the
-#: whole row.  Its callers are ``_nearest`` (``knn`` with one row, simplex
-#: with blocks of query rows, both with small k) and ``ccm._cross_map_cells``,
-#: which takes each row block's whole order when some cell needs ranks
-#: (sorted in full at any width) and its first k columns when every cell
-#: holds each column once.  Where partitioning wins depends on the rows in
-#: the block: at k = 5 on uniform random blocks (2 vCPU, numpy 2.4) from
-#: about 900 columns for single rows, about 40 for 60-row blocks and about
-#: 24 for 2,700-row blocks.
-_PARTITION_WIDTH = 1000
-
-
 def _smallest_k(masked: np.ndarray, k: int) -> np.ndarray:
     """Columns of the ``k`` smallest values of each row, by (value, column).
 
     The result equals ``np.argsort(masked, axis=1, kind="stable")[:, :k]``,
     so ties go to the earlier column; ``k`` must not exceed the row width.
+    A row is sorted whole only when ``k`` is its width; otherwise it is
+    partitioned at its k-th value and only its ``k`` survivors are sorted.
     """
-    if masked.shape[1] < _PARTITION_WIDTH or k == masked.shape[1]:  # nothing to partition off
-        return np.argsort(masked, axis=1, kind="stable")[:, :k]
+    if k == masked.shape[1]:  # the whole order: nothing to partition off
+        return np.argsort(masked, axis=1, kind="stable")
     kth = np.partition(masked, k - 1, axis=1)[:, k - 1:k]
     keep = masked <= kth
     if np.count_nonzero(keep) > masked.shape[0] * k:
@@ -464,8 +455,7 @@ def knn(library: EmbeddingLibrary, query: tuple[int, Sequence[float]], k: int,
     ----------
     query : (time_index, vector)
         The query's own time index drives the exclusion window.
-    exclusion_radius : optional override of the library spec's radius
-        (library subsampling schemes need radius 0 regardless of the spec).
+    exclusion_radius : optional override of the library spec's radius.
 
     Raises NeighborShortfallError, naming the shortfall, when fewer than
     ``k`` admissible candidates remain.

@@ -239,7 +239,8 @@ def iterative_forecast(data: Dataset, target: str, cfg: SimplexConfig | SMapConf
     values before they join the library, which is how policy interventions
     are injected mid-forecast where later steps can see them.  A value that a
     later step would use and that is non-finite or beyond +-1e100
-    (``timeseries._BOUND``) raises ValueError naming its series and year.
+    (``timeseries._BOUND``), or z-scored past it under ``normalize=True``,
+    raises ValueError naming its series (or coordinate) and year.
     The band accumulates the target's step variance along the horizon, so it
     can only widen; an S-map result keeps the target's coefficient row per
     step.  This is ``_lockstep`` for one record.
@@ -264,7 +265,7 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
     The records span the same years.  Each keeps its own norms, buffers and
     ``adjust``, and gives ``cfg._predict`` its own library along a leading
     query axis, so each year's call predicts every record at once.  A value
-    past the bound names its record's label (``labels``), series and year.
+    past the bound also names its record's label (``labels``).
     """
     spec = cfg.spec
     data = records[0]
@@ -295,10 +296,19 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
     observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
     _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
 
+    def check(part, kind, named, year):  # the first entry of a (records, named) row past the bound
+        within = _within(part)
+        if not within.all():
+            b, col = divmod(int(np.flatnonzero(~within)[0]), len(named))
+            where = "" if labels is None else f"{labels[b]}: "
+            raise ValueError(f"{where}{kind} {named[col]!r} has a {_refused(part[b, col])} "
+                             f"in year {year}")
+
     forecast_years = np.arange(data.end_year + 1, horizon_end + 1)
     coefficients: list = []
     lead = 0 if batch == 1 else slice(None)  # one record's library costs less as 2-D arrays
-    for i, year in enumerate(forecast_years):
+    coordinates = spec.coordinate_labels()
+    for i, year in enumerate(forecast_years.tolist()):
         query = observed + i  # state row of the latest known year
         size = query if self_condition else observed  # library rows
         limit = min(size, max(query - radius, 0))  # rows more than radius years back
@@ -309,20 +319,17 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
         values[:, row] = step_values
         for b, adjust in enumerate(adjusts):
             if adjust is not None:
-                adjusted = adjust(int(year), dict(zip(names, step_values[b].tolist())))
+                adjusted = adjust(year, dict(zip(names, step_values[b].tolist())))
                 values[b, row] = [adjusted[name] for name in names]
         variances[:, i] = step_vars[:, target_col]
         if step_coefs is not None:
             coefficients.append(step_coefs[:, target_col])
         if i + 1 < steps:
-            within = _within(values[:, row])
-            if not within.all():
-                b, col = divmod(int(np.flatnonzero(~within)[0]), len(names))
-                where = "" if labels is None else f"{labels[b]}: "
-                raise ValueError(f"{where}series {names[col]!r} has a "
-                                 f"{_refused(values[b, row, col])} in year {int(year)}")
+            check(values[:, row], "series", names, year)
             for vectors, buffer, layout in zip(states, values, layouts):
                 vectors[row - first] = _gather(buffer, row, layout)
+            if spec.normalize:  # a raw coordinate is a value checked above; a z-score need not be
+                check(states[:, row - first], "z-scored coordinate", coordinates, year)
     tracks = np.stack(coefficients, axis=1) if coefficients else [None] * batch
     return [_result(target, spec, forecast_years, values[b, n_obs:, target_col], variances[b],
                     np.cumsum(variances[b]), tracks[b]) for b in range(batch)]

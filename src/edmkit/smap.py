@@ -59,8 +59,8 @@ import numpy as np
 from .embedding import EmbeddingLibrary, EmbeddingSpec, _candidate_rows, _distance_rows
 from .forecast import ForecastResult, _one_step, best_row, skill_eval, write_skill_table
 from .forecast import iterative_forecast as smap_iterative_forecast
-from .timeseries import (Dataset, TimeSeries, _frozen, _require_finite, _row_dot, _write_csv,
-                         pearson_rho, rmse)
+from .timeseries import (Dataset, TimeSeries, _frozen, _refused, _require_finite, _row_dot,
+                         _within, _write_csv, pearson_rho, rmse)
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -83,7 +83,7 @@ _SV_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class SMapConfig:
-    """S-map settings: embedding layout, localisation, optional ridge."""
+    """S-map settings: embedding layout, localisation (0 <= theta <= 1e100), optional ridge."""
 
     spec: EmbeddingSpec
     theta: float
@@ -94,6 +94,8 @@ class SMapConfig:
         _require_finite(theta=self.theta, ridge=self.ridge)
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if not _within(self.theta):  # so theta * distance / mean stays finite
+            raise ValueError(f"theta has a {_refused(self.theta)}")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 

@@ -9,10 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+from edmkit.bundled import load_bundled
 from edmkit.cli import main
 from edmkit.embedding import EmbeddingLibrary, EmbeddingSpec, knn
-from edmkit.forecast import iterative_forecast
+from edmkit.forecast import _lockstep, iterative_forecast, skill_eval
+from edmkit.scenario import ScenarioModelConfig
 from edmkit.simplex import SimplexConfig
+from edmkit.smap import SMapConfig, theta_search
 from edmkit.timeseries import _BOUND, Dataset, TimeSeries, load_csv
 
 ABOVE = float(np.nextafter(_BOUND, np.inf))
@@ -85,3 +88,49 @@ def test_every_entry_point_holds_values_to_the_bound(enter, non_finite, beyond, 
                 assert code == 2
                 assert capsys.readouterr().err == f"error: {message}\n"
                 assert not list(tmp_path.glob("f*"))
+
+
+def test_theta_is_held_to_the_bound(tmp_path, capsys):
+    # theta * distance / mean stays finite for a theta within the bound, so
+    # 1e100 reaches the named underflow of every weight, with no warning
+    spec = EmbeddingSpec.univariate("debris", 2)
+    refused = f"theta has a value {ABOVE!r} beyond the magnitude bound 1e+100"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="underflows to 0 at theta=1e\\+100"):
+            skill_eval(load_bundled(), "debris", SMapConfig(spec, _BOUND), 1990)
+        for build in (lambda: SMapConfig(spec, ABOVE),
+                      lambda: theta_search(load_bundled(), "debris", spec, [0.0, ABOVE],
+                                           train_end=1990),
+                      lambda: ScenarioModelConfig(theta=ABOVE).two_input_config()):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == refused
+        code = main(["forecast", "--method", "smap", "--columns", "debris", "--e", "2",
+                     "--theta", "1e305", "--to", "2030", "--out", str(tmp_path / "theta_big.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: theta has a value 1e+305 beyond the magnitude bound 1e+100\n")
+    assert not list(tmp_path.glob("theta_big*"))
+
+
+@pytest.mark.parametrize("method", ["simplex", "smap"])
+def test_a_normalized_forecast_coordinate_is_held_to_the_bound(method):
+    # a raw value of 1e99 is within the bound, but z-scored by the record's
+    # spread of about 2e-100 it is a coordinate near 5e198
+    data = Dataset((TimeSeries("b", 1961, [(i % 7 + 1) * 1e-100 for i in range(40)]),))
+    spec = EmbeddingSpec.univariate("b", 2, normalize=True)
+    cfg = SimplexConfig(spec) if method == "simplex" else SMapConfig(spec, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            iterative_forecast(data, "b", cfg, 2010,
+                               adjust=lambda year, values: {"b": 1e99 if year == 2001
+                                                            else values["b"]})
+        assert str(caught.value) == ("z-scored coordinate 'b(t)' has a value "
+                                     "5.090278103806221e+198 beyond the magnitude bound 1e+100 "
+                                     "in year 2001")
+        with pytest.raises(ValueError) as caught:  # a batch names the record by its label
+            _lockstep([data, data], "b", cfg, 2010, [None, lambda year, values: {"b": 1e99}],
+                      labels=["kept", "lifted"])
+        assert str(caught.value).startswith("lifted: z-scored coordinate 'b(t)' has a value ")

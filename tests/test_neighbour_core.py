@@ -13,9 +13,8 @@ import pytest
 
 from edmkit import ccm, embedding, simplex
 from edmkit.bundled import load_bundled
-from edmkit.embedding import (_PARTITION_WIDTH, EmbeddingLibrary, EmbeddingSpec, _candidates,
-                              _distance_rows, _exclude_band, _floor, _nearest, knn,
-                              multivariate_embed)
+from edmkit.embedding import (EmbeddingLibrary, EmbeddingSpec, _candidates, _distance_rows,
+                              _exclude_band, _floor, _nearest, knn, multivariate_embed)
 from edmkit.simplex import SimplexConfig, simplex_predict, skill_eval
 from edmkit.smap import SMapConfig, smap_predict
 from edmkit.timeseries import Dataset, _row_dot
@@ -145,7 +144,7 @@ def test_floor_states_the_candidacy_rule():
         assert np.array_equal(row, np.abs(times - query) > 1)
 
 
-@pytest.mark.parametrize("width", [40, _PARTITION_WIDTH + 24])
+@pytest.mark.parametrize("width", [40, 1024])
 def test_nearest_is_the_masked_stable_sort(width):
     rng = np.random.default_rng(width)
     distances = rng.integers(0, 6, size=(9, width)).astype(float)  # many ties

@@ -14,16 +14,19 @@ from edmkit.embedding import (
     EmbeddingLibrary,
     EmbeddingSpec,
     NeighborShortfallError,
-    _PARTITION_WIDTH,
     _smallest_k,
     knn,
 )
-from edmkit.timeseries import _BOUND
+from edmkit.forecast import iterative_forecast
+from edmkit.simplex import SimplexConfig
+from edmkit.timeseries import _BOUND, Dataset
+
+from helpers import coupled_logistic_pair
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 NARROW = st.integers(1, 60)
-WIDE = st.integers(_PARTITION_WIDTH - 1, _PARTITION_WIDTH + 300)
+WIDE = st.integers(999, 1300)
 
 
 def reference(masked, k):
@@ -55,23 +58,40 @@ def test_smallest_k_is_the_stable_argsort_on_both_sides_of_the_width(case):
 @given(st.data())
 def test_partition_path_is_the_stable_argsort_on_drawn_values(data):
     # every value a distance can take is drawn, inf included (states are
-    # finite, so no distance is NaN); the width constant is lowered so the
-    # partition path runs on rows small enough for Hypothesis to shrink
+    # finite, so no distance is NaN); every k short of the width partitions,
+    # so rows stay small enough for Hypothesis to shrink
     rows = data.draw(st.integers(1, 4))
     width = data.draw(st.integers(1, 12))
     values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
     masked = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
                                          min_size=rows, max_size=rows)))
     k = data.draw(st.integers(1, width))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "_PARTITION_WIDTH", 0)
+    assert np.array_equal(_smallest_k(masked, k), reference(masked, k))
+
+
+def test_iterated_simplex_selects_each_row_as_the_stable_argsort(monkeypatch):
+    # an iterated continuation asks for one row a year, 298 to 897 wide, of
+    # distances to a trajectory that revisits its states, so its k-th values tie
+    x, y = coupled_logistic_pair(300)
+    rows, ties = [], []
+
+    def spy(masked, k):
+        kth = np.partition(masked, k - 1, axis=1)[:, k - 1:k]
+        ties.append(np.count_nonzero(masked <= kth) > masked.shape[0] * k)
         chosen = _smallest_k(masked, k)
-    assert np.array_equal(chosen, reference(masked, k))
+        rows.append(np.array_equal(chosen, reference(masked, k)))
+        return chosen
+
+    monkeypatch.setattr(embedding, "_smallest_k", spy)
+    iterative_forecast(Dataset((x, y)), "x", SimplexConfig(EmbeddingSpec((("x", 2), ("y", 2)))),
+                       899)
+    assert len(rows) == 600 and all(rows)
+    assert any(ties)
 
 
 @st.composite
 def library_and_query(draw):
-    n = draw(st.one_of(st.integers(1, 80), st.integers(_PARTITION_WIDTH, _PARTITION_WIDTH + 200)))
+    n = draw(st.one_of(st.integers(1, 80), st.integers(1000, 1200)))
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, 4))
