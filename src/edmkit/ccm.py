@@ -17,13 +17,11 @@ null behaviour of unrelated series would be destroyed.  The degenerate
 self-mapping identity (a manifold predicting its own observable exactly) is
 still available by disabling leave-one-out.
 
-Every (size, sample) cell derives its RNG stream from (seed, size, sample
-index), so sweep results do not depend on the order cells are evaluated in.
-A sweep writes the words ``SeedSequence`` makes of each such tuple into one
-uint32 entropy array, hashes every row into its PCG64 seed words in one
-vectorised pass of numpy's documented ``SeedSequence`` hash, and sets each
-cell's state in turn on one reused generator: the same stream as
-``default_rng((seed, size, j))``, without building a generator per cell.
+Every (size, sample j) cell draws its library from the stream of
+``default_rng((seed, size, j))``, so sweep results do not depend on the order
+cells are evaluated in.  The draws depend only on the config's value and the
+record length, so the module keeps its last grid, keyed by both: one
+``lru_cache`` entry of read-only arrays.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances serve every cell.  A block is
 one (rows x n) array of Manhattan distances (see
@@ -55,6 +53,7 @@ is accepted and ignored.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +82,7 @@ class CcmConfig:
     and no larger than the number of embeddable points.  ``method`` selects
     random-index subsampling (default) or contiguous blocks.
 
-    A config keeps the libraries it drew for the last record length it was
-    swept at, once a direction met no shortfall with them, and a later sweep
-    of that length reuses them; another length replaces them, so a config holds
-    one grid, ``samples_per_size x sum(library_sizes)`` int64 (about 100 KB
-    on the paper's 20 x 20 grid of the bundled record).  They are not a
-    field: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` ignore
-    them, and an equal config built separately draws its own.
+    Cell ``(size, j)`` draws its library from ``default_rng((seed, size, j))``.
     """
 
     dimension: int
@@ -281,6 +274,9 @@ def cross_map(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int = 
     if library_indices is None:
         indices = np.arange(n)
     else:
+        if np.asarray(library_indices).dtype == bool:  # a mask would be read as indices 0 and 1
+            raise ValueError("library_indices is a boolean mask; pass the indices it selects, "
+                             "np.flatnonzero(mask)")
         values = np.asarray(library_indices, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("library_indices must be a non-empty 1-D index collection")
@@ -389,92 +385,17 @@ def _draw_indices(rng: np.random.Generator, n: int, size: int, cfg: CcmConfig) -
     return rng.choice(n, size=size, replace=cfg.replacement)
 
 
-def _entropy_rows(seed: int, sizes: tuple[int, ...], samples: int) -> np.ndarray:
-    """The entropy of every cell's stream, (sizes x samples x words) uint32.
-
-    Each row holds the words ``SeedSequence`` makes of ``(seed, size, j)``:
-    the seed's little-endian 32-bit words (seed 0 gives the one word 0), then
-    ``size``, then ``j``; so a row seeds the stream of ``default_rng((seed,
-    size, j))`` without converting the tuple.
-    """
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    rows = np.empty((len(sizes), samples, len(words) + 2), dtype=np.uint32)
-    rows[..., :-2] = words
-    rows[..., -2] = np.asarray(sizes)[:, None]
-    rows[..., -1] = np.arange(samples)
-    return rows
-
-
-# numpy's SeedSequence hash constants (numpy.random.bit_generator) and the
-# PCG64 multiplier (pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of every entropy row, (... x 4).
-
-    numpy's documented hash, on every row at once: ``mix_entropy`` hashes
-    the words into a pool of four (zeros stand in for missing words), mixes
-    each pool word into the others, then mixes in each word past the pool;
-    ``generate_state`` hashes eight uint32 words out of the pool and reads
-    them as little-endian pairs.
-    """
-    def hasher(const: int, mult: int):
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & 0xFFFFFFFF
-            value = value * np.uint32(const)
-            return value ^ value >> np.uint32(16)
-        return hashmix
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ result >> np.uint32(16)
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    words = list(np.moveaxis(entropy, -1, 0))
-    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashout = hasher(_INIT_B, _MULT_B)
-    state = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return np.stack([low | high << np.uint64(32) for low, high in zip(state[::2], state[1::2])],
-                    axis=-1)
-
-
-def _pcg64_state(seed_high: int, seed_low: int, seq_high: int, seq_low: int) -> dict:
-    """The state ``PCG64`` takes from the four words of ``_seed_words``.
-
-    Its set-seed step: ``inc = (seq << 1) | 1``, then one LCG step from 0,
-    the seed added, and one more step.
-    """
-    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-    state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
+@functools.lru_cache(maxsize=1)
 def _drawn_groups(cfg: CcmConfig, n: int) -> tuple[np.ndarray, ...]:
-    """The sorted, read-only (samples x size) libraries of every size, drawn from ``n`` points."""
-    bits = np.random.PCG64(0)  # set to each cell's state in turn
-    rng = np.random.Generator(bits)
+    """The sorted, read-only (samples x size) libraries of every size, drawn from ``n`` points.
+
+    Cell ``(size, j)`` is drawn from ``default_rng((cfg.seed, size, j))``.  The
+    draws depend only on the config's value and ``n``, so the last grid is kept.
+    """
     groups = []
-    for size, cells in zip(cfg.library_sizes, _seed_words(
-            _entropy_rows(cfg.seed, cfg.library_sizes, cfg.samples_per_size))):
-        libraries = []
-        for words in cells.tolist():
-            bits.state = _pcg64_state(*words)
-            libraries.append(_draw_indices(rng, n, size, cfg))
+    for size in cfg.library_sizes:
+        libraries = [_draw_indices(np.random.default_rng((cfg.seed, size, j)), n, size, cfg)
+                     for j in range(cfg.samples_per_size)]
         groups.append(_frozen(np.sort(libraries, axis=1), dtype=None))
     return tuple(groups)
 
@@ -489,12 +410,12 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
     cannot exhibit convergence, so the result is flagged insufficient.
 
     Both directions fill one (cells x n) estimates array, allocated before
-    any cell is drawn.  The libraries come from ``cfg``: it keeps the draws
-    of the last record length it was swept at, about 100 KB on the paper's
-    grid, so sweeping the three pairs of one record with one config draws
-    the grid once; an equal config built separately draws again.  Draws
-    that meet a shortfall fail the first direction and are not kept.
-    ``threads`` is accepted and ignored.
+    any cell is drawn.  Cell ``(size, j)`` is drawn from ``default_rng((seed,
+    size, j))``, and the module keeps its last grid, keyed by the config's
+    value and the record length (``samples_per_size x sum(library_sizes)``
+    int64, about 100 KB on the paper's grid): sweeping the three pairs of
+    one record with equal configs draws the grid once.  A shortfall fails
+    the first direction.  ``threads`` is accepted and ignored.
     """
     _check_aligned(a, b)
     n = _embeddable(len(a), EmbeddingSpec.univariate(b.name, cfg.dimension, cfg.tau))
@@ -508,8 +429,7 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
         raise ValueError(f"samples_per_size={cfg.samples_per_size} asks for more cross-map "
                          f"estimates than memory holds ({len(sizes)} sizes x {n} points)") from None
     libraries = (_embed(a, b, cfg.dimension, cfg.tau), _embed(b, a, cfg.dimension, cfg.tau))
-    kept = vars(cfg).get("_draws")
-    groups = kept[1] if kept is not None and kept[0] == n else _drawn_groups(cfg, n)
+    groups = _drawn_groups(cfg, n)
 
     def direction(cause: TimeSeries, effect: TimeSeries,
                   library: EmbeddingLibrary) -> CcmDirection:
@@ -533,7 +453,6 @@ def convergence_sweep(a: TimeSeries, b: TimeSeries, cfg: CcmConfig,
             raise
         raise ValueError(f"{error}; drawn with replacement (replacement, --replacement), "
                          f"a library can hold excluded points more than once") from None
-    object.__setattr__(cfg, "_draws", (n, groups))  # not a field: == and hash ignore it
     return CcmResult(
         a_from_b=a_from_b,
         b_from_a=direction(b, a, libraries[1]),

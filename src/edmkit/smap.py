@@ -81,6 +81,15 @@ DEFAULT_THETA_GRID = (0.0, 0.1, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.
 _SV_CUTOFF = 1e-10
 
 
+def _check_theta(theta: float) -> None:
+    """Refuse a theta outside 0 <= theta <= 1e100 (``_BOUND``) by name."""
+    _require_finite(theta=theta)
+    if theta < 0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
+    if not _within(theta):  # so theta * distance / mean stays finite
+        raise ValueError(f"theta has a {_refused(theta)}")
+
+
 @dataclass(frozen=True)
 class SMapConfig:
     """S-map settings: embedding layout, localisation (0 <= theta <= 1e100), optional ridge."""
@@ -91,11 +100,8 @@ class SMapConfig:
     ridge: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(theta=self.theta, ridge=self.ridge)
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if not _within(self.theta):  # so theta * distance / mean stays finite
-            raise ValueError(f"theta has a {_refused(self.theta)}")
+        _check_theta(self.theta)
+        _require_finite(ridge=self.ridge)
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
@@ -137,11 +143,14 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
 
     ``distances`` holds one query's distances, or one row per query, each
     row scaled by its own mean.  ``theta`` is one value, or a 1-D grid that
-    gives one weight array per theta (a leading axis).  Theta 0 and a mean
-    distance of 0 give weights of exactly 1.0.
+    gives one weight array per theta (a leading axis), each held to the
+    ``SMapConfig`` rule.  Theta 0 and a mean distance of 0 give weights of
+    exactly 1.0.
     """
     distances = np.asarray(distances, dtype=float)
     thetas = np.asarray(theta, dtype=float)
+    for value in thetas.ravel().tolist():
+        _check_theta(value)
     if not distances.shape[-1]:
         return np.ones(thetas.shape + distances.shape)
     return _weights(distances, thetas, distances.sum(axis=-1, keepdims=True) / distances.shape[-1])

@@ -86,16 +86,17 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("time series needs a non-empty name")
+        # int() of None still refuses a missing year
+        object.__setattr__(self, "start_year", int(_whole_number("start_year", self.start_year)))
         array = np.fromiter(self.values, dtype=float)
         if not array.size:
             raise ValueError(f"series {self.name!r} is empty")
         bad = np.flatnonzero(~_within(array))
         if bad.size:
             raise ValueError(f"series {self.name!r} has a {_refused(array[bad[0]])} "
-                             f"in year {int(self.start_year) + int(bad[0])}")
+                             f"in year {self.start_year + int(bad[0])}")
         array.setflags(write=False)
         object.__setattr__(self, "values", tuple(array.tolist()))
-        object.__setattr__(self, "start_year", int(self.start_year))
         object.__setattr__(self, "_array", array)
 
     def __len__(self) -> int:
@@ -265,10 +266,14 @@ def _require_finite(**fields) -> None:
 
 
 def _whole_number(name: str, value):
-    """``value`` as an int (None kept); a fraction is rejected by name, not truncated."""
+    """``value`` as an int (None kept); a fraction or a non-number is rejected by name."""
     if value is None:
         return None
-    if value % 1 != 0:  # also NaN and ±inf
+    try:
+        fraction = value % 1 != 0  # also NaN and ±inf
+    except TypeError:  # a string, say, which int() would parse
+        fraction = True
+    if fraction:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

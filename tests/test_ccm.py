@@ -16,6 +16,12 @@ from edmkit.timeseries import (_BOUND, UNDEFINED_SKILL, TimeSeries, pearson_rho,
 from helpers import coupled_logistic_pair, logistic_series, oracle_cross_map, random_walk
 
 
+@pytest.fixture(autouse=True)
+def fresh_draws():
+    """Forget the module's kept grid, so a spy on the draws counts them whatever ran before."""
+    ccm._drawn_groups.cache_clear()
+
+
 def test_self_mapping_is_exact_without_leave_one_out():
     series = logistic_series(300)
     rho = cross_map(series, series, dimension=2, leave_one_out=False)
@@ -188,6 +194,12 @@ CCM_ERRORS = {
     "fractional_library_index": (
         lambda a, b: cross_map(a, b, 4, library_indices=[0.5, *range(1, 10)]),
         "library indices must be whole numbers, got 0.5", None,
+    ),
+    # a mask used to be read as the indices 0 and 1, each repeated
+    "boolean_library_indices": (
+        lambda a, b: cross_map(a, b, 4, library_indices=np.arange(60) % 2 == 0),
+        "library_indices is a boolean mask; pass the indices it selects, np.flatnonzero(mask)",
+        None,
     ),
     "library_index_out_of_range": (
         lambda a, b: cross_map(a, b, 4, library_indices=[0, 60]),
@@ -668,9 +680,8 @@ def _record_groups(monkeypatch):
 @pytest.mark.parametrize("method, replacement", [("random", False), ("random", True),
                                                  ("contiguous", False)])
 def test_sweep_draws_are_the_seeded_streams(seed, method, replacement, monkeypatch):
-    # each cell's generator is seeded from one row of words per (seed, size, j),
-    # which must give the stream of default_rng((seed, size, j)), also for a
-    # seed of two or three 32-bit words
+    # each cell draws from the stream of default_rng((seed, size, j)), also for
+    # a seed of two, three or five 32-bit words
     x, y = coupled_logistic_pair(61)
     n = len(x) - 1
     cfg = CcmConfig(dimension=2, library_sizes=(20, 35, n), samples_per_size=4, seed=seed,
@@ -685,20 +696,6 @@ def test_sweep_draws_are_the_seeded_streams(seed, method, replacement, monkeypat
         assert len(groups) == len(expected)
         for drawn, redrawn in zip(groups, expected):
             assert drawn.dtype == redrawn.dtype and np.array_equal(drawn, redrawn)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 7])
-def test_seed_states_equal_numpys(seed):
-    # with size and j these seeds make 3 to 7 entropy words, so rows shorter
-    # than SeedSequence's pool of four, as long and longer are all hashed
-    sizes, samples = (6, 60, 2**32 - 1), 3
-    words = ccm._seed_words(ccm._entropy_rows(seed, sizes, samples))
-    assert words.shape == (len(sizes), samples, 4) and words.dtype == np.uint64
-    for size, cells in zip(sizes, words):
-        for j, cell in enumerate(cells):
-            sequence = np.random.SeedSequence((seed, size, j))
-            assert np.array_equal(cell, sequence.generate_state(4, np.uint64))
-            assert ccm._pcg64_state(*cell.tolist()) == np.random.PCG64(sequence).state
 
 
 def test_short_record_ranks_each_size_in_at_most_two_batches(monkeypatch):
@@ -737,7 +734,6 @@ def test_a_sweep_shortfall_is_raised_from_its_first_direction(monkeypatch):
                                          r"neighbours, needs 3$"):
         convergence_sweep(a, b, cfg)
     assert len(calls) == 1
-    assert "_draws" not in vars(cfg)
 
 
 def _spy(monkeypatch, name):
@@ -757,7 +753,8 @@ BUNDLED_PAIRS = (("debris", "total"), ("debris", "launched"), ("launched", "tota
 
 
 def test_one_config_draws_and_checks_the_paper_grid_once(monkeypatch):
-    # the paper's three pair sweeps on the bundled record, with one config
+    # the paper's three pair sweeps on the bundled record draw the grid once,
+    # also when each sweep builds its own equal config
     data = load_bundled()
     sizes = tuple(_grid(6, data.n_years - 3, 20))
     assert len(sizes) == 20
@@ -765,29 +762,32 @@ def test_one_config_draws_and_checks_the_paper_grid_once(monkeypatch):
     cfg = CcmConfig(4, sizes, samples_per_size=20, seed=7)
     shared = [convergence_sweep(data[a], data[b], cfg) for a, b in BUNDLED_PAIRS]
     assert len(draws) == 400
-    fresh = [convergence_sweep(data[a], data[b], CcmConfig(4, sizes, samples_per_size=20, seed=7))
+    twins = [convergence_sweep(data[a], data[b], CcmConfig(4, sizes, samples_per_size=20, seed=7))
              for a, b in BUNDLED_PAIRS]
-    assert len(draws) == 4 * 400  # an equal config built separately draws again
-    for kept, drawn in zip(shared, fresh):
-        for first, second in zip(kept.directions, drawn.directions):
-            assert first.samples.tobytes() == second.samples.tobytes()
+    assert len(draws) == 400
+    ccm._drawn_groups.cache_clear()
+    fresh = [convergence_sweep(data[a], data[b], cfg) for a, b in BUNDLED_PAIRS]
+    assert len(draws) == 2 * 400
+    for kept, twin, drawn in zip(shared, twins, fresh):
+        for first, second, third in zip(kept.directions, twin.directions, drawn.directions):
+            assert first.samples.tobytes() == second.samples.tobytes() == third.samples.tobytes()
 
 
 def test_kept_draws_are_read_only_and_no_field():
     x, y = coupled_logistic_pair(61)
+    n = len(x) - 1
     cfg = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
-    before = (repr(cfg), hash(cfg), dataclasses.fields(cfg))
+    before = (dict(vars(cfg)), repr(cfg), hash(cfg), dataclasses.fields(cfg))
     convergence_sweep(x, y, cfg)
-    n, groups = vars(cfg)["_draws"]
-    assert n == len(x) - 1
+    assert (vars(cfg), repr(cfg), hash(cfg), dataclasses.fields(cfg)) == before
+    assert ccm._drawn_groups.cache_info().currsize == 1
+    twin = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
+    groups = ccm._drawn_groups(twin, n)  # the grid the sweep kept
+    assert ccm._drawn_groups.cache_info().hits == 1
     assert [libraries.shape for libraries in groups] == [(4, 20), (4, 35)]
     for libraries in groups:
         with pytest.raises(ValueError, match="read-only"):
             libraries[0, 0] = 0
-    assert (repr(cfg), hash(cfg), dataclasses.fields(cfg)) == before
-    twin = CcmConfig(dimension=2, library_sizes=(20, 35), samples_per_size=4, seed=3)
-    assert cfg == twin and "_draws" not in vars(twin)
-    assert "_draws" not in vars(dataclasses.replace(cfg))
 
 
 def test_a_second_record_length_replaces_the_kept_draws(monkeypatch):
@@ -798,14 +798,15 @@ def test_a_second_record_length_replaces_the_kept_draws(monkeypatch):
         before = len(draws)
         result = convergence_sweep(x, y, cfg)
         assert len(draws) - before == drawn
-        assert vars(cfg)["_draws"][0] == len(x) - 1
+        assert ccm._drawn_groups.cache_info().currsize == 1
         twin = convergence_sweep(x, y, CcmConfig(dimension=2, library_sizes=(20, 35),
                                                  samples_per_size=4, seed=3))
+        assert len(draws) - before == drawn  # an equal config reuses the grid
         for first, second in zip(result.directions, twin.directions):
             assert first.samples.tobytes() == second.samples.tobytes()
 
 
-def test_a_shortfall_is_never_kept():
+def test_each_sweep_names_its_own_shortfall():
     # each sweep checks again and names its own record's year
     x, y = coupled_logistic_pair(40)
     radius, k = 12, 3
@@ -819,7 +820,6 @@ def test_a_shortfall_is_never_kept():
         with pytest.raises(ValueError, match=f"^{message}$"):
             convergence_sweep(TimeSeries("a", start, x.values), TimeSeries("b", start, y.values),
                               cfg)
-        assert "_draws" not in vars(cfg)
     # a shortfall of draws with replacement names the option every time
     data = load_bundled()
     debris, total = data["debris"], data["total"]
@@ -831,7 +831,6 @@ def test_a_shortfall_is_never_kept():
             convergence_sweep(TimeSeries("debris", debris.start_year + shift, debris.values),
                               TimeSeries("total", total.start_year + shift, total.values), cfg)
         years.append(int(re.match(r"cross-map query at (\d+) ", str(caught.value)).group(1)))
-        assert "_draws" not in vars(cfg)
     assert years[1] == years[0] + 100 and years[2] == years[0]
 
 

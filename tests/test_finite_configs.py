@@ -19,6 +19,7 @@ from edmkit.forecast import iterative_forecast, skill_eval
 from edmkit.scenario import PolicyScenario, ScenarioModelConfig
 from edmkit.simplex import SimplexConfig, embed_dimension_search
 from edmkit.smap import SMapConfig, theta_search
+from edmkit.timeseries import TimeSeries
 
 NAN = float("nan")
 INF = float("inf")
@@ -57,6 +58,13 @@ API_CASES = {
                                   "theta must be finite, got nan"),
     "ScenarioModelConfig.ridge": (lambda: ScenarioModelConfig(ridge=INF),
                                   "ridge must be finite, got inf"),
+    # used to fail in int() with "cannot convert float NaN to integer"
+    "TimeSeries.start_year": (lambda: TimeSeries("x", NAN, (1.0, 2.0)),
+                              "start_year must be a whole number, got nan"),
+    "TimeSeries.start_year_text": (lambda: TimeSeries("x", "1990", (1.0, 2.0)),
+                                   "start_year must be a whole number, got '1990'"),
+    "CcmConfig.dimension_text": (lambda: CcmConfig("2", (10, 20)),
+                                 "dimension must be a whole number, got '2'"),
 }
 
 
@@ -128,6 +136,8 @@ WHOLE_CASES = {
     "ScenarioModelConfig.horizon_end": (lambda v: ScenarioModelConfig(horizon_end=v), 2030,
                                         lambda c: c.horizon_end),
     "ScenarioModelConfig.lags": (lambda v: ScenarioModelConfig(lags=v), 2, lambda c: c.lags),
+    "TimeSeries.start_year": (lambda v: TimeSeries("x", v, (1.0, 2.0)), 1990,
+                              lambda c: c.start_year),
 }
 
 

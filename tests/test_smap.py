@@ -117,6 +117,20 @@ def test_far_to_near_weight_ratio_nonincreasing_in_theta():
     assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
+@pytest.mark.parametrize("theta, message", [
+    (-1.0, "theta must be >= 0, got -1.0"),
+    (math.nan, "theta must be finite, got nan"),
+    (1e305, "theta has a value 1e+305 beyond the magnitude bound 1e+100"),
+    ([0.0, 2.0, -1.0], "theta must be >= 0, got -1.0"),
+])
+def test_weights_hold_theta_to_the_config_rule(theta, message):
+    # SMapConfig's messages; a negative theta used to give weights above 1,
+    # and one past the bound overflowed in the product theta * distance
+    distances = np.array([[1e4, 2e4, 3e4]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        smap_weights(distances, theta)
+
+
 def test_coefficients_match_finite_difference_partials():
     rng = np.random.default_rng(21)
     lib = random_library(rng, n=30, dim=3)
