@@ -40,9 +40,11 @@ so a short record ranks a size in one or two batches.  A cell that holds
 each column exactly once (the whole library, or the one cell of a
 subsampled cross map) needs no ranks: its neighbours are the first k
 places of the order, and when every cell is like that each row's order
-stops at k columns and no ranks are built.  Every cell is read through
-one gather: a batch reads its neighbours' distances and values by flat
-offset (its places plus each row's start), one ``np.take`` each.  A row
+stops at k columns and no ranks are built.  A batch is read
+neighbour-major (k x rows x cells): by flat offset (its places plus each
+row's start), one ``np.take`` each, or, for whole cells, as views of the
+first k places.  ``_estimates`` adds over the neighbours in order, so an
+estimate has the same bits in any batch.  A row
 whose k-th gathered distance is inf keeps too few admissible neighbours: its
 batch is not estimated, and the lowest such cell's first such row is named.
 One row-wise Pearson correlation then scores every cell.  Memory is
@@ -62,7 +64,7 @@ from .embedding import (EmbeddingLibrary, EmbeddingSpec, _block_rows, _check_rad
                         _distance_rows, _embeddable, _exclude_band, _floor,
                         _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
-                         _require_finite, _rho_rows, _row_dot, _whole_number, _write_csv,
+                         _require_finite, _rho_rows, _whole_number, _write_csv,
                          _write_json)
 
 __all__ = [
@@ -140,16 +142,21 @@ def _embed(cause: TimeSeries, effect: TimeSeries, dimension: int, tau: int) -> E
 
 
 def _estimates(distances: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Kernel estimates from each row's ``k`` nearest distances, ascending, and their values.
+    """Kernel estimates from each column's ``k`` nearest distances, ascending, and their values.
 
-    Both are (rows x k) and the result has one estimate per row.
+    Both are (k x estimates).  Weights and weighted values are added in
+    neighbour order, so an estimate has the same bits in any batch (a lone
+    column of 8 or more would sum pairwise under ``np.add.reduce``).
     """
-    nearest = distances[:, :1]
+    nearest = distances[0]
     exact = nearest == 0.0
     weights = np.where(exact, distances == 0.0,
                        np.exp(-distances / np.where(exact, 1.0, nearest)))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return _row_dot(weights, values)
+    total, estimate = weights[0].copy(), weights[0] * values[0]
+    for weight, value in zip(weights[1:], values[1:]):
+        total += weight
+        estimate += weight * value
+    return estimate / total
 
 
 def _select(rank: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
@@ -172,10 +179,10 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     has one skill per cell, in group order.  Every embeddable state is a
     query, estimated from the ``dimension + 1`` nearest admissible points of
     the cell's library in the row blocks and size batches of the module
-    docstring.  Every cell is read through one flat-offset gather and one
-    ``_estimates`` call: a cell holding each used column once takes the
-    first k places of the order, any other the k smallest ranks of
-    ``_select``.  The estimates fill ``estimates`` when given, else a new
+    docstring.  Every batch is read neighbour-major into one ``_estimates``
+    call: a cell holding each used column once takes a view of the first k
+    places of the order, any other a flat-offset gather of the k smallest
+    ranks of ``_select``.  The estimates fill ``estimates`` when given, else a new
     (cells x n) array.  A ValueError names the first query of the lowest
     cell that keeps fewer than ``dimension + 1`` admissible neighbours (a
     column drawn twice counts twice).
@@ -216,7 +223,6 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     # each row's start in the flat near and picked; int32 like the ranks, since a
     # block holds fewer than max(n, embedding._BLOCK_ELEMENTS) distances
     offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.int32)[:, None, None]
-    leading = offsets + np.arange(k, dtype=np.int32)  # the first k places of each row
     shortfall = None  # (cell, row, admissible count) of the lowest cell found short
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -229,20 +235,23 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
             rank = np.empty(block.shape, dtype=np.int32)  # each column's place in its row's order
             rank[np.arange(stop - start)[:, None], order] = np.arange(used.size, dtype=np.int32)
         near, picked = np.take_along_axis(block, order, axis=1), values[order]
-        starts, first_k = offsets[:stop - start], leading[:stop - start]
+        starts = offsets[:stop - start]
         for cells, batch in batches:
-            flat = first_k if batch is None else _select(rank, batch, k) + starts
-            distances = np.take(near, flat)  # (rows x cells x k); one column for whole cells
-            short = distances[..., -1] == np.inf
+            # (k x rows x cells); whole cells read views of the first k places
+            if batch is None:
+                distances, neighbours = near.T[:k, :, None], picked.T[:k, :, None]
+            else:
+                flat = (_select(rank, batch, k) + starts).transpose(2, 0, 1)
+                distances, neighbours = np.take(near, flat), np.take(picked, flat)
+            short = distances[-1] == np.inf
             if short.any():
                 at = int(np.argmax(short.any(axis=0)))  # cells ascend within a batch
                 row = int(np.argmax(short[:, at]))
-                found = (cells[at], start + row, int(np.isfinite(distances[row, at]).sum()))
+                found = (cells[at], start + row, int(np.isfinite(distances[:, row, at]).sum()))
                 shortfall = found if shortfall is None else min(shortfall, found)
                 continue
             estimates[cells, start:stop] = _estimates(
-                distances.reshape(-1, k), np.take(picked, flat).reshape(-1, k)
-            ).reshape(stop - start, -1).T
+                distances.reshape(k, -1), neighbours.reshape(k, -1)).reshape(stop - start, -1).T
     if shortfall is not None:
         _, row, admissible = shortfall
         raise ValueError(f"cross-map query at {int(library.times[row])} has only {admissible} "

@@ -38,7 +38,9 @@ that order.  ``_smallest_k`` has one selection rule: it sorts a row whole
 only when it must order the whole row, and otherwise partitions it at the
 k-th smallest value, keeping every value below it and the earliest values
 equal to it, whose columns one flat index pass finds, so only ``k``
-survivors are sorted.  Kernel sums are ``timeseries._row_dot``.
+survivors are sorted.  Simplex and S-map kernel sums are
+``timeseries._row_dot``; cross mapping adds its neighbours in order
+(``ccm._estimates``).
 """
 
 from __future__ import annotations
@@ -245,9 +247,12 @@ def _layout(spec: EmbeddingSpec, norms: tuple[tuple[str, float, float], ...] | N
 
 
 def _gather(values: np.ndarray, heads, layout) -> np.ndarray:
-    """The delay vectors at the given head rows (one vector for a scalar head)."""
+    """The delay vectors at the given head rows (one vector for a scalar head).
+
+    ``values`` may lead with a record axis, along which ``centre`` and ``scale`` stack.
+    """
     rows, cols, centre, scale = layout
-    return (values[np.asarray(heads)[..., None] - rows, cols] - centre) / scale
+    return (values[..., np.asarray(heads)[..., None] - rows, cols] - centre) / scale
 
 
 def _embeddable(length: int, spec: EmbeddingSpec, tp: int = 0) -> int:

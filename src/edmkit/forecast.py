@@ -278,9 +278,11 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
     names = extension_names(spec, target)
     batch, n_obs = len(records), data.n_years
     steps = horizon_end - data.end_year
-    # norms frozen from each record's observed data; the spec's series lead ``names``
-    layouts = [_layout(spec, multivariate_embed(record, spec, target, tp=1).norms)
-               for record in records]
+    # norms frozen from each record's observed data, stacked along the record axis, so
+    # one gather serves every record; the spec's series lead ``names``
+    rows, cols, centres, scales = zip(*(
+        _layout(spec, multivariate_embed(record, spec, target, tp=1).norms) for record in records))
+    layout = (rows[0], cols[0], np.stack(centres)[:, None], np.stack(scales)[:, None])
     first = spec.max_offset
     try:  # every array that grows with the horizon, so one too long for memory is named
         values = np.empty((batch, n_obs + steps, len(names)), dtype=float)
@@ -289,9 +291,9 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
     except (MemoryError, ValueError):
         raise ValueError(f"horizon {horizon_end} lies too far past the record "
                          f"({data.end_year}) to fit in memory") from None
-    for record, layout, buffer, vectors in zip(records, layouts, values, states):
+    for record, buffer in zip(records, values):
         buffer[:n_obs] = np.column_stack([record[name].to_array() for name in names])
-        vectors[:n_obs - first] = _gather(buffer, np.arange(first, n_obs), layout)
+    states[:, :n_obs - first] = _gather(values, np.arange(first, n_obs), layout)
     target_col = names.index(target)
     observed = n_obs - 1 - first  # year 0's library and query row; no later year has less
     _check_admissible(cfg._needs, max(observed - radius, 0), observed, radius)
@@ -326,8 +328,7 @@ def _lockstep(records: Sequence[Dataset], target: str, cfg: SimplexConfig | SMap
             coefficients.append(step_coefs[:, target_col])
         if i + 1 < steps:
             check(values[:, row], "series", names, year)
-            for vectors, buffer, layout in zip(states, values, layouts):
-                vectors[row - first] = _gather(buffer, row, layout)
+            states[:, row - first:row - first + 1] = _gather(values, [row], layout)
             if spec.normalize:  # a raw coordinate is a value checked above; a z-score need not be
                 check(states[:, row - first], "z-scored coordinate", coordinates, year)
     tracks = np.stack(coefficients, axis=1) if coefficients else [None] * batch

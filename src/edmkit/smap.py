@@ -34,10 +34,11 @@ exponential, each query scaled by its mean distance over its own library
 prefix.  Each (theta, query, series) system ``[A | b]`` is square-root
 weighted; each run of consecutive queries with one library size is written
 into one buffer per call and factored by one stacked Householder QR
-(``numpy.linalg.qr``), and one stacked SVD per call solves every triangle.
-The residual variance is read off the same factors, with no second pass
-over the library.  A theta search thus makes one QR per query for the
-whole grid, and a batch of scenarios one QR and one SVD per year.
+(``numpy.linalg.qr``).  The series of one (theta, query) share its design
+triangle, so one stacked SVD per call, of one triangle per design, solves
+every series.  The residual variance is read off the same factors, with no
+second pass over the library.  A theta search thus makes one QR per query
+for the whole grid, and a batch of scenarios one QR and one SVD per year.
 A fit has the same bits whatever shares its stacks.  On unit-scale designs
 with ridge 0 or 0.3, rank-deficient ones included, it agrees with one
 ``lstsq`` per system within 1e-9 relative (1e-12 absolute near zero).  A
@@ -145,12 +146,18 @@ def smap_weights(distances: np.ndarray, theta: float | np.ndarray) -> np.ndarray
     row scaled by its own mean.  ``theta`` is one value, or a 1-D grid that
     gives one weight array per theta (a leading axis), each held to the
     ``SMapConfig`` rule.  Theta 0 and a mean distance of 0 give weights of
-    exactly 1.0.
+    exactly 1.0.  A distance that is negative, non-finite or beyond +-1e100
+    (``timeseries._BOUND``) is named by a ValueError.
     """
     distances = np.asarray(distances, dtype=float)
     thetas = np.asarray(theta, dtype=float)
     for value in thetas.ravel().tolist():
         _check_theta(value)
+    refused = ~(_within(distances) & (distances >= 0.0))
+    if refused.any():
+        value = float(distances[refused][0])
+        raise ValueError(f"distance must be >= 0, got {value}" if _within(value)
+                         else f"distance has a {_refused(value)}")
     if not distances.shape[-1]:
         return np.ones(thetas.shape + distances.shape)
     return _weights(distances, thetas, distances.sum(axis=-1, keepdims=True) / distances.shape[-1])
@@ -192,9 +199,12 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     and one stacked Householder QR (``numpy.linalg.qr``, ``mode="raw"``)
     factors them, so each system's triangle ``R^T`` is the lower left corner
     of its leading (dimension + 2) square and ``Q^T b`` leads that square's
-    last row.  One stacked SVD solves the (dimension + 1) triangle of every
-    system of the call: singular values at most ``_SV_CUTOFF`` times the
-    largest count as 0, which gives ``lstsq``'s minimum-norm answer.
+    last row.  Householder QR never lets a system's last column (its
+    targets) touch the columns before it, so the columns of one (theta,
+    query) share their (dimension + 1) design triangle bit for bit, and one
+    stacked SVD of one triangle per (theta, query) serves every column:
+    singular values at most ``_SV_CUTOFF`` times the largest count as 0,
+    which gives ``lstsq``'s minimum-norm answer.
 
     The weighted residual sum of squares is read off the same factors
     (Golub and Van Loan, *Matrix Computations*, section 5.3): the square of
@@ -202,7 +212,7 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     singular directions, less the ridge rows' ``ridge * |slopes|^2``,
     floored at 0 since rounding can cross it on an exact fit.  The variance
     divides it by the weight sum, the square of R's first diagonal entry
-    (the norm of the intercept column).  Every system is solved on its own,
+    (the norm of the intercept column).  Every design is solved on its own,
     so a fit has the same bits whatever else shares its stacks.  Returns
     (thetas, queries, columns) predictions and variances and (thetas,
     queries, columns, dimension + 1) coefficients, all new arrays.
@@ -248,7 +258,9 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
             system[..., count:] = 0.0
             system[..., 1:-1, count:] = math.sqrt(ridge) * np.eye(dim)
         heads[:, lo:hi] = np.linalg.qr(system.swapaxes(-1, -2), mode="raw")[0][..., :dim + 2]
-    v, s, ut = np.linalg.svd(np.where(_lower(dim + 1), heads[..., :-1, :-1], 0.0))
+    # one design triangle per (theta, query), shared by its columns
+    v, s, ut = (part[:, :, None] for part in np.linalg.svd(
+        np.where(_lower(dim + 1), heads[:, :, 0, :-1, :-1], 0.0)))
     kept = s > _SV_CUTOFF * s[..., :1]
     projected = (ut @ heads[..., -1, :-1, None])[..., 0]  # Q^T b in the singular basis
     # a dropped value divides to 0

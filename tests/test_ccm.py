@@ -721,6 +721,43 @@ def test_short_record_ranks_each_size_in_at_most_two_batches(monkeypatch):
                 assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+def test_an_estimate_has_the_same_bits_alone_and_in_a_batch(k):
+    # neighbour-order sums; a pairwise sum would round a lone column of 9 or
+    # more neighbours differently from the same column inside a batch
+    rng = np.random.default_rng([39, k])
+    distances = np.sort(rng.uniform(0.0, 3.0, (k, 41)), axis=0)
+    distances[:, :5] = np.round(distances[:, :5])  # tied and zero nearest distances
+    distances[0, 5] = distances[:2, 6] = 0.0
+    values = rng.normal(size=(k, 41))
+    batch = ccm._estimates(distances, values)
+    for column in range(41):
+        alone = ccm._estimates(distances[:, column:column + 1], values[:, column:column + 1])
+        assert alone.tobytes() == batch[column:column + 1].tobytes()
+    exact = distances[0] == 0.0
+    weights = np.where(exact, distances == 0.0,
+                       np.exp(-distances / np.where(exact, 1.0, distances[0])))
+    np.testing.assert_allclose(batch, (weights * values).sum(axis=0) / weights.sum(axis=0),
+                               rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("dimension", [4, 9])
+def test_a_drawn_cell_has_the_same_bits_alone_and_in_its_sweep(dimension):
+    # the cross map of one cell's library estimates from a view of the first
+    # k places of the order; the sweep from that cell's k smallest ranks
+    data = load_bundled()
+    a, b = data["debris"], data["total"]
+    n = data.n_years - dimension + 1
+    cfg = CcmConfig(dimension, tuple(_grid(dimension + 2, n, 20)), samples_per_size=5, seed=39)
+    result = convergence_sweep(a, b, cfg)
+    draw = np.random.default_rng(dimension)
+    i, j = int(draw.integers(len(cfg.library_sizes) - 1)), int(draw.integers(5))
+    library = ccm._drawn_groups(cfg, n)[i][j]
+    for direction, (cause, effect) in zip(result.directions, ((a, b), (b, a))):
+        expected = cross_map(cause, effect, dimension, library_indices=library)
+        assert direction.samples[i, j].tobytes() == np.float64(expected).tobytes()
+
+
 def test_a_sweep_shortfall_is_raised_from_its_first_direction(monkeypatch):
     # both directions share the draws and the library times, so the second
     # direction is never cross mapped once the first falls short

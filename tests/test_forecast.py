@@ -403,6 +403,24 @@ def test_both_drivers_name_a_forecast_beyond_the_bound(cfg, year):
                                labels=["narrow", "wide"])
 
 
+@pytest.mark.parametrize("method", ["simplex", "smap"])
+def test_a_lockstep_gathers_each_record_with_its_own_norms(method):
+    # one gather per year serves every record, each record's norms stacked
+    # along the record axis: each record forecasts as it does alone
+    x, y = coupled_logistic_pair(60)
+    spec = EmbeddingSpec((("x", 2), ("y", 1)), tau=2, normalize=True)
+    cfg = SimplexConfig(spec) if method == "simplex" else SMapConfig(spec, 2.0)
+    records = [Dataset((TimeSeries("x", 1960, scale * np.array(x.values) + shift),
+                        TimeSeries("y", 1960, y.values)))
+               for scale, shift in ((1.0, 0.0), (3.0, 5.0), (0.5, -2.0))]
+    together = forecast._lockstep(records, "x", cfg, 2040, [None] * 3)
+    for record, result in zip(records, together):
+        alone = forecast.iterative_forecast(record, "x", cfg, 2040)
+        for name in ("predicted", "step_variance", "coefficients"):
+            assert np.asarray(getattr(result, name)).tobytes() == \
+                np.asarray(getattr(alone, name)).tobytes()
+
+
 @pytest.mark.parametrize("predict", [
     lambda library, query: simplex_predict(library, query, SimplexConfig(library.spec))[0],
     lambda library, query: smap_predict(library, query, SMapConfig(library.spec, 1.0)).prediction,

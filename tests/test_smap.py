@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ def test_weights_hold_theta_to_the_config_rule(theta, message):
     distances = np.array([[1e4, 2e4, 3e4]])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         smap_weights(distances, theta)
+
+
+@pytest.mark.parametrize("distances, message", [
+    ([1e308, 1e308], "distance has a value 1e+308 beyond the magnitude bound 1e+100"),
+    ([math.inf, 1.0], "distance has a non-finite value inf"),
+    ([math.nan, 1.0], "distance has a non-finite value nan"),
+    ([-1.0, 2.0], "distance must be >= 0, got -1.0"),
+])
+def test_weights_name_a_distance_outside_the_bound(distances, message):
+    # these used to overflow the mean, divide inf by inf, return NaN weights,
+    # or give a negative distance a weight of 7.39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smap_weights(np.array(distances), 2.0)
+
+
+def test_weights_of_in_range_distances_keep_their_bits():
+    distances = np.array([[0.0, 1e-300, 0.5, 3.0, 1e100], [2.0, 2.0, 7.5, 0.25, 1.0]])
+    means = distances.sum(axis=-1, keepdims=True) / distances.shape[-1]
+    for theta in (0.5, 2.0, 7.0):
+        expected = np.exp(-theta * distances / means)
+        assert smap_weights(distances, theta).tobytes() == expected.tobytes()
 
 
 def test_coefficients_match_finite_difference_partials():
@@ -353,6 +377,32 @@ def test_a_fit_has_the_same_bits_whatever_shares_its_stack(ridge):
     for q, limit in enumerate(limits):
         alone = _fit(vectors[0], forward[0], queries[q:q + 1], [limit], thetas, ridge)
         assert _same_fit(alone, [part[:, q:q + 1] for part in mixed])
+        # each column alone, whose design the other two columns share
+        for c in range(3):
+            column = _fit(vectors[0], forward[0, :, c:c + 1], queries[q:q + 1], [limit],
+                          thetas, ridge)
+            assert _same_fit(column, [part[:, q:q + 1, c:c + 1] for part in mixed])
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_one_svd_per_design_serves_every_forward_column(columns, ridge, monkeypatch):
+    # the columns of a (theta, query) share its design triangle, so one
+    # stacked SVD of (thetas, queries) triangles solves every column
+    rng = np.random.default_rng([39, columns])
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    thetas = np.array([0.0, 2.0, 7.0])
+    vectors, forward = rng.normal(size=(30, 3)), rng.normal(size=(30, columns))
+    fits = _fit(vectors, forward, rng.normal(size=(4, 3)), [24, 24, 12, 30], thetas, ridge)
+    assert shapes == [(3, 4, 4, 4)]
+    assert [part.shape for part in fits] == [(3, 4, columns)] * 2 + [(3, 4, columns, 4)]
 
 
 RANK_DEFICIENT = {
