@@ -24,12 +24,16 @@ record length, so the module keeps its last grid, keyed by both: one
 ``lru_cache`` entry of read-only arrays.
 One driver serves a single cross map and a whole sweep direction: its query
 rows are walked once, in blocks whose distances serve every cell.  A block is
-one (rows x n) array of Manhattan distances (see
-``embedding._distance_rows``), into which each query's exclusion window is
-written as inf, so a column that is no candidate sorts after every
-candidate; only the columns some cell uses are kept.  Each block row is
-sorted once by (distance, column) with ``embedding._smallest_k``, and an
-int32 array holds every column's place in that order.  A cell's neighbours
+one (rows x n) array of Manhattan distances, each coordinate's term a
+shifted view of its series' one difference plane
+(``embedding._lag_distances``) while tau is at most the block's row count
+(``embedding._block_distances``), the rule and bits of
+``embedding._distance_rows`` either way, into which each query's exclusion window is
+written as inf along its diagonals, so a column that is no candidate sorts
+after every candidate; only the columns some cell uses are kept.  Each
+block row is sorted once by (distance, column) with
+``embedding._smallest_k``, and an int32 array holds every column's place
+in that order.  A cell's neighbours
 for a row are the columns of the k smallest ranks among its library, found
 by sorting those ranks, so they come in the order a stable sort of the
 cell's own distances gives them, and a column drawn twice stays beside its
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import (EmbeddingLibrary, EmbeddingSpec, _block_rows, _check_radius,
-                        _distance_rows, _embeddable, _exclude_band, _floor,
+                        _block_distances, _embeddable, _exclude_band, _floor, _lag_series,
                         _smallest_k, multivariate_embed)
 from .timeseries import (Dataset, TimeSeries, _cell, _flag, _frozen, _jsonable,
                          _require_finite, _rho_rows, _whole_number, _write_csv,
@@ -145,17 +149,19 @@ def _estimates(distances: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Kernel estimates from each column's ``k`` nearest distances, ascending, and their values.
 
     Both are (k x estimates).  Weights and weighted values are added in
-    neighbour order, so an estimate has the same bits in any batch (a lone
-    column of 8 or more would sum pairwise under ``np.add.reduce``).
+    neighbour order, each product formed in one reused buffer, so an
+    estimate has the same bits in any batch (a lone column of 8 or more
+    would sum pairwise under ``np.add.reduce``).
     """
     nearest = distances[0]
     exact = nearest == 0.0
     weights = np.where(exact, distances == 0.0,
                        np.exp(-distances / np.where(exact, 1.0, nearest)))
     total, estimate = weights[0].copy(), weights[0] * values[0]
+    product = np.empty_like(total)
     for weight, value in zip(weights[1:], values[1:]):
         total += weight
-        estimate += weight * value
+        estimate += np.multiply(weight, value, out=product)
     return estimate / total
 
 
@@ -179,13 +185,19 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     has one skill per cell, in group order.  Every embeddable state is a
     query, estimated from the ``dimension + 1`` nearest admissible points of
     the cell's library in the row blocks and size batches of the module
-    docstring.  Every batch is read neighbour-major into one ``_estimates``
-    call: a cell holding each used column once takes a view of the first k
-    places of the order, any other a flat-offset gather of the k smallest
-    ranks of ``_select``.  The estimates fill ``estimates`` when given, else a new
-    (cells x n) array.  A ValueError names the first query of the lowest
-    cell that keeps fewer than ``dimension + 1`` admissible neighbours (a
-    column drawn twice counts twice).
+    docstring.  A block's distances come from ``embedding._block_distances``
+    on the effect's series as the states hold it (``_lag_series``, built
+    once per call): while tau is at most the block's row count each
+    coordinate's term is a shifted view of one difference plane, added in
+    coordinate order, so the rule and its bits are those of
+    ``embedding._distance_rows``, which serves past it.  Every batch is read
+    neighbour-major into one ``_estimates`` call: a cell holding each used
+    column once takes a view of the first k places of the order, any other
+    a flat-offset gather of the k smallest ranks of ``_select``, through one
+    contiguous index both gathers share.  The estimates fill ``estimates``
+    when given, else a new (cells x n) array.  A ValueError names the first
+    query of the lowest cell that keeps fewer than ``dimension + 1``
+    admissible neighbours (a column drawn twice counts twice).
     """
     vectors, targets = library.vectors, library.targets
     n, dimension = vectors.shape
@@ -220,13 +232,13 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
     if estimates is None:
         estimates = np.empty((first, n), dtype=float)
     values = targets[used]
-    # each row's start in the flat near and picked; int32 like the ranks, since a
-    # block holds fewer than max(n, embedding._BLOCK_ELEMENTS) distances
-    offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.int32)[:, None, None]
+    series = _lag_series(vectors, library.spec)
+    # each row's start in the flat near and picked, intp like the index it is added to
+    offsets = np.arange(0, min(step, n) * prefix, prefix, dtype=np.intp)[:, None]
     shortfall = None  # (cell, row, admissible count) of the lowest cell found short
     for start in range(0, n, step):
         stop = min(start + step, n)
-        block = _distance_rows(vectors, vectors[start:stop], "manhattan")
+        block = _block_distances(vectors, series, library.spec.tau, start, stop, n, "manhattan")
         _exclude_band(block, start, floor)
         if used.size < n:
             block = np.take(block, used, axis=1)
@@ -241,8 +253,12 @@ def _cross_map_cells(library: EmbeddingLibrary, groups: list[np.ndarray], exclus
             if batch is None:
                 distances, neighbours = near.T[:k, :, None], picked.T[:k, :, None]
             else:
-                flat = (_select(rank, batch, k) + starts).transpose(2, 0, 1)
+                # one contiguous neighbour-major intp index, which neither take
+                # copies, freed before the estimates
+                flat = np.moveaxis(_select(rank, batch, k), -1, 0).astype(np.intp, order="C")
+                flat += starts
                 distances, neighbours = np.take(near, flat), np.take(picked, flat)
+                del flat
             short = distances[-1] == np.inf
             if short.any():
                 at = int(np.argmax(short.any(axis=0)))  # cells ascend within a batch

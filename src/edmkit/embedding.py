@@ -14,7 +14,16 @@ by forecast skill.
 Simplex projection, the S-map and cross mapping share one neighbour core.
 ``_distance_rows`` returns Euclidean or Manhattan distances from a block of
 queries to the library as a new array, adding one coordinate plane at a
-time in coordinate order for both metrics and every dimension.
+time in coordinate order for both metrics and every dimension.  Where the
+queries are a run of consecutive library states (every cross-map block and
+every one-step block), ``_lag_distances`` follows the same rule with the
+same bits, but takes each coordinate's term from one difference plane per
+spec column: coordinate (series s, lag l) of state j is
+``z_s[first + j - l * tau]``, so every lag of a column reads the same
+differences, shifted along the plane's diagonal (``_lag_series`` copies
+each column's series off the states).  ``_block_distances`` picks, per
+block, whichever of the two subtracts fewer values: the planes while tau
+is at most the block's row count, ``_distance_rows`` past it.
 One-step forecasting and cross mapping size their query blocks by one
 rule, ``_block_rows``: as many rows as keep rows x library states x
 dimension within ``_BLOCK_ELEMENTS`` coordinate differences, at least one.
@@ -326,8 +335,8 @@ def state_vector(data: Dataset, spec: EmbeddingSpec, time_index: int,
 
 
 #: Most coordinate differences one block of queries may hold (query rows x
-#: library rows x dimension); its distances and the scratch plane of
-#: ``_distance_rows`` each hold 1/dimension of that.
+#: library rows x dimension); its distances and each scratch plane of
+#: ``_distance_rows`` or ``_lag_distances`` hold about 1/dimension of that.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -353,6 +362,68 @@ def _distance_rows(vectors: np.ndarray, queries: np.ndarray, metric: str) -> np.
     for c in range(1, vectors.shape[-1]):
         out += term(np.subtract(vectors[..., c], queries[:, c:c + 1], out=plane), out=plane)
     return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
+def _lag_series(vectors: np.ndarray, spec: EmbeddingSpec) -> list[tuple[np.ndarray, int]]:
+    """Each spec column's series as consecutive states hold it, with its lag count.
+
+    With ``span = (lags - 1) * tau``, coordinate ``l`` of the column at state
+    ``i`` is ``series[span + i - l * tau]``.  Every entry is copied from the
+    states' own coordinates, so it keeps their bits; an entry no state reads
+    (where tau exceeds the state count) holds 0.
+    """
+    n, out, c = vectors.shape[0], [], 0
+    for _, lags in spec.columns:
+        span = (lags - 1) * spec.tau
+        series = np.zeros(span + n)
+        for lag in range(lags):
+            series[span - lag * spec.tau:span - lag * spec.tau + n] = vectors[:, c + lag]
+        out.append((series, lags))
+        c += lags
+    return out
+
+
+def _lag_distances(series: list[tuple[np.ndarray, int]], tau: int, start: int, stop: int,
+                   width: int, metric: str) -> np.ndarray:
+    """The distances from states ``[start, stop)`` to states ``[0, width)``, from ``_lag_series``.
+
+    The same rule as ``_distance_rows`` on those states, with the same bits:
+    each column's differences, library minus query, fill one plane of
+    ``(stop - start + span) x (width + span)`` with its term (absolute value
+    or square) in place, and each coordinate's term is a shifted view of its
+    column's plane, added in coordinate order into a result started from
+    the first term.  Euclidean takes the square root in place at the end.
+    """
+    _check_metric(metric)
+    term = np.abs if metric == "manhattan" else np.square
+    rows, out = stop - start, None
+    for values, lags in series:
+        span = (lags - 1) * tau
+        plane = np.subtract(values[:width + span], values[start:stop + span, None])
+        term(plane, out=plane)
+        for lag in range(lags):
+            at = span - lag * tau
+            view = plane[at:at + rows, at:at + width]
+            if out is None:
+                out = view.copy()
+            else:
+                out += view
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
+def _block_distances(vectors: np.ndarray, series: list[tuple[np.ndarray, int]], tau: int,
+                     start: int, stop: int, width: int, metric: str) -> np.ndarray:
+    """The distances from states ``[start, stop)`` of ``vectors`` to states ``[0, width)``.
+
+    ``series`` is ``_lag_series(vectors, spec)``.  Both kernels give the same
+    bits; a column of ``lags`` coordinates costs ``_lag_distances`` about
+    ``(rows + (lags - 1) * tau) x width`` subtractions against ``rows x lags
+    x width`` for ``_distance_rows``, so the planes serve while ``tau`` is at
+    most the block's row count, and ``_distance_rows`` past it.
+    """
+    if tau <= stop - start:
+        return _lag_distances(series, tau, start, stop, width, metric)
+    return _distance_rows(vectors[:width], vectors[start:stop], metric)
 
 
 def _check_metric(metric: str) -> None:
@@ -408,12 +479,19 @@ def _exclude_band(block: np.ndarray, first: int, floor: int) -> None:
 
     Row i of ``block`` holds the distances from library row ``first + i`` to
     every library row, and library times are consecutive, so the columns
-    that are no candidates are those within ``floor`` of ``first + i``.
+    that are no candidates are those within ``floor`` of ``first + i``: the
+    band of diagonals ``-floor..floor`` from column ``first``.  Each diagonal
+    that meets the block is one strided write into the flattened block,
+    which must therefore be C-contiguous.
     """
     if floor < 0:
         return
-    for i, row in enumerate(block, start=first):
-        row[max(i - floor, 0):i + floor + 1] = np.inf
+    rows, width = block.shape
+    flat = block.reshape(-1)
+    for shift in range(max(-floor, -(first + rows - 1)), min(floor, width - 1 - first) + 1):
+        column = first + shift  # of row 0; row i holds column + i
+        lo, hi = max(0, -column), min(rows, width - column)
+        flat[lo * (width + 1) + column:hi * (width + 1) + column:width + 1] = np.inf
 
 
 def _check_admissible(need: tuple[int, str], admissible: int, size: int, radius: int) -> None:

@@ -12,15 +12,19 @@ predictions to the library ("self conditioning") so the reconstruction can
 extend past the observed record.
 
 Each config supplies its predictor, ``cfg._predict(vectors, forward,
-queries, limits)``, and both loops call it the same way.  ``vectors`` holds
-library states in ascending time and ``forward`` the next value of each
-predicted series after each state; both may carry a leading query axis,
+queries, limits, distances=None)``, and both loops call it the same way.
+``vectors`` holds library states in ascending time and ``forward`` the next
+value of each predicted series after each state; both may carry a leading
+query axis,
 (queries, rows, dimension) and (queries, rows, series), which gives each
 query its own library.  Query ``q`` may use only the first
 ``limits[q]`` rows, where ``limits`` is any sequence of ints: its library
 holds consecutive years before the query's, so for the query state at row
 ``r`` that is the row offset ``max(r - radius, 0)``, capped at the
-library's size.  It returns (queries, columns) predictions and variances,
+library's size.  ``distances``, when given, are the queries' Euclidean
+distances to the first ``max(limits)`` rows, a new array the predictor may
+write; without them it measures them with ``embedding._distance_rows``.
+It returns (queries, columns) predictions and variances,
 and None or (queries, columns, dimension + 1) coefficients.  It only
 predicts: ``cfg._needs`` states the rows it needs and how a shortfall words
 them, and each loop checks its first query, which has the fewest rows.
@@ -38,8 +42,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingSpec, _block_rows, _check_admissible, _check_radius,
-                        _check_state_time, _gather, _layout, multivariate_embed)
+from .embedding import (EmbeddingSpec, _block_distances, _block_rows, _check_admissible,
+                        _check_radius, _check_state_time, _gather, _lag_series, _layout,
+                        multivariate_embed)
 from .timeseries import (UNDEFINED_SKILL, Dataset, _cell, _frozen, _jsonable, _refused,
                          _whole_number, _within, _write_csv, _write_json, pearson_rho, rmse)
 
@@ -159,8 +164,15 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
     Checks the evaluation range, embeds the full library and finds the library
     row of each query state and its admissible prefix, of which the first,
     the shortest, is checked against ``cfg._needs``.  ``predict(vectors,
-    forward, queries, limits)`` gets blocks of ascending rows, as many per
-    block as ``embedding._block_rows`` allows against the full library.
+    forward, queries, limits, distances=...)`` gets blocks of ascending rows,
+    as many per block as ``embedding._block_rows`` allows against the full
+    library.  The query states of a block are consecutive library states, so
+    its distances come from ``embedding._block_distances`` on the series as
+    the states hold them (``_lag_series``, built once): while tau is at most
+    the block's row count each coordinate's term is a shifted view of one
+    difference plane per spec column, added in coordinate order, so the
+    rule and its bits are those of ``embedding._distance_rows``, which
+    serves past it.
     """
     spec = cfg.spec
     train_end, eval_start, eval_end = (_whole_number(name, year) for name, year in (
@@ -183,8 +195,14 @@ def _one_step(data: Dataset, target: str, cfg: SimplexConfig | SMapConfig, train
     limits = np.maximum(rows - min(spec.radius, len(full)), 0)
     _check_admissible(cfg._needs, int(limits[0]), int(rows[0]), spec.radius)
     step = _block_rows(len(full), spec.dimension)
-    blocks = [predict(full.vectors, full.targets[:, None], full.vectors[rows[lo:lo + step]],
-                      limits[lo:lo + step]) for lo in range(0, rows.shape[0], step)]
+    series = _lag_series(full.vectors, spec)
+    blocks = []
+    for lo in range(0, rows.shape[0], step):
+        block, prefixes = rows[lo:lo + step], limits[lo:lo + step]
+        distances = _block_distances(full.vectors, series, spec.tau, int(block[0]),
+                                     int(block[-1]) + 1, int(prefixes.max()), "euclidean")
+        blocks.append(predict(full.vectors, full.targets[:, None], full.vectors[block], prefixes,
+                              distances=distances))
     return full, times, rows, blocks
 
 

@@ -65,12 +65,15 @@ class SimplexConfig:
     def _needs(self) -> tuple[int, str]:
         return self.effective_k, f"k={self.effective_k} neighbours"
 
-    def _predict(self, vectors, forward, queries, limits):
+    def _predict(self, vectors, forward, queries, limits, distances=None):
         """The protocol's predictor (see ``edmkit.forecast``): kernel averages of the k nearest.
 
-        ``vectors`` and ``forward`` may carry a leading query axis.
+        ``vectors`` and ``forward`` may carry a leading query axis.  ``distances``,
+        when given, are the queries' distances to the first ``max(limits)`` rows,
+        a new array; without them ``_distance_rows`` measures them.
         """
-        distances = _distance_rows(vectors[..., :max(limits), :], queries, "euclidean")
+        if distances is None:
+            distances = _distance_rows(vectors[..., :max(limits), :], queries, "euclidean")
         for row, limit in zip(distances, limits):
             row[limit:] = np.inf  # the rows past a query's own prefix are no candidates
         indices, distances = _nearest(distances, self.effective_k)

@@ -110,14 +110,15 @@ class SMapConfig:
     def _needs(self) -> tuple[int, str]:
         return self.spec.dimension + 2, f"dimension+2 = {self.spec.dimension + 2} points"
 
-    def _predict(self, vectors, forward, queries, limits):
+    def _predict(self, vectors, forward, queries, limits, distances=None):
         """The protocol's predictor (see ``edmkit.forecast``): one local fit per query.
 
-        ``vectors`` and ``forward`` may carry a leading query axis.  Every
-        call returns new arrays, so callers may keep views into them.
+        ``vectors`` and ``forward`` may carry a leading query axis; ``distances``
+        are as ``_fit`` takes them.  Every call returns new arrays, so callers
+        may keep views into them.
         """
         predictions, variances, coefficients = _fit(
-            vectors, forward, queries, limits, np.array([self.theta]), self.ridge)
+            vectors, forward, queries, limits, np.array([self.theta]), self.ridge, distances)
         return predictions[0], variances[0], coefficients[0]
 
 
@@ -177,7 +178,8 @@ def _weights(distances: np.ndarray, thetas: np.ndarray, means: np.ndarray) -> np
 
 
 def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
-         thetas: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         thetas: np.ndarray, ridge: float, distances: np.ndarray | None = None
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S-map fits at each query state for every theta, one per forward column.
 
     ``vectors`` and ``forward`` (values aligned with its rows) hold one
@@ -186,11 +188,13 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     sequence of ints, each at least ``dimension + 2``, which the callers
     check where they cut the library.
 
-    One pass finds the distances of every query to the longest prefix, and
-    one exponential gives the weights of every (theta, query), each query
-    scaled by its mean distance over its own prefix; a query's rows past its
-    prefix get distance and weight 0, and a (theta, query) whose weights are
-    all 0 is named by its theta before anything is factored.  Each (theta,
+    ``distances``, when given, are the queries' distances to the longest
+    prefix, a new array the fit may write; without them one pass finds them
+    with ``_distance_rows``.  One exponential gives the weights of every
+    (theta, query), each query scaled by its mean distance over its own
+    prefix; a query's rows past its prefix get distance and weight 0, and a
+    (theta, query) whose weights are all 0 is named by its theta before
+    anything is factored.  Each (theta,
     query, column) then gets its own square-root-weighted system ``[A | b]``:
     the intercept column ``sqrt(w)``, the coordinates and the column's
     targets, with the ridge penalty rows last (target 0).  Each run of
@@ -222,7 +226,8 @@ def _fit(vectors: np.ndarray, forward: np.ndarray, queries: np.ndarray, limits,
     starts = [q for q, count in enumerate(counts) if q == 0 or count != counts[q - 1]]
     runs = list(zip(starts, starts[1:] + [len(counts)]))
     top = max(counts)
-    distances = _distance_rows(vectors[..., :top, :], queries, "euclidean")
+    if distances is None:
+        distances = _distance_rows(vectors[..., :top, :], queries, "euclidean")
     means = np.empty((len(counts), 1))
     for lo, hi in runs:
         means[lo:hi] = distances[lo:hi, :counts[lo]].sum(axis=-1, keepdims=True) / counts[lo]
@@ -326,7 +331,8 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
 
     Every theta (and the ridge) is checked as ``SMapConfig`` checks it before
     any fit.  ``_fit`` runs on ``skill_eval``'s blocks, one held at a time,
-    and each query's fit serves the whole grid: its distances, weights and
+    with the distances ``forecast._one_step`` measures for each block, and
+    each query's fit serves the whole grid: its distances, weights and
     design are shared by every theta.  Each theta's predictions are scored
     as ``skill_eval`` scores them.  ``threads`` is accepted and ignored.
     """
@@ -336,7 +342,8 @@ def theta_search(data: Dataset, target: str, spec: EmbeddingSpec,
     if not grid:
         raise ValueError("theta grid is empty")
     full, _, queries, blocks = _one_step(data, target, configs[0], train_end, eval_start, eval_end,
-                                         lambda *block: _fit(*block, np.array(grid), ridge)[0])
+                                         lambda *block, distances: _fit(
+                                             *block, np.array(grid), ridge, distances)[0])
     predicted = np.concatenate(blocks, axis=1)
     observed = full.targets[queries]
     rows = tuple((theta, pearson_rho(observed, values[:, 0]), rmse(observed, values[:, 0]))

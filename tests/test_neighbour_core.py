@@ -7,17 +7,19 @@ per-site formula it replaced, so every caller keeps the bits it had.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from edmkit import ccm, embedding, simplex
+from edmkit import ccm, embedding, forecast
 from edmkit.bundled import load_bundled
 from edmkit.embedding import (EmbeddingLibrary, EmbeddingSpec, _candidates, _distance_rows,
-                              _exclude_band, _floor, _nearest, knn, multivariate_embed)
+                              _exclude_band, _floor, _lag_distances, _lag_series, _nearest, knn,
+                              multivariate_embed)
 from edmkit.simplex import SimplexConfig, simplex_predict, skill_eval
 from edmkit.smap import SMapConfig, smap_predict
-from edmkit.timeseries import Dataset, _row_dot
+from edmkit.timeseries import Dataset, TimeSeries, _row_dot
 
 from helpers import coupled_logistic_pair
 
@@ -86,11 +88,12 @@ def test_knn_distances_add_planes_in_coordinate_order(dimension, metric):
     assert found.distances.tobytes() == reference[expected].tobytes()
 
 
-@pytest.mark.parametrize("floor", [-1, 0, 1, 3])
-@pytest.mark.parametrize("first, rows", [(0, 4), (2, 5), (13, 7), (0, 20)])
+@pytest.mark.parametrize("floor", [-1, 0, 1, 3, 7, 25])
+@pytest.mark.parametrize("first, rows", [(0, 4), (2, 5), (13, 7), (18, 2), (0, 20)])
 def test_exclude_band_writes_inf_where_no_candidate(floor, first, rows):
     # library times are consecutive; the blocks touch the first row, the
-    # middle, the last row, and both ends at once
+    # middle, the last row, and both ends at once; floors 7 and 25 reach past
+    # a block's row count, and the bands of the last rows run past the last column
     times = np.arange(1961, 1981)
     block = np.random.default_rng((floor + 1, first)).random((rows, times.size))
     before = block.copy()
@@ -98,6 +101,73 @@ def test_exclude_band_writes_inf_where_no_candidate(floor, first, rows):
     excluded = ~_candidates(times, times[first:first + rows], floor)
     assert np.array_equal(np.isinf(block), excluded)
     assert np.array_equal(block[~excluded], before[~excluded])
+
+
+def _lag_distances_match(data, spec, metric):
+    """Every block of consecutive states, from the planes, has the bits of ``_distance_rows``."""
+    vectors = multivariate_embed(data, spec, "x", tp=0).vectors
+    n = len(vectors)
+    series = _lag_series(vectors, spec)
+    # the first state, the middle, the last state, a one-row block and every state
+    blocks = {(0, min(4, n)), (n // 3, n // 3 + (n + 1) // 2), (max(n - 5, 0), n),
+              (n // 2, n // 2 + 1), (0, n)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start, stop in sorted(blocks):
+            for width in sorted({n, max(1, n // 3), stop}):
+                distances = _lag_distances(series, spec.tau, start, stop, width, metric)
+                expected = _distance_rows(vectors[:width], vectors[start:stop], metric)
+                assert distances.shape == expected.shape
+                assert distances.tobytes() == expected.tobytes(), (start, stop, width)
+
+
+def _decades(length):
+    # x and y six decades apart, so a change of summation order shows
+    rng = np.random.default_rng(length)
+    return Dataset((TimeSeries("x", 1960, rng.normal(size=length) * 1e3),
+                    TimeSeries("y", 1960, rng.normal(size=length) * 1e-3)))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("columns", [(("x", e),) for e in range(1, 11)]
+                         + [(("x", 3), ("y", 1)), (("y", 1), ("x", 3))],
+                         ids=[f"E{e}" for e in range(1, 11)] + ["x3_y1", "y1_x3"])
+@METRICS
+def test_lag_distances_equal_distance_rows_on_the_states(metric, columns, tau, normalize):
+    # the shifted views of one difference plane per spec column
+    _lag_distances_match(_decades(41), EmbeddingSpec(columns, tau, normalize=normalize), metric)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@METRICS
+def test_lag_distances_where_tau_exceeds_the_state_count(metric, normalize):
+    # 2 states, tau 5: the series entries no state reads stay finite
+    for columns in ((("x", 3),), (("x", 3), ("y", 2))):
+        _lag_distances_match(_decades(12), EmbeddingSpec(columns, 5, normalize=normalize), metric)
+
+
+@pytest.mark.parametrize("tau, rows, planes", [(1, 1, True), (2, 1, False), (3, 3, True),
+                                               (4, 3, False), (1, 30, True)])
+@METRICS
+def test_block_distances_take_the_planes_while_tau_is_at_most_the_rows(monkeypatch, metric, tau,
+                                                                        rows, planes):
+    # either kernel gives the bits of _distance_rows; the planes subtract fewer values
+    # only while tau is at most the block's row count
+    spec = EmbeddingSpec.univariate("x", 3, tau)
+    vectors = multivariate_embed(_decades(50), spec, "x", tp=0).vectors
+    calls = []
+
+    def planes_counted(*block, lag_distances=embedding._lag_distances):
+        calls.append(block)
+        return lag_distances(*block)
+
+    monkeypatch.setattr(embedding, "_lag_distances", planes_counted)
+    distances = embedding._block_distances(vectors, _lag_series(vectors, spec), tau, 5, 5 + rows,
+                                           len(vectors), metric)
+    assert bool(calls) == planes
+    expected = _distance_rows(vectors, vectors[5:5 + rows], metric)
+    assert distances.tobytes() == expected.tobytes()
 
 
 def test_unknown_metric_is_named():
@@ -294,16 +364,15 @@ def test_one_block_budget_sizes_both_drivers(monkeypatch):
     data = Dataset(coupled_logistic_pair(200))
     spec = EmbeddingSpec.univariate("x", 2)
     blocks = {}
-    for module in (simplex, ccm):
-        def counted(vectors, queries, metric, name=module.__name__,
-                    distance_rows=module._distance_rows):
+    for module in (forecast, ccm):
+        def counted(*block, name=module.__name__, block_distances=module._block_distances):
             blocks[name] += 1
-            return distance_rows(vectors, queries, metric)
+            return block_distances(*block)
 
-        monkeypatch.setattr(module, "_distance_rows", counted)
+        monkeypatch.setattr(module, "_block_distances", counted)
 
     def run():
-        blocks.update(dict.fromkeys(("edmkit.simplex", "edmkit.ccm"), 0))
+        blocks.update(dict.fromkeys(("edmkit.forecast", "edmkit.ccm"), 0))
         result = skill_eval(data, "x", SimplexConfig(spec), train_end=100)
         skill = ccm.cross_map(data["x"], data["y"], 2)
         return result.predicted.tobytes() + result.step_variance.tobytes() + np.float64(
@@ -311,7 +380,7 @@ def test_one_block_budget_sizes_both_drivers(monkeypatch):
 
     default = run()
     # 99 one-step queries against 198 states, 199 cross-map queries against 199
-    assert blocks == {"edmkit.simplex": 1, "edmkit.ccm": 2}
+    assert blocks == {"edmkit.forecast": 1, "edmkit.ccm": 2}
     monkeypatch.setattr(embedding, "_BLOCK_ELEMENTS", 10 * 199 * 2)  # ten rows a block
     assert run() == default
-    assert blocks == {"edmkit.simplex": 10, "edmkit.ccm": 20}
+    assert blocks == {"edmkit.forecast": 10, "edmkit.ccm": 20}
